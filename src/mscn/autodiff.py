@@ -10,12 +10,25 @@ in terms of the public ops themselves, so running ``backward_retaining``
 on a record opened with ``retain=True`` appends the backward pass to the
 same record; the returned gradients are then ordinary recorded values and
 can be differentiated again.
+
+Ownership: a record holds its nodes, a node holds its parents, its output
+array and its VJP, and nothing points back.  A VJP is handed its own
+output at sweep time and never closes over it; a node refers to its record
+only weakly; a tape drops its recording context on exit.  A record is
+therefore freed by reference counting the moment its step lets go of it.
+
+A sweep does only the work its caller asks for.  ``backward(..., wrt=)``
+marks the nodes that depend on the requested leaves and runs VJPs only
+there, and each VJP is told which of its inputs need a gradient.  Binary
+ops broadcast lazily, as numpy does, and sum their gradient back down to
+each operand's shape inside the VJP.
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Callable, Optional, Sequence
+import weakref
+from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
 from scipy.special import expit
@@ -59,15 +72,23 @@ class _using_tape:
 
 
 class Node:
-    """One recorded operation: parents plus a vector-Jacobian closure."""
+    """One recorded operation: parents, output array and a VJP.
 
-    __slots__ = ("tape", "op", "parents", "vjp")
+    ``record`` is the owning tape's weak reference, so a node never keeps
+    its record alive.  The VJP is called as ``vjp(g, out, needs)``: `g` is
+    the gradient of the output, `out` the output as a Tensor on this node,
+    and `needs[i]` says whether input i wants a gradient.  It returns one
+    entry per input, None where none was wanted.
+    """
 
-    def __init__(self, tape, op, parents, vjp):
-        self.tape = tape
+    __slots__ = ("record", "op", "parents", "vjp", "data")
+
+    def __init__(self, record, op, parents, vjp, data):
+        self.record = record
         self.op = op
         self.parents = parents  # tuple[Node | None], aligned with the op inputs
         self.vjp = vjp  # None for leaves
+        self.data = data
 
 
 class Tensor:
@@ -144,6 +165,8 @@ class Tape:
         self.retain = retain
         self.nodes: list[Node] = []
         self._leaves: list[Tensor] = []
+        self._ref = weakref.ref(self)
+        self._ctx = None
 
     def __enter__(self):
         self._ctx = _using_tape(self)
@@ -151,14 +174,14 @@ class Tape:
         return self
 
     def __exit__(self, *exc):
-        return self._ctx.__exit__(*exc)
+        ctx, self._ctx = self._ctx, None
+        return ctx.__exit__(*exc)
 
     def leaf(self, value) -> Tensor:
         """Register a differentiation root holding `value` on this record."""
-        data = value.data if isinstance(value, Tensor) else value
-        node = Node(self, "leaf", (), None)
-        self.nodes.append(node)
-        t = Tensor(data, node)
+        t = Tensor(value.data if isinstance(value, Tensor) else value)
+        t.node = Node(self._ref, "leaf", (), None, t.data)
+        self.nodes.append(t.node)
         self._leaves.append(t)
         return t
 
@@ -171,25 +194,25 @@ def _lift(x) -> Tensor:
 
 
 def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+    out = Tensor(out_data)
     tape = _active_tape()
     if tape is None:
-        return Tensor(out_data)
+        return out
     parents = []
     tracked = False
     for t in inputs:
         node = t.node
-        if node is not None and node.tape is not tape:
+        if node is not None and node.record is not tape._ref:
             raise RecordError(
                 f"{op}: input was recorded on a different record; "
                 "records must not be mixed"
             )
         parents.append(node)
         tracked = tracked or node is not None
-    if not tracked:
-        return Tensor(out_data)
-    node = Node(tape, op, tuple(parents), vjp)
-    tape.nodes.append(node)
-    return Tensor(out_data, node)
+    if tracked:
+        out.node = Node(tape._ref, op, tuple(parents), vjp, out.data)
+        tape.nodes.append(out.node)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -202,56 +225,67 @@ def matmul(a, b) -> Tensor:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
     if a.shape[-1] != (b.shape[0] if b.ndim >= 1 else -1):
         raise ShapeMismatchError("matmul", a.shape, b.shape)
-    out = a.data @ b.data
 
-    def vjp(g: Tensor):
+    def vjp(g: Tensor, out, needs):
         if a.ndim == 2 and b.ndim == 2:
-            return matmul(g, transpose(b)), matmul(transpose(a), g)
-        if a.ndim == 1 and b.ndim == 2:
-            # (k,) @ (k, n) -> (n,)
-            return matmul(b, g), matmul(reshape(a, (a.shape[0], 1)), reshape(g, (1, g.shape[0])))
-        if a.ndim == 2 and b.ndim == 1:
-            # (m, k) @ (k,) -> (m,)
-            return matmul(reshape(g, (g.shape[0], 1)), reshape(b, (1, b.shape[0]))), matmul(transpose(a), g)
-        # (k,) @ (k,) -> scalar dot product
-        return mul(g, b), mul(g, a)
+            grads = (lambda: matmul(g, transpose(b)), lambda: matmul(transpose(a), g))
+        elif a.ndim == 1 and b.ndim == 2:  # (k,) @ (k, n) -> (n,)
+            grads = (lambda: matmul(b, g),
+                     lambda: matmul(reshape(a, (a.shape[0], 1)), reshape(g, (1, g.shape[0]))))
+        elif a.ndim == 2 and b.ndim == 1:  # (m, k) @ (k,) -> (m,)
+            grads = (lambda: matmul(reshape(g, (g.shape[0], 1)), reshape(b, (1, b.shape[0]))),
+                     lambda: matmul(transpose(a), g))
+        else:  # (k,) @ (k,) -> scalar dot product
+            grads = (lambda: mul(g, b), lambda: mul(g, a))
+        return tuple(grad() if need else None for grad, need in zip(grads, needs))
 
-    return _record("matmul", out, (a, b), vjp)
+    return _record("matmul", a.data @ b.data, (a, b), vjp)
 
 
-def _binary(op: str, a, b, fwd, vjp_factory) -> Tensor:
+def _unbroadcast(g: Tensor, shape) -> Tensor:
+    """Sum `g` down to `shape`, undoing numpy broadcasting."""
+    extra = g.ndim - len(shape)
+    axes = tuple(range(extra)) + tuple(
+        i + extra for i, d in enumerate(shape) if d == 1 and g.shape[i + extra] != 1
+    )
+    out = reduce_sum(g, axis=axes) if axes else g
+    return out if out.shape == shape else reshape(out, shape)
+
+
+def _binary(op: str, a, b, fwd, grads) -> Tensor:
     """Elementwise binary op with numpy broadcasting.
 
-    Broadcasting is made explicit: both operands are materialized to the
-    common shape first, so the elementwise VJPs never have to un-broadcast.
+    Operands are never materialized to the common shape.  `grads(g, a, b,
+    out, needs)` gives the gradients at the output shape; they are summed
+    back down to each operand's shape here.
     """
     a, b = _lift(a), _lift(b)
     try:
-        shape = np.broadcast_shapes(a.shape, b.shape)
+        np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeMismatchError(op, a.shape, b.shape) from None
-    if a.shape != shape:
-        a = broadcast_to(a, shape)
-    if b.shape != shape:
-        b = broadcast_to(b, shape)
-    out = fwd(a.data, b.data)
-    result = _record(op, out, (a, b), None)
-    if result.node is not None:
-        result.node.vjp = vjp_factory(a, b, result)
-    return result
+
+    def vjp(g, out, needs):
+        ga, gb = grads(g, a, b, out, needs)
+        return (_unbroadcast(ga, a.shape) if needs[0] else None,
+                _unbroadcast(gb, b.shape) if needs[1] else None)
+
+    return _record(op, fwd(a.data, b.data), (a, b), vjp)
 
 
 def add(a, b) -> Tensor:
-    return _binary("add", a, b, np.add, lambda a, b, o: lambda g: (g, g))
+    return _binary("add", a, b, np.add, lambda g, a, b, out, needs: (g, g))
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract, lambda a, b, o: lambda g: (g, neg(g)))
+    return _binary("sub", a, b, np.subtract,
+                   lambda g, a, b, out, needs: (g, neg(g) if needs[1] else None))
 
 
 def mul(a, b) -> Tensor:
     return _binary("mul", a, b, np.multiply,
-                   lambda a, b, o: lambda g: (mul(g, b), mul(g, a)))
+                   lambda g, a, b, out, needs: (mul(g, b) if needs[0] else None,
+                                                mul(g, a) if needs[1] else None))
 
 
 def div(a, b) -> Tensor:
@@ -260,20 +294,17 @@ def div(a, b) -> Tensor:
             raise ZeroDivisionError("div: zero denominator")
         return x / y
 
-    def vjp_factory(a, b, out):
-        def vjp(g):
-            ga = div(g, b)
-            return ga, neg(mul(ga, out))
+    def grads(g, a, b, out, needs):
+        ga = div(g, b)
+        return ga, neg(mul(ga, out)) if needs[1] else None
 
-        return vjp
-
-    return _binary("div", a, b, fwd, vjp_factory)
+    return _binary("div", a, b, fwd, grads)
 
 
 def scalar_mul(c: float, x) -> Tensor:
     x = _lift(x)
     c = float(c)
-    return _record("scalar_mul", c * x.data, (x,), lambda g: (scalar_mul(c, g),))
+    return _record("scalar_mul", c * x.data, (x,), lambda g, *_: (scalar_mul(c, g),))
 
 
 def neg(x) -> Tensor:
@@ -283,38 +314,27 @@ def neg(x) -> Tensor:
 def square(x) -> Tensor:
     x = _lift(x)
     return _record("square", x.data * x.data, (x,),
-                   lambda g: (mul(g, scalar_mul(2.0, x)),))
-
-
-def absval(x) -> Tensor:
-    x = _lift(x)
-    sign = Tensor(np.sign(x.data))  # subgradient 0 at exactly 0
-    return _record("abs", np.abs(x.data), (x,), lambda g: (mul(g, sign),))
+                   lambda g, *_: (mul(g, scalar_mul(2.0, x)),))
 
 
 def relu(x) -> Tensor:
     """Hinge [x]+ with the strict-inequality subgradient (0 at exactly 0)."""
     x = _lift(x)
     mask = Tensor((x.data > 0.0).astype(np.float64))
-    return _record("relu", np.maximum(x.data, 0.0), (x,), lambda g: (mul(g, mask),))
-
-
-hinge = relu
+    return _record("relu", np.maximum(x.data, 0.0), (x,), lambda g, *_: (mul(g, mask),))
 
 
 def sigmoid(x) -> Tensor:
     x = _lift(x)
-    out = _record("sigmoid", expit(x.data), (x,), None)
-    if out.node is not None:
-        out.node.vjp = lambda g: (mul(g, mul(out, sub(1.0, out))),)
-    return out
+    return _record("sigmoid", expit(x.data), (x,),
+                   lambda g, out, needs: (mul(g, mul(out, sub(1.0, out))),))
 
 
 def log(x) -> Tensor:
     x = _lift(x)
     if np.any(x.data <= 0.0):
         raise ValueError("log: requires strictly positive inputs")
-    return _record("log", np.log(x.data), (x,), lambda g: (div(g, x),))
+    return _record("log", np.log(x.data), (x,), lambda g, *_: (div(g, x),))
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
@@ -325,7 +345,7 @@ def clamp(x, lo: float, hi: float) -> Tensor:
     if np.any(np.isnan(x.data)):
         raise ValueError("clamp: NaN input")
     mask = Tensor(((x.data > lo) & (x.data < hi)).astype(np.float64))
-    return _record("clamp", np.clip(x.data, lo, hi), (x,), lambda g: (mul(g, mask),))
+    return _record("clamp", np.clip(x.data, lo, hi), (x,), lambda g, *_: (mul(g, mask),))
 
 
 def l2norm(x) -> Tensor:
@@ -333,15 +353,12 @@ def l2norm(x) -> Tensor:
     x = _lift(x)
     if x.ndim == 0:
         raise ShapeMismatchError("l2norm", x.shape)
-    data = np.sqrt(np.sum(x.data * x.data, axis=-1))
-    out = _record("l2norm", data, (x,), None)
-    if out.node is not None:
-        def vjp(g):
-            ratio = div(g, out)  # (...,)
-            return (mul(x, reshape(ratio, ratio.shape + (1,))),)
 
-        out.node.vjp = vjp
-    return out
+    def vjp(g, out, needs):
+        ratio = div(g, out)  # (...,)
+        return (mul(x, reshape(ratio, ratio.shape + (1,))),)
+
+    return _record("l2norm", np.sqrt(np.sum(x.data * x.data, axis=-1)), (x,), vjp)
 
 
 def row_max(x) -> tuple[Tensor, np.ndarray]:
@@ -359,7 +376,7 @@ def row_max(x) -> tuple[Tensor, np.ndarray]:
     onehot[rows, idx] = 1.0
     mask = Tensor(onehot)
     out = _record("row_max", x.data[rows, idx], (x,),
-                  lambda g: (mul(mask, reshape(g, (g.shape[0], 1))),))
+                  lambda g, *_: (mul(mask, reshape(g, (g.shape[0], 1))),))
     return out, idx
 
 
@@ -378,7 +395,7 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     kept = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
     data = np.sum(x.data, axis=axes if axes else None, keepdims=keepdims)
 
-    def vjp(g):
+    def vjp(g, *_):
         gk = g if keepdims else reshape(g, kept)
         return (broadcast_to(gk, in_shape),)
 
@@ -404,16 +421,7 @@ def broadcast_to(x, shape) -> Tensor:
     except ValueError:
         raise ShapeMismatchError("broadcast_to", x.shape, shape) from None
     in_shape = x.shape
-
-    def vjp(g):
-        extra = len(shape) - len(in_shape)
-        axes = tuple(range(extra)) + tuple(
-            i + extra for i, d in enumerate(in_shape) if d == 1 and shape[i + extra] != 1
-        )
-        out = reduce_sum(g, axis=axes) if axes else g
-        return (out if out.shape == in_shape else reshape(out, in_shape),)
-
-    return _record("broadcast_to", data, (x,), vjp)
+    return _record("broadcast_to", data, (x,), lambda g, *_: (_unbroadcast(g, in_shape),))
 
 
 def reshape(x, shape) -> Tensor:
@@ -423,152 +431,87 @@ def reshape(x, shape) -> Tensor:
         raise ShapeMismatchError("reshape", x.shape, shape)
     in_shape = x.shape
     return _record("reshape", x.data.reshape(shape), (x,),
-                   lambda g: (reshape(g, in_shape),))
+                   lambda g, *_: (reshape(g, in_shape),))
 
 
 def transpose(x) -> Tensor:
     x = _lift(x)
     if x.ndim != 2:
         raise ShapeMismatchError("transpose", x.shape)
-    return _record("transpose", x.data.T.copy(), (x,), lambda g: (transpose(g),))
-
-
-def concat(parts: Sequence, axis: int = 0) -> Tensor:
-    parts = [_lift(p) for p in parts]
-    if not parts:
-        raise ShapeMismatchError("concat", ())
-    ndim = parts[0].ndim
-    if ndim == 0:
-        raise ShapeMismatchError("concat", parts[0].shape)
-    axis = axis % ndim
-    base = list(parts[0].shape)
-    for p in parts[1:]:
-        if p.ndim != ndim:
-            raise ShapeMismatchError("concat", parts[0].shape, p.shape)
-        other = list(p.shape)
-        other[axis] = base[axis]
-        if other != base:
-            raise ShapeMismatchError("concat", parts[0].shape, p.shape)
-    sizes = [p.shape[axis] for p in parts]
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g):
-        return tuple(narrow(g, axis, int(offsets[i]), sizes[i]) for i in range(len(parts)))
-
-    return _record("concat", np.concatenate([p.data for p in parts], axis=axis),
-                   tuple(parts), vjp)
-
-
-def narrow(x, axis: int, start: int, length: int) -> Tensor:
-    """Contiguous slice of `length` elements along `axis`, starting at `start`."""
-    x = _lift(x)
-    if x.ndim == 0:
-        raise ShapeMismatchError("narrow", x.shape)
-    axis = axis % x.ndim
-    dim = x.shape[axis]
-    if start < 0 or length < 0 or start + length > dim:
-        raise ShapeMismatchError("narrow", x.shape, (start, length))
-    index = [slice(None)] * x.ndim
-    index[axis] = slice(start, start + length)
-    after = dim - start - length
-
-    def vjp(g):
-        parts = []
-        if start:
-            shape = list(x.shape)
-            shape[axis] = start
-            parts.append(Tensor(np.zeros(shape)))
-        parts.append(g)
-        if after:
-            shape = list(x.shape)
-            shape[axis] = after
-            parts.append(Tensor(np.zeros(shape)))
-        return (concat(parts, axis=axis) if len(parts) > 1 else g,)
-
-    return _record("narrow", x.data[tuple(index)].copy(), (x,), vjp)
-
-
-_PRIMITIVES = {
-    "matmul": matmul,
-    "add": add,
-    "sub": sub,
-    "mul": mul,
-    "div": div,
-    "scalar_mul": scalar_mul,
-    "neg": neg,
-    "square": square,
-    "abs": absval,
-    "relu": relu,
-    "hinge": hinge,
-    "sigmoid": sigmoid,
-    "log": log,
-    "clamp": clamp,
-    "l2norm": l2norm,
-    "row_max": row_max,
-    "sum": reduce_sum,
-    "mean": reduce_mean,
-    "broadcast_to": broadcast_to,
-    "reshape": reshape,
-    "transpose": transpose,
-    "concat": concat,
-    "narrow": narrow,
-}
-
-
-def primitive_forward(op_kind: str, *inputs, **kwargs):
-    """Apply a primitive by name; unknown kinds are rejected."""
-    try:
-        fn = _PRIMITIVES[op_kind]
-    except KeyError:
-        raise ValueError(f"unknown primitive: {op_kind!r}") from None
-    return fn(*inputs, **kwargs)
+    return _record("transpose", x.data.T.copy(), (x,), lambda g, *_: (transpose(g),))
 
 
 # ---------------------------------------------------------------------------
 # backward
 
 
-def _backprop(record: Tape, output: Tensor) -> dict[Tensor, Tensor]:
+def _live_nodes(nodes: list[Node], roots: set) -> set:
+    """Nodes that depend on any of `roots`; record order is topological."""
+    live = set(roots)
+    for node in nodes:
+        if node.vjp is not None and any(p in live for p in node.parents):
+            live.add(node)
+    return live
+
+
+def _backprop(record: Tape, output: Tensor,
+              wrt: Optional[Iterable[Tensor]]) -> dict[Tensor, Tensor]:
     if not record.nodes:
         raise RecordError("backward on an empty record")
-    if output.node is None or output.node.tape is not record:
+    if output.node is None or output.node.record is not record._ref:
         raise RecordError("backward: output was not recorded on this record")
     if output.data.size != 1:
         raise RecordError(
             f"backward requires a scalar output, got shape {output.shape}"
         )
-    grads: dict[Node, Tensor] = {output.node: Tensor(np.ones_like(output.data))}
-    # Snapshot the length: VJPs may append nodes (retaining mode); those
+    # Snapshot the nodes: VJPs may append nodes (retaining mode); those
     # belong to future backward passes, not this one.
-    for i in range(len(record.nodes) - 1, -1, -1):
-        node = record.nodes[i]
+    nodes = record.nodes[:]
+    if wrt is None:
+        leaves, live = record.leaves(), None  # every recorded node depends on a leaf
+    else:
+        leaves = tuple(wrt)
+        for t in leaves:
+            if t.node is None or t.node.record is not record._ref or t.node.vjp is not None:
+                raise RecordError("backward: wrt must hold leaves of this record")
+        live = _live_nodes(nodes, {t.node for t in leaves})
+    grads: dict[Node, Tensor] = {output.node: Tensor(np.ones_like(output.data))}
+    for node in reversed(nodes):
         g = grads.get(node)
         if g is None or node.vjp is None:
             continue
         del grads[node]
-        for parent, pg in zip(node.parents, node.vjp(g)):
-            if parent is None or pg is None:
+        needs = tuple(p is not None and (live is None or p in live) for p in node.parents)
+        if not any(needs):
+            continue
+        for parent, need, pg in zip(node.parents, needs,
+                                    node.vjp(g, Tensor(node.data, node), needs)):
+            if not need:
                 continue
             acc = grads.get(parent)
             grads[parent] = pg if acc is None else add(acc, pg)
     out: dict[Tensor, Tensor] = {}
-    for leaf in record.leaves():
+    for leaf in leaves:
         g = grads.get(leaf.node)
         out[leaf] = Tensor(np.zeros_like(leaf.data)) if g is None else g
     return out
 
 
-def backward(record: Tape, output: Tensor) -> dict[Tensor, Tensor]:
-    """Gradients of a scalar `output` w.r.t. every leaf of `record`.
+def backward(record: Tape, output: Tensor,
+             wrt: Optional[Iterable[Tensor]] = None) -> dict[Tensor, Tensor]:
+    """Gradients of a scalar `output` w.r.t. the leaves `wrt` of `record`
+    (default: every leaf).
 
-    Recording is suspended for the sweep; returned gradients are plain
-    values.  Leaves the output does not depend on map to zeros.
+    Only nodes that depend on `wrt` are swept.  Recording is suspended for
+    the sweep; returned gradients are plain values.  Leaves the output does
+    not depend on map to zeros.
     """
     with _using_tape(None):
-        return _backprop(record, output)
+        return _backprop(record, output, wrt)
 
 
-def backward_retaining(record: Tape, output: Tensor) -> dict[Tensor, Tensor]:
+def backward_retaining(record: Tape, output: Tensor,
+                       wrt: Optional[Iterable[Tensor]] = None) -> dict[Tensor, Tensor]:
     """Like `backward`, but the sweep itself is recorded onto `record`.
 
     The record must have been opened with ``retain=True``.  Returned
@@ -578,4 +521,4 @@ def backward_retaining(record: Tape, output: Tensor) -> dict[Tensor, Tensor]:
     if not record.retain:
         raise RecordError("backward_retaining requires a record opened with retain=True")
     with _using_tape(record):
-        return _backprop(record, output)
+        return _backprop(record, output, wrt)

@@ -24,6 +24,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .fileio import write_atomic
+
 DATASET_MAGIC = b"MSCD"
 DATASET_VERSION = 1
 
@@ -257,8 +259,7 @@ def write_dataset(path, ds: Dataset) -> None:
                           separators=(",", ":")).encode("utf-8")
     blob += struct.pack("<I", len(manifest))
     blob += manifest
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
 
 
 def read_dataset(path) -> Dataset:

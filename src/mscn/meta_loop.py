@@ -185,9 +185,9 @@ def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
     loss = objective.triplet_loss(images, texts, main_lifted, meta_lifted,
                                   cfg.gamma, cfg.tau,
                                   adaptive=cfg.use_adaptive_margin)
-    grads = ad.backward_retaining(tape, loss)
-    stepped = [ad.sub(t, ad.scalar_mul(alpha, grads[t]))
-               for _, t in main_lifted.items()]
+    leaves = [t for _, t in main_lifted.items()]
+    grads = ad.backward_retaining(tape, loss, wrt=leaves)
+    stepped = [ad.sub(t, ad.scalar_mul(alpha, grads[t])) for t in leaves]
     return main_lifted.with_arrays(stepped), loss
 
 
@@ -199,9 +199,10 @@ def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
     mloss = objective.meta_loss(batch.images, batch.texts, batch.labels,
                                 virtual_main, meta_lifted,
                                 negative_term=cfg.meta_bce_negative_term)
-    grads = ad.backward(tape, mloss)
+    leaves = [t for _, t in meta_lifted.items()]
+    grads = ad.backward(tape, mloss, wrt=leaves)
     names = [n for n, _ in meta_lifted.items()]
-    g = [grads[t].data for _, t in meta_lifted.items()]
+    g = [grads[t].data for t in leaves]
     _check_finite(g, names, "meta_update")
     new_arrays = optimizer_step(state.meta.arrays(), g, state.opt_meta, lr_meta, cfg)
     return state.meta.with_arrays(new_arrays), mloss.item()
@@ -323,21 +324,23 @@ def fit_purifier(net: NetState, train_split: Split, meta_split: Split,
     return admitted, fit, train_scores
 
 
-METRICS_COLUMNS = (
-    "epoch", "phase", "lr_main", "lr_meta",
-    "net1_train_loss", "net1_meta_loss", "net2_train_loss", "net2_meta_loss",
-    "net1_purified", "net2_purified",
-    "net1_purity_precision", "net1_purity_recall",
-    "net2_purity_precision", "net2_purity_recall",
-    "val_i2t_r1", "val_i2t_r5", "val_i2t_r10",
-    "val_t2i_r1", "val_t2i_r5", "val_t2i_r10",
-    "val_rsum", "degenerate_pairs",
-)
+def metrics_columns(eval_ks) -> tuple[str, ...]:
+    """Header of metrics.tsv: one recall column per direction and cutoff."""
+    return (
+        "epoch", "phase", "lr_main", "lr_meta",
+        "net1_train_loss", "net1_meta_loss", "net2_train_loss", "net2_meta_loss",
+        "net1_purified", "net2_purified",
+        "net1_purity_precision", "net1_purity_recall",
+        "net2_purity_precision", "net2_purity_recall",
+        *(f"val_i2t_r{k}" for k in eval_ks),
+        *(f"val_t2i_r{k}" for k in eval_ks),
+        "val_rsum", "degenerate_pairs",
+    )
 
 
-def format_metrics_row(row: dict) -> str:
+def format_metrics_row(row: dict, columns) -> str:
     cells = []
-    for col in METRICS_COLUMNS:
+    for col in columns:
         v = row.get(col)
         if v is None:
             cells.append("-")
@@ -398,11 +401,12 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
                              opt_meta=AdamState(meta.arrays())))
 
     out_path = Path(out_dir) if out_dir is not None else None
+    columns = metrics_columns(cfg.eval_ks)
     metrics_fh = None
     if out_path is not None:
         out_path.mkdir(parents=True, exist_ok=True)
         metrics_fh = open(out_path / "metrics.tsv", "w", encoding="utf-8")
-        metrics_fh.write("\t".join(METRICS_COLUMNS) + "\n")
+        metrics_fh.write("\t".join(columns) + "\n")
         metrics_fh.flush()
 
     scorer = "mscn" if cfg.mode == "mscn" else "cosine"
@@ -521,7 +525,7 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
                 row[f"val_t2i_r{k}"] = report.text_to_image[k]
             metrics_rows.append(row)
             if metrics_fh is not None:
-                metrics_fh.write(format_metrics_row(row) + "\n")
+                metrics_fh.write(format_metrics_row(row, columns) + "\n")
                 metrics_fh.flush()
 
             if report.rsum > best_rsum:

@@ -33,6 +33,7 @@ from .autodiff import (
     sub,
     transpose,
 )
+from .fileio import write_atomic
 
 # Below this, the similarity feature's direction is numerically meaningless.
 NORM_EPSILON = 1e-12
@@ -339,8 +340,7 @@ def save_checkpoint(path, main: MainNetParams, meta: MetaNetParams) -> None:
         blob += struct.pack("<I", arr.ndim)
         blob += struct.pack(f"<{arr.ndim}I", *arr.shape)
         blob += arr.astype("<f8").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(blob)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path) -> tuple[MainNetParams, MetaNetParams]:

@@ -4,11 +4,16 @@ gradients via retained records."""
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
 from mscn import autodiff as ad
-from conftest import assert_close_grad, central_difference, rng_for
+from mscn import model, objective
+from mscn.meta_loop import TrainConfig
+from conftest import (assert_close_grad, central_difference, meta_kink_margin,
+                      rng_for, triplet_kink_margin)
 
 
 def grad_of(build, values, wrt: int):
@@ -43,10 +48,9 @@ class TestForwardValues:
         np.testing.assert_allclose(s + ad.sigmoid(ad.Tensor(-x)).data, 1.0, rtol=0, atol=1e-15)
         assert np.all((s > 0) & (s < 1))
 
-    def test_relu_and_abs(self):
+    def test_relu(self):
         x = np.array([-2.0, 0.0, 3.5])
         np.testing.assert_array_equal(ad.relu(ad.Tensor(x)).data, [0.0, 0.0, 3.5])
-        np.testing.assert_array_equal(ad.absval(ad.Tensor(x)).data, [2.0, 0.0, 3.5])
 
     def test_clamp(self):
         x = np.array([-1.0, 0.3, 2.0])
@@ -84,12 +88,6 @@ class TestForwardValues:
             recorded = ad.reduce_sum(ad.sigmoid(ad.matmul(t, ad.transpose(t)))).data
         np.testing.assert_array_equal(plain, recorded)
 
-    def test_primitive_forward_dispatch(self):
-        out = ad.primitive_forward("add", ad.Tensor(1.0), ad.Tensor(2.0))
-        assert out.item() == 3.0
-        with pytest.raises(ValueError, match="unknown primitive"):
-            ad.primitive_forward("exp", ad.Tensor(1.0))
-
 
 class TestShapeAndDomainErrors:
     def test_matmul_mismatch_names_op(self):
@@ -117,10 +115,6 @@ class TestShapeAndDomainErrors:
     def test_reshape_size_mismatch(self):
         with pytest.raises(ad.ShapeMismatchError, match="reshape"):
             ad.reshape(ad.Tensor(np.zeros(5)), (2, 3))
-
-    def test_narrow_out_of_range(self):
-        with pytest.raises(ad.ShapeMismatchError, match="narrow"):
-            ad.narrow(ad.Tensor(np.zeros(4)), 0, 2, 3)
 
     def test_transpose_needs_2d(self):
         with pytest.raises(ad.ShapeMismatchError, match="transpose"):
@@ -237,7 +231,6 @@ class TestPrimitiveGradients:
             x = rng.normal(size=(4,))
             x = np.where(np.abs(x) < 0.05, 0.2, x)  # step 1e-6 never crosses 0
             check_all_grads(lambda ls: ad.reduce_sum(ad.relu(ls[0])), [x], label="relu")
-            check_all_grads(lambda ls: ad.reduce_sum(ad.absval(ls[0])), [x], label="abs")
             y = rng.uniform(0.1, 0.9, size=4)
             y = np.where(np.abs(y - 0.25) < 0.05, 0.4, y)
             y = np.where(np.abs(y - 0.75) < 0.05, 0.6, y)
@@ -294,21 +287,17 @@ class TestPrimitiveGradients:
                 lambda ls: ad.reduce_sum(ad.square(ad.broadcast_to(ls[0], (4, 3, 2)))),
                 [m], label="bcast")
 
-    def test_concat_narrow_roundtrip_gradients(self):
+    def test_lazy_broadcast_gradients(self):
+        """Operands are broadcast lazily and their gradients summed back
+        down: a bias add, and an all-pairs difference (n,1,d) - (1,m,d)."""
         for trial in range(8):
             rng = rng_for(107, trial)
-            a = rng.normal(size=(2, 3))
-            b = rng.normal(size=(4, 3))
-            check_all_grads(
-                lambda ls: ad.reduce_sum(ad.square(ad.concat([ls[0], ls[1]], axis=0))),
-                [a, b], label="concat")
-            check_all_grads(
-                lambda ls: ad.reduce_sum(ad.square(ad.narrow(ls[0], 0, 1, 2))),
-                [b], label="narrow")
-            with ad.Tape() as tape:
-                x = tape.leaf(b)
-                back = ad.narrow(ad.concat([x, ad.Tensor(a)], axis=0), 0, 0, 4)
-            np.testing.assert_array_equal(back.data, b)
+            x, bias = rng.normal(size=(4, 3)), rng.normal(size=3)
+            check_all_grads(lambda ls: ad.reduce_sum(ad.square(ad.add(ls[0], ls[1]))),
+                            [x, bias], label="bias add")
+            u, v = rng.normal(size=(3, 1, 2)), rng.normal(size=(1, 4, 2))
+            check_all_grads(lambda ls: ad.reduce_sum(ad.square(ad.sub(ls[0], ls[1]))),
+                            [u, v], label="all-pairs sub")
 
 
 def _build_random_program(rng: np.random.Generator):
@@ -380,6 +369,13 @@ def _build_random_program(rng: np.random.Generator):
     return program
 
 
+_PROGRAM_OPS = {
+    "add": ad.add, "sub": ad.sub, "mul": ad.mul, "square": ad.square,
+    "sigmoid": ad.sigmoid, "matmul": ad.matmul, "sum": ad.reduce_sum,
+    "mean": ad.reduce_mean, "transpose": ad.transpose, "reshape": ad.reshape,
+}
+
+
 def _run_program(program, leaf_values, tape=None):
     vals = []
     leaves = []
@@ -400,7 +396,7 @@ def _run_program(program, leaf_values, tape=None):
         elif op == "safe_l2norm":
             out = ad.l2norm(ad.add(ad.square(args[0]), ad.Tensor(0.2)))
         else:
-            out = ad.primitive_forward(op, *args, **kw)
+            out = _PROGRAM_OPS[op](*args, **kw)
         vals.append(out)
     final = vals[-1]
     size = int(np.prod(final.shape, dtype=np.int64))
@@ -445,6 +441,100 @@ class TestCompositePrograms:
 
         for a, b in zip(run(), run()):
             np.testing.assert_array_equal(a, b)
+
+    def test_wrt_subsets_match_full_sweep_bitwise(self):
+        for trial in range(60):
+            rng = rng_for(202, trial)
+            program = _build_random_program(rng)
+            values = [rng.normal(size=ins[1]) for ins in program if ins[0] == "leaf"]
+            with ad.Tape() as tape:
+                loss, leaves = _run_program(program, values, tape)
+                full = ad.backward(tape, loss)
+                subsets = [[leaf] for leaf in leaves]
+                subsets.append([leaves[i] for i in range(len(leaves)) if rng.integers(2)])
+                for subset in subsets:
+                    part = ad.backward(tape, loss, wrt=subset)
+                    assert list(part) == subset
+                    for leaf in subset:
+                        np.testing.assert_array_equal(part[leaf].data, full[leaf].data)
+
+
+class TestPrunedBackward:
+    def test_meta_gradient_instances_match_full_sweep_bitwise(self):
+        """The 50 toy instances of acceptance test 2: the pruned virtual
+        step (wrt the main leaves) and meta sweep (wrt the correction
+        leaves) give the same bits as sweeping every leaf both times."""
+        cfg = TrainConfig(seed=7, batch_size=4, meta_batch_size=4, d_emb=4,
+                          d_sim=2, branch_hidden=3, mscn_hidden=2, eval_ks=(1,))
+        labels = np.array([1.0, 1.0, 0.0, 0.0])
+
+        def meta_grads(main, meta, imgs, txts, mb_imgs, mb_txts, pruned):
+            with ad.Tape(retain=True) as tape:
+                main_l, meta_l = main.lift(tape), meta.lift(tape)
+                main_leaves = [t for _, t in main_l.items()]
+                meta_leaves = [t for _, t in meta_l.items()]
+                loss = objective.triplet_loss(imgs, txts, main_l, meta_l,
+                                              cfg.gamma, cfg.tau)
+                g = ad.backward_retaining(tape, loss,
+                                          wrt=main_leaves if pruned else None)
+                virt = main_l.with_arrays(
+                    [ad.sub(t, ad.scalar_mul(2e-3, g[t])) for t in main_leaves])
+                mloss = objective.meta_loss(mb_imgs, mb_txts, labels, virt, meta_l)
+                mg = ad.backward(tape, mloss, wrt=meta_leaves if pruned else None)
+                return [mg[t].data for t in meta_leaves], virt
+
+        checked = 0
+        for instance in itertools.count():
+            rng = rng_for(4200, instance)
+            main = model.MainNetParams.init(4, 3, cfg.d_emb, cfg.d_sim, rng, hidden=3)
+            meta = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
+            imgs, txts = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
+            mb_imgs, mb_txts = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
+            if triplet_kink_margin(imgs, txts, main, meta, cfg.gamma, cfg.tau) < 1e-3:
+                continue
+            data = (main, meta, imgs, txts, mb_imgs, mb_txts)
+            pruned, virt = meta_grads(*data, pruned=True)
+            virt_np = main.with_arrays([t.data for _, t in virt.items()])
+            if meta_kink_margin(mb_imgs, mb_txts, virt_np, meta) < 1e-3:
+                continue
+            full, _ = meta_grads(*data, pruned=False)
+            for a, b in zip(pruned, full):
+                np.testing.assert_array_equal(a, b)
+            checked += 1
+            if checked == 50:
+                break
+
+    def test_virtual_update_sweeps_less_of_the_record(self):
+        """Pruning skips the correction-head gradients the virtual step
+        never uses, so it records fewer nodes than a full sweep."""
+        rng = rng_for(203)
+        main = model.MainNetParams.init(4, 3, 4, 2, rng, hidden=3)
+        meta = model.MetaNetParams.init(2, rng, hidden=2)
+        imgs, txts = rng.normal(size=(4, 4)), rng.normal(size=(4, 3))
+        sizes = []
+        for wrt_main in (True, False):
+            with ad.Tape(retain=True) as tape:
+                main_l, meta_l = main.lift(tape), meta.lift(tape)
+                loss = objective.triplet_loss(imgs, txts, main_l, meta_l, 0.2, 2.0)
+                before = len(tape.nodes)
+                ad.backward_retaining(
+                    tape, loss, wrt=[t for _, t in main_l.items()] if wrt_main else None)
+                sizes.append(len(tape.nodes) - before)
+        assert sizes[0] < sizes[1]
+
+    def test_wrt_must_be_leaves_of_this_record(self):
+        with ad.Tape() as other:
+            foreign = other.leaf(1.0)
+        with ad.Tape() as tape:
+            x = tape.leaf(2.0)
+            y = ad.square(x)
+            out = ad.mul(y, x)
+            with pytest.raises(ad.RecordError, match="wrt"):
+                ad.backward(tape, out, wrt=[foreign])
+            with pytest.raises(ad.RecordError, match="wrt"):
+                ad.backward(tape, out, wrt=[y])
+            with pytest.raises(ad.RecordError, match="wrt"):
+                ad.backward(tape, out, wrt=[ad.Tensor(2.0)])
 
 
 class TestRetainedRecords:

@@ -1,5 +1,8 @@
 """Bi-level step semantics, optimizer behavior, and the training driver."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,11 +10,11 @@ from conftest import (assert_close_grad, central_difference, meta_kink_margin,
                       rng_for, triplet_kink_margin)
 from mscn import autodiff as ad
 from mscn import datagen, model, objective, purifier
-from mscn.meta_loop import (METRICS_COLUMNS, AdamState, NetState,
-                            NonFiniteGradientError, TrainConfig, actual_update,
-                            baseline_step, bilevel_step, construct_meta_batch,
-                            fit_purifier, format_metrics_row, optimizer_step,
-                            train, virtual_update, warmup_step)
+from mscn.meta_loop import (AdamState, NetState, NonFiniteGradientError,
+                            TrainConfig, actual_update, baseline_step,
+                            bilevel_step, construct_meta_batch, fit_purifier,
+                            format_metrics_row, metrics_columns,
+                            optimizer_step, train, virtual_update, warmup_step)
 from test_model import tiny_nets
 
 
@@ -470,6 +473,39 @@ def test_baseline_step_ignores_meta():
 # purifier wiring
 
 
+def test_steps_free_their_records_without_the_cyclic_gc(monkeypatch):
+    """Each kind of step leaves no reference cycles behind: with the cyclic
+    collector off, its records are dead as soon as it returns."""
+    tapes = []
+
+    class TrackedTape(ad.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            tapes.append(weakref.ref(self))
+
+    monkeypatch.setattr(ad, "Tape", TrackedTape)
+    cfg = tiny_cfg()
+    imgs, txts = batch_data(40)
+    mb = meta_batch_for(40)
+    steps = {
+        "warmup": lambda s: warmup_step(s, imgs, txts, mb, 1e-3, 1e-3, cfg),
+        "bilevel": lambda s: bilevel_step(s, imgs, txts, mb, 1e-3, 1e-3, cfg),
+        "baseline": lambda s: baseline_step(s, imgs, txts, 1e-3, cfg),
+    }
+    gc.collect()
+    gc.disable()
+    try:
+        for name, step in steps.items():
+            state, _ = step(tiny_state(40))  # settles any one-time caches
+            gc.collect()
+            tapes.clear()
+            state, _ = step(state)
+            assert tapes and all(ref() is None for ref in tapes), name
+            assert gc.collect() == 0, name
+    finally:
+        gc.enable()
+
+
 def test_fit_purifier_provenance():
     ds = small_dataset(noise=0.5)
     state = tiny_state(9060, d_img=8, d_txt=6)
@@ -502,7 +538,8 @@ def test_train_smoke_and_outputs(tmp_path):
     assert len(result.metrics) == 3
     assert [r["phase"] for r in result.metrics] == ["warmup", "main", "main"]
     lines = (tmp_path / "metrics.tsv").read_text().splitlines()
-    assert lines[0] == "\t".join(METRICS_COLUMNS)
+    assert lines[0] == "\t".join(metrics_columns(cfg.eval_ks))
+    assert "val_i2t_r5" in lines[0] and "val_i2t_r10" not in lines[0]
     assert len(lines) == 4
     for name in ("net1_best.mscp", "net2_best.mscp",
                  "net1_final.mscp", "net2_final.mscp"):
@@ -666,13 +703,43 @@ def test_train_validation_errors():
 
 
 def test_format_metrics_row():
-    row = {c: None for c in METRICS_COLUMNS}
+    columns = metrics_columns(TrainConfig().eval_ks)
+    row = {c: None for c in columns}
     row.update(epoch=3, phase="main", lr_main=2e-4, val_rsum=123.5,
                net1_purified=77, degenerate_pairs=0)
-    cells = format_metrics_row(row).split("\t")
-    assert len(cells) == len(METRICS_COLUMNS)
+    cells = format_metrics_row(row, columns).split("\t")
+    assert len(cells) == len(columns)
     assert cells[0] == "3" and cells[1] == "main"
     assert cells[2] == f"{2e-4:.17g}"
     assert cells[3] == "-"
-    assert cells[METRICS_COLUMNS.index("net1_purified")] == "77"
-    assert cells[METRICS_COLUMNS.index("val_rsum")] == f"{123.5:.17g}"
+    assert cells[columns.index("net1_purified")] == "77"
+    assert cells[columns.index("val_rsum")] == f"{123.5:.17g}"
+
+
+def test_default_metrics_header_is_pinned():
+    assert "\t".join(metrics_columns(TrainConfig().eval_ks)) == "\t".join((
+        "epoch", "phase", "lr_main", "lr_meta",
+        "net1_train_loss", "net1_meta_loss", "net2_train_loss", "net2_meta_loss",
+        "net1_purified", "net2_purified",
+        "net1_purity_precision", "net1_purity_recall",
+        "net2_purity_precision", "net2_purity_recall",
+        "val_i2t_r1", "val_i2t_r5", "val_i2t_r10",
+        "val_t2i_r1", "val_t2i_r5", "val_t2i_r10",
+        "val_rsum", "degenerate_pairs"))
+
+
+def test_metrics_tsv_follows_eval_ks(tmp_path):
+    """Every cutoff in eval_ks gets its columns, so the recall cells of
+    each row add up to that row's val_rsum."""
+    train(small_dataset(noise=0.5), train_cfg(eval_ks=(1, 3)), out_dir=tmp_path)
+    header, *rows = (tmp_path / "metrics.tsv").read_text().splitlines()
+    header = header.split("\t")
+    recall = [i for i, c in enumerate(header) if c.startswith(("val_i2t_r", "val_t2i_r"))]
+    assert [header[i] for i in recall] == [
+        "val_i2t_r1", "val_i2t_r3", "val_t2i_r1", "val_t2i_r3"]
+    assert len(rows) == 3
+    for line in rows:
+        cells = line.split("\t")
+        assert len(cells) == len(header)
+        total = sum(float(cells[i]) for i in recall)
+        assert total == pytest.approx(float(cells[header.index("val_rsum")]), rel=1e-12)

@@ -4,6 +4,9 @@ binary checkpoint format."""
 
 from __future__ import annotations
 
+import builtins
+import errno
+
 import numpy as np
 import pytest
 
@@ -236,3 +239,41 @@ class TestCheckpointFormat:
         p.write_bytes(blob[:cut])
         with pytest.raises(model.CheckpointFormatError, match="missing"):
             model.load_checkpoint(p)
+
+    def test_failed_save_leaves_previous_checkpoint_intact(self, tmp_path, monkeypatch):
+        """A write that dies partway (here: the disk fills up) must not tear
+        the checkpoint it was replacing, nor leave its temporary file."""
+        main, meta = tiny_nets(6)
+        path = tmp_path / "net1_best.mscp"
+        model.save_checkpoint(path, main, meta)
+        before = path.read_bytes()
+        real_open = builtins.open
+
+        class HalfWritten:
+            def __init__(self, fh):
+                self.fh = fh
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                self.fh.close()
+
+            def write(self, data):
+                self.fh.write(bytes(data[:len(data) // 2]))
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+            def __getattr__(self, name):
+                return getattr(self.fh, name)
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            fh = real_open(file, mode, *args, **kwargs)
+            return HalfWritten(fh) if "w" in mode else fh
+
+        newer = tiny_nets(7)
+        monkeypatch.setattr(builtins, "open", failing_open)
+        with pytest.raises(OSError, match="No space"):
+            model.save_checkpoint(path, *newer)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net1_best.mscp"]
