@@ -6,7 +6,16 @@ That correction network is itself trained by differentiating through a
 virtual update of the main networks (bi-level optimization), and a Beta
 mixture over its scores purifies noisy correspondences each epoch, with
 two network pairs cross-feeding each other's purified sets.
+
+Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
+set: evaluation fans its chunks out over its own worker threads, and a
+multi-threaded BLAS under each of them oversubscribes the cores.  The
+setting only takes effect if numpy has not been imported yet.
 """
+
+import os
+
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .autodiff import (RecordError, ShapeMismatchError, Tape, Tensor,
                        backward, backward_retaining)

@@ -21,7 +21,20 @@ A sweep does only the work its caller asks for.  ``backward(..., wrt=)``
 marks the nodes that depend on the requested leaves and runs VJPs only
 there, and each VJP is told which of its inputs need a gradient.  Binary
 ops broadcast lazily, as numpy does, and sum their gradient back down to
-each operand's shape inside the VJP.
+each operand's shape inside the VJP; ``sub`` and ``div`` negate their
+b-gradient after that sum, on the smaller array.
+
+An op allocates only its output.  ``transpose`` returns a view, and
+``matmul`` hands numpy's BLAS call the strided operands as they are,
+except where the kernel would depend on the layout: a matrix-vector
+product (a 1-D operand, or a result with a dimension of 1), for which
+OpenBLAS runs another gemv kernel on a transposed operand, and ``x @
+x.T`` on one buffer, which numpy sends to a symmetric-product kernel.
+Each kernel sums in its own order, so there the operands are made
+contiguous first and the product keeps the bits of contiguous operands.
+The masks of ``relu``, ``clamp`` and ``row_max`` are built at sweep time
+from the output, the input and the argmax indices, so a forward pass with
+no record (all of evaluation) builds none.
 """
 
 from __future__ import annotations
@@ -239,7 +252,11 @@ def matmul(a, b) -> Tensor:
             grads = (lambda: mul(g, b), lambda: mul(g, a))
         return tuple(grad() if need else None for grad, need in zip(grads, needs))
 
-    return _record("matmul", a.data @ b.data, (a, b), vjp)
+    x, y = a.data, b.data
+    if (x.ndim == 1 or y.ndim == 1 or x.shape[0] == 1 or y.shape[-1] == 1
+            or np.may_share_memory(x, y)):
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return _record("matmul", x @ y, (a, b), vjp)
 
 
 def _unbroadcast(g: Tensor, shape) -> Tensor:
@@ -252,12 +269,13 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
     return out if out.shape == shape else reshape(out, shape)
 
 
-def _binary(op: str, a, b, fwd, grads) -> Tensor:
+def _binary(op: str, a, b, fwd, grads, negate_b: bool = False) -> Tensor:
     """Elementwise binary op with numpy broadcasting.
 
     Operands are never materialized to the common shape.  `grads(g, a, b,
     out, needs)` gives the gradients at the output shape; they are summed
-    back down to each operand's shape here.
+    back down to each operand's shape here.  With `negate_b` the b-gradient
+    is negated after that sum, which is exact and touches fewer elements.
     """
     a, b = _lift(a), _lift(b)
     try:
@@ -267,8 +285,12 @@ def _binary(op: str, a, b, fwd, grads) -> Tensor:
 
     def vjp(g, out, needs):
         ga, gb = grads(g, a, b, out, needs)
-        return (_unbroadcast(ga, a.shape) if needs[0] else None,
-                _unbroadcast(gb, b.shape) if needs[1] else None)
+        ga = _unbroadcast(ga, a.shape) if needs[0] else None
+        if needs[1]:
+            gb = _unbroadcast(gb, b.shape)
+            if negate_b:
+                gb = neg(gb)
+        return ga, gb
 
     return _record(op, fwd(a.data, b.data), (a, b), vjp)
 
@@ -278,8 +300,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    return _binary("sub", a, b, np.subtract,
-                   lambda g, a, b, out, needs: (g, neg(g) if needs[1] else None))
+    return _binary("sub", a, b, np.subtract, lambda g, *_: (g, g), negate_b=True)
 
 
 def mul(a, b) -> Tensor:
@@ -296,9 +317,9 @@ def div(a, b) -> Tensor:
 
     def grads(g, a, b, out, needs):
         ga = div(g, b)
-        return ga, neg(mul(ga, out)) if needs[1] else None
+        return ga, mul(ga, out) if needs[1] else None
 
-    return _binary("div", a, b, fwd, grads)
+    return _binary("div", a, b, fwd, grads, negate_b=True)
 
 
 def scalar_mul(c: float, x) -> Tensor:
@@ -320,8 +341,8 @@ def square(x) -> Tensor:
 def relu(x) -> Tensor:
     """Hinge [x]+ with the strict-inequality subgradient (0 at exactly 0)."""
     x = _lift(x)
-    mask = Tensor((x.data > 0.0).astype(np.float64))
-    return _record("relu", np.maximum(x.data, 0.0), (x,), lambda g, *_: (mul(g, mask),))
+    return _record("relu", np.maximum(x.data, 0.0), (x,),
+                   lambda g, out, needs: (mul(g, Tensor(out.data > 0.0)),))
 
 
 def sigmoid(x) -> Tensor:
@@ -344,8 +365,8 @@ def clamp(x, lo: float, hi: float) -> Tensor:
         raise ValueError(f"clamp: empty interval [{lo}, {hi}]")
     if np.any(np.isnan(x.data)):
         raise ValueError("clamp: NaN input")
-    mask = Tensor(((x.data > lo) & (x.data < hi)).astype(np.float64))
-    return _record("clamp", np.clip(x.data, lo, hi), (x,), lambda g, *_: (mul(g, mask),))
+    return _record("clamp", np.clip(x.data, lo, hi), (x,),
+                   lambda g, *_: (mul(g, Tensor((x.data > lo) & (x.data < hi))),))
 
 
 def l2norm(x) -> Tensor:
@@ -372,12 +393,13 @@ def row_max(x) -> tuple[Tensor, np.ndarray]:
         raise ShapeMismatchError("row_max", x.shape)
     idx = np.argmax(x.data, axis=1)
     rows = np.arange(x.shape[0])
-    onehot = np.zeros_like(x.data)
-    onehot[rows, idx] = 1.0
-    mask = Tensor(onehot)
-    out = _record("row_max", x.data[rows, idx], (x,),
-                  lambda g, *_: (mul(mask, reshape(g, (g.shape[0], 1))),))
-    return out, idx
+
+    def vjp(g, *_):
+        onehot = np.zeros(x.shape)
+        onehot[rows, idx] = 1.0
+        return (mul(Tensor(onehot), reshape(g, (g.shape[0], 1))),)
+
+    return _record("row_max", x.data[rows, idx], (x,), vjp), idx
 
 
 def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
@@ -438,7 +460,7 @@ def transpose(x) -> Tensor:
     x = _lift(x)
     if x.ndim != 2:
         raise ShapeMismatchError("transpose", x.shape)
-    return _record("transpose", x.data.T.copy(), (x,), lambda g, *_: (transpose(g),))
+    return _record("transpose", x.data.T, (x,), lambda g, *_: (transpose(g),))
 
 
 # ---------------------------------------------------------------------------

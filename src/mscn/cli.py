@@ -20,6 +20,7 @@ from types import SimpleNamespace
 import numpy as np
 
 from . import datagen, evalkit, model, purifier
+from .fileio import write_atomic
 from .meta_loop import TrainConfig, fit_purifier, train
 
 EXIT_OK = 0
@@ -142,7 +143,7 @@ def cmd_train(args) -> int:
     tc = build_train_config(cfg, seed=args.seed, mode=args.mode)
     ds = datagen.read_dataset(args.data)
     out = Path(args.out)
-    result = train(ds, tc, out_dir=out)
+    result = train(ds, tc, out_dir=out, threads=args.threads)
     print(f"trained {tc.warmup_epochs + tc.epochs} epochs "
           f"({tc.mode}); best val rsum {result.best_rsum:.17g} "
           f"at epoch {result.best_epoch}")
@@ -150,7 +151,7 @@ def cmd_train(args) -> int:
     # test numbers come from the best-validation checkpoint, not the last epoch
     report = evalkit.evaluate(result.best_nets, ds.test, ks=tc.eval_ks,
                               scorer=scorer, threads=args.threads)
-    (out / "test_report.tsv").write_text(report.format_kv(), encoding="utf-8")
+    write_atomic(out / "test_report.tsv", report.format_kv().encode("utf-8"))
     print(report.format_text())
     print(f"outputs in {out}")
     return EXIT_OK
@@ -171,7 +172,7 @@ def cmd_eval(args) -> int:
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        (out / "report.tsv").write_text(report.format_kv(), encoding="utf-8")
+        write_atomic(out / "report.tsv", report.format_kv().encode("utf-8"))
         print(f"wrote {out / 'report.tsv'}")
     return EXIT_OK
 

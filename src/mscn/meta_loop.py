@@ -226,9 +226,10 @@ def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
     return state.main.with_arrays(new_arrays), loss.item()
 
 
-def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
-                 lr_main: float, lr_meta: float, cfg: TrainConfig):
-    """One full three-stage step; returns (new state, diagnostics)."""
+def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
+                     lr_main: float, lr_meta: float, cfg: TrainConfig):
+    """Stages 1 and 2 on one retained record, which is freed on return.
+    Returns (new meta params, train loss value, meta loss value)."""
     with ad.Tape(retain=True) as tape:
         main_l = state.main.lift(tape)
         meta_l = state.meta.lift(tape)
@@ -236,10 +237,18 @@ def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
             tape, main_l, meta_l, images, texts, lr_main, cfg)
         meta_new, meta_loss_val = meta_update(
             tape, virtual_main, meta_l, batch, state, lr_meta, cfg)
+    return meta_new, train_loss.item(), meta_loss_val
+
+
+def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
+                 lr_main: float, lr_meta: float, cfg: TrainConfig):
+    """One full three-stage step; returns (new state, diagnostics)."""
+    meta_new, train_loss, meta_loss_val = _retained_stages(
+        state, images, texts, batch, lr_main, lr_meta, cfg)
     main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg)
     new_state = NetState(main=main_new, meta=meta_new,
                          opt_main=state.opt_main, opt_meta=state.opt_meta)
-    return new_state, {"train_loss": train_loss.item(), "meta_loss": meta_loss_val}
+    return new_state, {"train_loss": train_loss, "meta_loss": meta_loss_val}
 
 
 def warmup_step(state: NetState, images, texts, batch: Optional[MetaBatch],
@@ -371,11 +380,13 @@ def _purity(admitted: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
     return precision, recall
 
 
-def train(ds: Dataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
+def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainResult:
     """Run the full schedule (warmup then main epochs) on two network pairs.
 
     With out_dir set, writes metrics.tsv (one row per epoch, flushed as it
-    goes), best-validation checkpoints, and final checkpoints."""
+    goes), best-validation checkpoints, and final checkpoints.  `threads`
+    is the worker count of every validation eval (see
+    `evalkit.worker_count`)."""
     cfg.validate()
     train_split, meta_split, val_split = ds.train, ds.meta, ds.val
     if len(train_split) < cfg.batch_size:
@@ -501,7 +512,7 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None) -> TrainResult:
 
             report = evalkit.evaluate(
                 [(net.main, net.meta) for net in nets], val_split,
-                ks=cfg.eval_ks, scorer=scorer)
+                ks=cfg.eval_ks, scorer=scorer, threads=threads)
             row = {
                 "epoch": epoch,
                 "phase": "warmup" if warm else "main",

@@ -56,18 +56,6 @@ def adaptive_margin(score, gamma: float, tau: float):
     return out if isinstance(score, Tensor) else out.item()
 
 
-def hardest_negative_indices(scores: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-row and per-column argmax over the off-diagonal score matrix.
-
-    Ties resolve to the lowest index.  Returns (hardest text per image,
-    hardest image per text)."""
-    s = np.asarray(scores, dtype=np.float64)
-    if s.ndim != 2 or s.shape[0] != s.shape[1] or s.shape[0] < 2:
-        raise ShapeMismatchError("hardest_negative_indices", s.shape)
-    masked = s + np.where(np.eye(s.shape[0], dtype=bool), -2.0 - np.abs(s).max(), 0.0)
-    return np.argmax(masked, axis=1), np.argmax(masked, axis=0)
-
-
 def per_pair_hinges(scores: Tensor, gamma: float, tau: float,
                     adaptive: bool = True, clamp_scores: bool = True) -> Tensor:
     """Two-sided hinge loss per true pair, given the full score matrix.

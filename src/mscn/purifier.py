@@ -19,6 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betaln, logsumexp
 
+from .fileio import write_atomic
+
 log = logging.getLogger(__name__)
 
 # Rails keep Beta log-densities finite; shared with the loss layer.
@@ -209,8 +211,7 @@ def write_report(path, fit: MixtureFit, scores, clean_flags) -> None:
     for i in range(s.size):
         lines.append(f"{i}\t{s[i]:.17g}\t{post[i]:.17g}"
                      f"\t{int(post[i] > 0.5)}\t{int(flags[i])}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_report(path) -> dict:

@@ -8,6 +8,10 @@ values are ~0.
 
 from __future__ import annotations
 
+import builtins
+import errno
+import os
+
 import numpy as np
 
 
@@ -44,6 +48,37 @@ def assert_close_grad(analytic: np.ndarray, numeric: np.ndarray,
             f"analytic={analytic[worst]!r} numeric={numeric[worst]!r} "
             f"abs_err={err[worst]:.3e}"
         )
+
+
+def fail_writes_halfway(monkeypatch, name_prefix: str):
+    """Make each write to a file whose name starts with `name_prefix` put
+    down half its bytes and then fail, as a full disk does."""
+    real_open = builtins.open
+
+    class HalfWritten:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, data):
+            self.fh.write(data[:len(data) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        def __getattr__(self, name):
+            return getattr(self.fh, name)
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        if "w" in mode and os.path.basename(os.fspath(file)).startswith(name_prefix):
+            return HalfWritten(fh)
+        return fh
+
+    monkeypatch.setattr(builtins, "open", failing_open)
 
 
 def rng_for(*tags: int) -> np.random.Generator:

@@ -5,6 +5,7 @@ gradients via retained records."""
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -87,6 +88,45 @@ class TestForwardValues:
             t = tape.leaf(x)
             recorded = ad.reduce_sum(ad.sigmoid(ad.matmul(t, ad.transpose(t)))).data
         np.testing.assert_array_equal(plain, recorded)
+
+
+class TestCopies:
+    """Ops allocate only their outputs, and a transposed view changes no
+    product's bits."""
+
+    def test_transpose_is_a_view(self):
+        x = rng_for(13).normal(size=(4, 3))
+        assert np.shares_memory(ad.transpose(ad.Tensor(x)).data, x)
+        with ad.Tape() as tape:
+            t = tape.leaf(x)
+            assert np.shares_memory(ad.transpose(t).data, t.data)
+
+    @pytest.mark.parametrize("a_shape, b_shape", [
+        ((64, 32), (64, 1)), ((4096, 32), (4096, 1)), ((4096, 64), (4096, 32))])
+    def test_matmul_on_transposed_view_matches_a_copy_bitwise(self, a_shape, b_shape):
+        rng = rng_for(14, *a_shape, *b_shape)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        got = ad.matmul(ad.transpose(ad.Tensor(a)), ad.Tensor(b)).data
+        assert got.tobytes() == (a.T.copy() @ b).tobytes()
+
+    def test_matmul_with_own_transpose_matches_a_copy_bitwise(self):
+        # numpy takes a symmetric-product kernel for x @ x.T on one buffer;
+        # at this shape its bits differ from the general product's
+        t = rng_for(15).normal(size=(100, 64))
+        got = ad.matmul(ad.Tensor(t), ad.transpose(ad.Tensor(t))).data
+        assert got.tobytes() == (t @ t.T.copy()).tobytes()
+
+    @pytest.mark.parametrize("op", [ad.relu, lambda x: ad.clamp(x, -0.5, 0.5)],
+                             ids=["relu", "clamp"])
+    def test_unrecorded_forward_allocates_only_its_output(self, op):
+        x = ad.Tensor(rng_for(16).normal(size=1_000_000))
+        tracemalloc.start()
+        try:
+            out = op(x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * out.data.nbytes
 
 
 class TestShapeAndDomainErrors:
@@ -265,6 +305,11 @@ class TestPrimitiveGradients:
             # keep a clear gap so the FD step cannot flip the winner
             x[np.arange(3), rng.integers(0, 4, size=3)] += 2.0
             check_all_grads(lambda ls: ad.reduce_sum(ad.row_max(ls[0])[0]), [x], label="row_max")
+            # column maxima, through a transposed view, as the triplet loss takes them
+            y = rng.normal(size=(4, 3))
+            y[rng.integers(0, 4, size=3), np.arange(3)] += 2.0
+            check_all_grads(lambda ls: ad.reduce_sum(ad.row_max(ad.transpose(ls[0]))[0]),
+                            [y], label="column max")
 
     def test_reductions_and_shape_ops(self):
         for trial in range(10):
@@ -298,6 +343,11 @@ class TestPrimitiveGradients:
             u, v = rng.normal(size=(3, 1, 2)), rng.normal(size=(1, 4, 2))
             check_all_grads(lambda ls: ad.reduce_sum(ad.square(ad.sub(ls[0], ls[1]))),
                             [u, v], label="all-pairs sub")
+            check_all_grads(lambda ls: ad.reduce_sum(ad.square(ad.div(ls[0], ls[1]))),
+                            [u, np.abs(v) + 0.5], label="all-pairs div")
+            norms = np.abs(rng.normal(size=(4, 1))) + 0.5
+            check_all_grads(lambda ls: ad.reduce_sum(ad.square(ad.div(ls[0], ls[1]))),
+                            [x, norms], label="row-normalizing div")
 
 
 def _build_random_program(rng: np.random.Generator):

@@ -1,6 +1,7 @@
 """Exit codes, file outputs, and option handling of the command line."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from conftest import fail_writes_halfway
 from mscn import datagen, evalkit, purifier
 from mscn.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
                       build_gen_config, build_train_config, load_config, main)
@@ -195,6 +197,50 @@ def test_train_baseline_mode(pipeline, tmp_path):
     assert kv["scorer"] == "cosine"
 
 
+def test_train_threads_reach_every_eval(pipeline, tmp_path, monkeypatch):
+    """--threads sets the worker count of every validation eval as well as
+    of the final test eval."""
+    data, _ = pipeline
+    seen = []
+    real_score_matrix = evalkit.score_matrix
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("threads"))
+        return real_score_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(evalkit, "score_matrix", spy)
+    rc = main(["train", "--config", SMOKE, "--data", str(data),
+               "--out", str(tmp_path / "t"), "--threads", "1"])
+    assert rc == EXIT_OK
+    train_cfg = load_config(SMOKE)["train"]
+    assert seen == [1] * (train_cfg["warmup_epochs"] + train_cfg["epochs"] + 1)
+
+
+@pytest.mark.parametrize("command, target", [
+    ("train", "test_report.tsv"), ("eval", "report.tsv"),
+    ("purify-report", "purifier_net1.tsv")])
+def test_failed_report_write_leaves_previous_report_intact(
+        pipeline, tmp_path, monkeypatch, command, target):
+    """A report write that dies halfway leaves the previous report as it
+    was and no temporary file."""
+    data, run = pipeline
+    args = {
+        "train": ["--config", SMOKE],
+        "eval": ["--checkpoint", str(run / "net1_best.mscp")],
+        "purify-report": ["--checkpoint", str(run / "net1_best.mscp")],
+    }[command]
+    out = tmp_path / "out"
+    out.mkdir()
+    previous = b"previous report\n"
+    (out / target).write_bytes(previous)
+    fail_writes_halfway(monkeypatch, target)
+    rc = main([command, "--data", str(data), *args, "--out", str(out)])
+    monkeypatch.undo()
+    assert rc == EXIT_RUNTIME
+    assert (out / target).read_bytes() == previous
+    assert [p.name for p in out.iterdir() if p.name.startswith(target)] == [target]
+
+
 # ---------------------------------------------------------------------------
 # runtime failures exit 2
 
@@ -219,6 +265,40 @@ def test_corrupt_checkpoint_exits_runtime(pipeline, tmp_path):
     bad.write_bytes(b"\x00" * 32)
     rc = main(["eval", "--data", str(data), "--checkpoint", str(bad)])
     assert rc == EXIT_RUNTIME
+
+
+def _env_without_blas_threads(**extra):
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env.update(extra)
+    return env
+
+
+def test_import_sets_blas_threads_unless_preset():
+    probe = "import os, mscn; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    for env, want in ((_env_without_blas_threads(), "1"),
+                      (_env_without_blas_threads(OPENBLAS_NUM_THREADS="2"), "2")):
+        proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == want
+
+
+def test_train_outputs_do_not_depend_on_blas_threads(pipeline, tmp_path):
+    """The BLAS thread default cannot change results: a train with one BLAS
+    thread writes the same bytes as one with two."""
+    data, _ = pipeline
+    outputs = {}
+    for n in ("1", "2"):
+        out = tmp_path / f"blas{n}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "mscn.cli", "train", "--config", SMOKE,
+             "--data", str(data), "--out", str(out)],
+            env=_env_without_blas_threads(OPENBLAS_NUM_THREADS=n),
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == EXIT_OK, proc.stderr
+        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["1"]) == 6
+    assert outputs["1"] == outputs["2"]
 
 
 def test_module_entry_point(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 from conftest import (assert_close_grad, central_difference, meta_kink_margin,
                       rng_for, triplet_kink_margin)
 from mscn import autodiff as ad
-from mscn import datagen, model, objective, purifier
+from mscn import datagen, meta_loop, model, objective, purifier
 from mscn.meta_loop import (AdamState, NetState, NonFiniteGradientError,
                             TrainConfig, actual_update, baseline_step,
                             bilevel_step, construct_meta_batch, fit_purifier,
@@ -504,6 +504,38 @@ def test_steps_free_their_records_without_the_cyclic_gc(monkeypatch):
             assert gc.collect() == 0, name
     finally:
         gc.enable()
+
+
+def test_retained_record_is_freed_before_the_actual_step(monkeypatch):
+    """A bilevel step holds one record at a time: the retained record of
+    the virtual and meta stages is dead by reference counting when the
+    actual stage starts."""
+    retained = []
+
+    class TrackedTape(ad.Tape):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            if self.retain:
+                retained.append(weakref.ref(self))
+
+    alive = []
+    real_actual_update = meta_loop.actual_update
+
+    def spy(*args, **kwargs):
+        alive.append([ref() is not None for ref in retained])
+        return real_actual_update(*args, **kwargs)
+
+    monkeypatch.setattr(ad, "Tape", TrackedTape)
+    monkeypatch.setattr(meta_loop, "actual_update", spy)
+    cfg = tiny_cfg()
+    imgs, txts = batch_data(41)
+    gc.collect()
+    gc.disable()
+    try:
+        bilevel_step(tiny_state(41), imgs, txts, meta_batch_for(41), 1e-3, 1e-3, cfg)
+    finally:
+        gc.enable()
+    assert alive == [[False]]
 
 
 def test_fit_purifier_provenance():

@@ -4,15 +4,13 @@ binary checkpoint format."""
 
 from __future__ import annotations
 
-import builtins
-import errno
-
 import numpy as np
 import pytest
 
 from mscn import autodiff as ad
 from mscn import model
-from conftest import assert_close_grad, central_difference, rng_for
+from conftest import (assert_close_grad, central_difference, fail_writes_halfway,
+                      rng_for)
 
 
 def tiny_nets(tag=0, d_img=5, d_txt=4, d_emb=6, d_sim=3, hidden=4, mscn_hidden=4):
@@ -247,31 +245,8 @@ class TestCheckpointFormat:
         path = tmp_path / "net1_best.mscp"
         model.save_checkpoint(path, main, meta)
         before = path.read_bytes()
-        real_open = builtins.open
-
-        class HalfWritten:
-            def __init__(self, fh):
-                self.fh = fh
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                self.fh.close()
-
-            def write(self, data):
-                self.fh.write(bytes(data[:len(data) // 2]))
-                raise OSError(errno.ENOSPC, "No space left on device")
-
-            def __getattr__(self, name):
-                return getattr(self.fh, name)
-
-        def failing_open(file, mode="r", *args, **kwargs):
-            fh = real_open(file, mode, *args, **kwargs)
-            return HalfWritten(fh) if "w" in mode else fh
-
         newer = tiny_nets(7)
-        monkeypatch.setattr(builtins, "open", failing_open)
+        fail_writes_halfway(monkeypatch, path.name)
         with pytest.raises(OSError, match="No space"):
             model.save_checkpoint(path, *newer)
         monkeypatch.undo()

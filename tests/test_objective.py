@@ -80,22 +80,65 @@ class TestAdaptiveMargin:
             rel=1e-6)
 
 
+def hinge_grad(s: np.ndarray, gamma: float) -> np.ndarray:
+    """Gradient of the summed fixed-margin hinges w.r.t. raw scores."""
+    with ad.Tape() as tape:
+        x = tape.leaf(s)
+        loss = objective.triplet_loss_from_scores(x, gamma, 2.0, adaptive=False,
+                                                  clamp_scores=False)
+        return ad.backward(tape, loss)[x].data
+
+
+def hinge_grad_oracle(s: np.ndarray, gamma: float) -> np.ndarray:
+    """The same gradient by loops: each active hinge sends -1 to its true
+    pair and +1 to its hardest negative, the lowest index among ties and
+    never the diagonal."""
+    n = s.shape[0]
+    g = np.zeros_like(s)
+    for i in range(n):
+        others = [j for j in range(n) if j != i]
+        t = max(others, key=lambda j: (s[i, j], -j))
+        if gamma - s[i, i] + s[i, t] > 0:
+            g[i, i] -= 1.0
+            g[i, t] += 1.0
+        k = max(others, key=lambda j: (s[j, i], -j))
+        if gamma - s[i, i] + s[k, i] > 0:
+            g[i, i] -= 1.0
+            g[k, i] += 1.0
+    return g
+
+
+def routed(text_neg, img_neg) -> np.ndarray:
+    """Expected gradient when every hinge is active and the hardest
+    negatives are the given indices."""
+    n = len(text_neg)
+    g = np.zeros((n, n))
+    for i, (t, k) in enumerate(zip(text_neg, img_neg)):
+        g[i, i] -= 2.0
+        g[i, t] += 1.0
+        g[k, i] += 1.0
+    return g
+
+
 class TestHardestNegatives:
+    """The hinges pick their negatives inside per_pair_hinges; the picks
+    show in where the gradient goes."""
+
     def test_hand_matrix(self):
         s = np.array([[0.9, 0.2, 0.8],
                       [0.1, 0.7, 0.6],
                       [0.3, 0.5, 0.4]])
-        t_idx, i_idx = objective.hardest_negative_indices(s)
-        np.testing.assert_array_equal(t_idx, [2, 2, 1])
-        np.testing.assert_array_equal(i_idx, [2, 2, 0])
+        want = routed([2, 2, 1], [2, 2, 0])
+        np.testing.assert_array_equal(hinge_grad_oracle(s, 1.0), want)
+        np.testing.assert_array_equal(hinge_grad(s, 1.0), want)
 
     def test_tie_takes_lowest_index(self):
         s = np.array([[0.9, 0.6, 0.6],
                       [0.6, 0.9, 0.6],
                       [0.6, 0.6, 0.9]])
-        t_idx, i_idx = objective.hardest_negative_indices(s)
-        np.testing.assert_array_equal(t_idx, [1, 0, 0])
-        np.testing.assert_array_equal(i_idx, [1, 0, 0])
+        want = routed([1, 0, 0], [1, 0, 0])
+        np.testing.assert_array_equal(hinge_grad_oracle(s, 1.0), want)
+        np.testing.assert_array_equal(hinge_grad(s, 1.0), want)
 
     def test_diagonal_never_selected(self):
         rng = rng_for(702)
@@ -103,9 +146,13 @@ class TestHardestNegatives:
             n = int(rng.integers(2, 7))
             s = rng.uniform(size=(n, n))
             s[np.arange(n), np.arange(n)] = 5.0  # even an absurdly high true score
-            t_idx, i_idx = objective.hardest_negative_indices(s)
-            assert np.all(t_idx != np.arange(n))
-            assert np.all(i_idx != np.arange(n))
+            gamma = float(rng.uniform(0.1, 8.0))
+            got = objective.per_pair_hinges(ad.Tensor(s), gamma, 2.0, adaptive=False,
+                                            clamp_scores=False).data
+            _, want = triplet_oracle(s, gamma, 2.0, adaptive=False, clamp=False)
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            np.testing.assert_array_equal(hinge_grad(s, gamma),
+                                          hinge_grad_oracle(s, gamma))
 
 
 class TestTripletLoss:
