@@ -1,8 +1,14 @@
 """Retrieval evaluation: averaged score matrices and recall@K.
 
-Scoring fans out over fixed 32-row chunks; the worker count (MSCN_THREADS
-or the CPU count) only decides how many chunks run concurrently, never
-how the matrix is partitioned, so outputs are bitwise invariant to it.
+The mscn scorer embeds images and texts once per model, then scores
+fixed tiles of at most TILE images x TILE texts, the training batch's
+block, through `model.block_scores`.  A tile's (TILE * TILE, d_emb)
+intermediates are 2 MiB at d_emb=64 whatever the split size, so peak
+memory follows the tile, not the number of texts.  The cosine scorer
+scores fixed CHUNK_ROWS-row chunks that span all texts.  The worker count
+(MSCN_THREADS or the CPUs this process may run on) only decides how many
+blocks run concurrently, never how the matrix is partitioned, so outputs
+are bitwise invariant to it.
 
 Ranking is deterministic: a candidate ranks ahead of the true one if its
 score is strictly higher, or equal with a lower index.
@@ -17,8 +23,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
+from .autodiff import ShapeMismatchError
 from .datagen import Split
 
+TILE = 64
 CHUNK_ROWS = 32
 
 
@@ -33,6 +41,8 @@ def worker_count(threads=None) -> int:
         if n < 1:
             raise ValueError(f"MSCN_THREADS must be positive, got {env!r}")
         return n
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
 
 
@@ -49,58 +59,76 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
         raise ValueError(f"unknown scorer: {scorer!r}")
     images = np.asarray(images, dtype=np.float64)
     texts = np.asarray(texts, dtype=np.float64)
-    ni = images.shape[0]
-    out = np.empty((ni, texts.shape[0]), dtype=np.float64)
-    bad_counts = []
+    if images.ndim != 2 or texts.ndim != 2:
+        raise ShapeMismatchError("score_matrix", images.shape, texts.shape)
+    ni, nt = images.shape[0], texts.shape[0]
+    out = np.empty((ni, nt), dtype=np.float64)
 
-    def run_chunk(start: int) -> None:
-        rows = slice(start, min(start + CHUNK_ROWS, ni))
+    if scorer == "mscn":
+        sides = [(model.embed_image(images, main).data,
+                  model.embed_text(texts, main).data) for main, _ in models]
+        blocks = [(slice(r, r + TILE), slice(c, c + TILE))
+                  for r in range(0, ni, TILE) for c in range(0, nt, TILE)]
+
+        def score(rows, cols):
+            for (main, meta), (u, v) in zip(models, sides):
+                yield model.block_scores(u[rows], v[cols], main.sim_w, meta,
+                                         degenerate="half")
+    else:
+        blocks = [(slice(r, r + CHUNK_ROWS), slice(None))
+                  for r in range(0, ni, CHUNK_ROWS)]
+
+        def score(rows, cols):
+            for main, _ in models:
+                yield model.cosine_scores(images[rows], texts, main,
+                                          degenerate="zero")
+
+    def run_block(block) -> int:
+        rows, cols = block
         acc = None
         bad = 0
-        for main, meta in models:
-            if scorer == "mscn":
-                scores, n_bad = model.all_pairs_scores(
-                    images[rows], texts, main, meta, degenerate="half")
-            else:
-                scores, n_bad = model.cosine_scores(
-                    images[rows], texts, main, degenerate="zero")
+        for scores, n_bad in score(rows, cols):
             bad += n_bad
             acc = scores.data if acc is None else acc + scores.data
-        out[rows] = acc / len(models)
-        bad_counts.append(bad)
+        out[rows, cols] = acc / len(models)
+        return bad
 
-    starts = list(range(0, ni, CHUNK_ROWS))
     workers = worker_count(threads)
-    if workers == 1 or len(starts) <= 1:
-        for s in starts:
-            run_chunk(s)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            list(pool.map(run_chunk, starts))
-    return out, sum(bad_counts)
+    if workers == 1 or len(blocks) <= 1:
+        return out, sum(map(run_block, blocks))
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return out, sum(pool.map(run_block, blocks))
 
 
-def recall_at_k(scores: np.ndarray, truth: np.ndarray, k: int) -> float:
-    """Percentage of queries whose true candidate ranks in the top k.
+def ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """1-based rank of each query's true candidate (row q, column truth[q]).
 
     rank = 1 + #(strictly higher) + #(equal with a lower index)."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
-        raise ValueError(f"recall_at_k: score matrix must be 2D, got {s.shape}")
+        raise ValueError(f"ranks: score matrix must be 2D, got {s.shape}")
     nq, nc = s.shape
-    if not 1 <= k <= nc:
-        raise ValueError(f"recall_at_k: k={k} outside [1, {nc}]")
     t = np.asarray(truth, dtype=np.int64)
     if t.shape != (nq,) or (nq and (t.min() < 0 or t.max() >= nc)):
-        raise ValueError("recall_at_k: truth indices out of range")
+        raise ValueError("ranks: truth indices out of range")
     if nq == 0:
-        raise ValueError("recall_at_k: no queries")
+        raise ValueError("ranks: no queries")
     true_scores = s[np.arange(nq), t]
     higher = (s > true_scores[:, None]).sum(axis=1)
     cols = np.arange(nc)
     earlier_tie = ((s == true_scores[:, None]) & (cols[None, :] < t[:, None])).sum(axis=1)
-    rank = 1 + higher + earlier_tie
-    return 100.0 * int(np.count_nonzero(rank <= k)) / nq
+    return 1 + higher + earlier_tie
+
+
+def _recall(rank: np.ndarray, k: int, n_candidates: int) -> float:
+    if not 1 <= k <= n_candidates:
+        raise ValueError(f"recall_at_k: k={k} outside [1, {n_candidates}]")
+    return 100.0 * int(np.count_nonzero(rank <= k)) / len(rank)
+
+
+def recall_at_k(scores: np.ndarray, truth: np.ndarray, k: int) -> float:
+    """Percentage of queries whose true candidate ranks in the top k."""
+    return _recall(ranks(scores, truth), k, np.shape(scores)[1])
 
 
 @dataclass
@@ -174,8 +202,10 @@ def evaluate(models, split: Split, ks=(1, 5, 10), scorer: str = "mscn",
     scores, n_bad = score_matrix(models, split.images, split.texts,
                                  scorer=scorer, threads=threads)
     i2t_truth, t2i_truth = _truth_maps(split)
-    i2t = {k: recall_at_k(scores, i2t_truth, k) for k in ks}
-    t2i = {k: recall_at_k(scores.T, t2i_truth, k) for k in ks}
+    i2t_rank = ranks(scores, i2t_truth)
+    t2i_rank = ranks(scores.T, t2i_truth)
+    i2t = {k: _recall(i2t_rank, k, scores.shape[1]) for k in ks}
+    t2i = {k: _recall(t2i_rank, k, scores.shape[0]) for k in ks}
     rsum = float(sum(i2t.values()) + sum(t2i.values()))
     return RecallReport(ks=ks, image_to_text=i2t, text_to_image=t2i, rsum=rsum,
                         n_images=len(split), n_texts=len(split),

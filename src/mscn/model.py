@@ -52,8 +52,31 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-bound, bound, size=shape)
 
 
+class _Params:
+    """A parameter bundle: a dataclass whose FIELDS name its tensors, in
+    checkpoint order."""
+
+    FIELDS = ()
+
+    def items(self):
+        return [(f, getattr(self, f)) for f in self.FIELDS]
+
+    def arrays(self) -> list[np.ndarray]:
+        return [_as_array(getattr(self, f)) for f in self.FIELDS]
+
+    def with_arrays(self, arrays):
+        return replace(self, **dict(zip(self.FIELDS, arrays)))
+
+    def lift(self, tape: Optional[Tape]):
+        """Copy with every field registered as a leaf of `tape`.
+
+        With tape=None fields become constant Tensors (no gradients)."""
+        return replace(self, **{f: _lift_field(getattr(self, f), tape)
+                                for f in self.FIELDS})
+
+
 @dataclass
-class MainNetParams:
+class MainNetParams(_Params):
     """Image branch, text branch, and the similarity projection."""
 
     img_w1: object
@@ -105,25 +128,9 @@ class MainNetParams:
     def d_sim(self) -> int:
         return _shape(self.sim_w)[1]
 
-    def items(self):
-        return [(f, getattr(self, f)) for f in self.FIELDS]
-
-    def arrays(self) -> list[np.ndarray]:
-        return [_as_array(getattr(self, f)) for f in self.FIELDS]
-
-    def with_arrays(self, arrays) -> "MainNetParams":
-        return replace(self, **dict(zip(self.FIELDS, arrays)))
-
-    def lift(self, tape: Optional[Tape]) -> "MainNetParams":
-        """Copy with every field registered as a leaf of `tape`.
-
-        With tape=None fields become constant Tensors (no gradients)."""
-        return replace(self, **{f: _lift_field(getattr(self, f), tape)
-                                for f in self.FIELDS})
-
 
 @dataclass
-class MetaNetParams:
+class MetaNetParams(_Params):
     """Correction network: similarity feature -> match score."""
 
     w1: object
@@ -145,19 +152,6 @@ class MetaNetParams:
     @property
     def d_sim(self) -> int:
         return _shape(self.w1)[0]
-
-    def items(self):
-        return [(f, getattr(self, f)) for f in self.FIELDS]
-
-    def arrays(self) -> list[np.ndarray]:
-        return [_as_array(getattr(self, f)) for f in self.FIELDS]
-
-    def with_arrays(self, arrays) -> "MetaNetParams":
-        return replace(self, **dict(zip(self.FIELDS, arrays)))
-
-    def lift(self, tape: Optional[Tape]) -> "MetaNetParams":
-        return replace(self, **{f: _lift_field(getattr(self, f), tape)
-                                for f in self.FIELDS})
 
 
 def _shape(x):
@@ -239,19 +233,30 @@ def all_pairs_scores(images, texts, main: MainNetParams, meta: MetaNetParams,
                      degenerate: str = "error") -> tuple[Tensor, int]:
     """Score matrix of every image against every text: (n_img, n_txt).
 
-    degenerate="error" raises on unrepresentable similarity norms (the
-    training contract); degenerate="half" scores those cells 0.5 and
-    reports the count (evaluation only, never under an active record).
+    Embeds both sides, then scores them in one `block_scores` call; see
+    there for the degenerate policies.
     """
     imgs = images if isinstance(images, Tensor) else Tensor(images)
     txts = texts if isinstance(texts, Tensor) else Tensor(texts)
     if imgs.ndim != 2 or txts.ndim != 2:
         raise ShapeMismatchError("all_pairs_scores", imgs.shape, txts.shape)
-    u = embed_image(imgs, main)
-    v = embed_text(txts, main)
+    return block_scores(embed_image(imgs, main), embed_text(txts, main),
+                        main.sim_w, meta, degenerate)
+
+
+def block_scores(u, v, sim_w, meta: MetaNetParams,
+                 degenerate: str = "error") -> tuple[Tensor, int]:
+    """Scores of every image embedding in `u` against every text embedding
+    in `v`: (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v).
+
+    degenerate="error" raises on unrepresentable similarity norms (the
+    training contract); degenerate="half" scores those cells 0.5 and
+    reports the count (evaluation only, never under an active record).
+    """
+    u, v = _tensorish(u), _tensorish(v)
     ni, nt, d = u.shape[0], v.shape[0], u.shape[1]
     diff2 = square(sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d))))
-    proj = matmul(reshape(diff2, (ni * nt, d)), _tensorish(main.sim_w))
+    proj = matmul(reshape(diff2, (ni * nt, d)), _tensorish(sim_w))
     norms = l2norm(proj)
     mask = norms.data <= NORM_EPSILON
     n_bad = int(np.sum(mask))

@@ -1,14 +1,18 @@
 """Evaluation checks: recall@K against a stable-sort oracle (with deliberate
-score ties), deterministic fan-out, truth-map inversion, and the report
-round trip."""
+score ties), deterministic tiled fan-out and its memory bound, truth-map
+inversion, and the report round trip."""
 
 from __future__ import annotations
+
+import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from mscn import datagen as dg
 from mscn import evalkit as ek
+from mscn import model
 from conftest import rng_for
 from test_model import tiny_nets
 
@@ -39,6 +43,7 @@ class TestRecallAtK:
         assert ek.recall_at_k(s, truth, 1) == 0.0
         assert ek.recall_at_k(s, truth, 2) == 50.0  # q0 rank 2; q1 rank 3
         assert ek.recall_at_k(s, truth, 3) == 100.0
+        np.testing.assert_array_equal(ek.ranks(s, truth), [2, 3])
 
     def test_tie_on_lower_index_wins(self):
         s = np.array([[0.5, 0.5]])
@@ -98,10 +103,61 @@ class TestScoreMatrix:
         out, _ = ek.score_matrix([nets], imgs, txts)
         np.testing.assert_array_equal(out, base)
 
+    @pytest.mark.parametrize("ni,nt", [(1, 70), (65, 129), (129, 1), (130, 130)])
+    def test_tiles_match_whole_matrix(self, ni, nt):
+        """Edge tiles of one row or one column: bitwise equal for any worker
+        count, and equal to whole-matrix scoring up to the last bit of a
+        BLAS kernel switch."""
+        rng = rng_for(806, ni, nt)
+        imgs, txts = rng.normal(size=(ni, 5)), rng.normal(size=(nt, 4))
+        nets = [tiny_nets(t, d_emb=64, d_sim=32, hidden=64, mscn_hidden=32)
+                for t in (66, 67)]
+        base, n_bad = ek.score_matrix(nets, imgs, txts, threads=1)
+        assert n_bad == 0
+        for workers in (2, 3):
+            out, _ = ek.score_matrix(nets, imgs, txts, threads=workers)
+            np.testing.assert_array_equal(out, base)
+        whole = [model.all_pairs_scores(imgs, txts, m, h)[0].data for m, h in nets]
+        np.testing.assert_allclose(base, (whole[0] + whole[1]) / 2,
+                                   rtol=0, atol=1e-15)
+
+    def test_memory_follows_the_tile(self):
+        """64 images x 2048 texts at d_emb=64: a block spanning every text
+        would need 32 MiB per (rows, 2048, 64) intermediate; a 64 x 64 tile
+        needs 2 MiB."""
+        rng = rng_for(807)
+        imgs, txts = rng.normal(size=(64, 5)), rng.normal(size=(2048, 4))
+        nets = tiny_nets(68, d_emb=64, d_sim=32, hidden=64, mscn_hidden=32)
+        tracemalloc.start()
+        try:
+            out, _ = ek.score_matrix([nets], imgs, txts, threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - out.nbytes < 12 * 2**20
+
+    def test_degenerate_cells_score_half(self):
+        main, meta = tiny_nets(69)
+        main = main.with_arrays([np.zeros_like(a) if f == "sim_w" else a
+                                 for f, a in main.items()])
+        rng = rng_for(808)
+        imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(65, 4))
+        for workers in (1, 2):
+            out, n_bad = ek.score_matrix([(main, meta)], imgs, txts,
+                                         threads=workers)
+            assert n_bad == 70 * 65
+            np.testing.assert_array_equal(out, np.full((70, 65), 0.5))
+
     def test_env_validation(self, monkeypatch):
         monkeypatch.setenv("MSCN_THREADS", "0")
         with pytest.raises(ValueError, match="MSCN_THREADS"):
             ek.worker_count()
+
+    def test_default_counts_usable_cpus(self, monkeypatch):
+        monkeypatch.delenv("MSCN_THREADS", raising=False)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        assert ek.worker_count() == 1
 
     def test_cosine_scorer(self):
         rng = rng_for(804)
@@ -165,6 +221,13 @@ class TestEvaluate:
             assert report.text_to_image[k] == ek.recall_at_k(scores.T, truth, k)
         assert report.rsum == pytest.approx(
             sum(report.image_to_text.values()) + sum(report.text_to_image.values()))
+
+    def test_cutoff_validated(self):
+        ds = dg.generate(dg.GenConfig(seed=31, n_clusters=4, pairs_per_cluster=40,
+                                      d_img=8, d_txt=6))
+        nets = tiny_nets(64, d_img=8, d_txt=6)
+        with pytest.raises(ValueError, match="k=1000"):
+            ek.evaluate([nets], ds.test, ks=(1, 1000))
 
     def test_kv_roundtrip(self):
         ds = dg.generate(dg.GenConfig(seed=32, n_clusters=4, pairs_per_cluster=30,
