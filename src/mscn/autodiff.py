@@ -136,35 +136,6 @@ class Tensor:
         tag = "" if self.node is None else f" op={self.node.op}"
         return f"Tensor(shape={self.data.shape}{tag})"
 
-    # operator sugar; all dispatch to the module-level ops
-    def __add__(self, other):
-        return add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(other, self)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return div(self, other)
-
-    def __rtruediv__(self, other):
-        return div(other, self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scalar_mul(-1.0, self)
-
 
 class Tape:
     """Explicit computation record, opened per step and discarded after.

@@ -42,6 +42,18 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(f"{self.prog}: {message}")
 
 
+def _positive_int(text: str) -> int:
+    """argparse type: an integer of at least 1."""
+    if not text.strip().isdigit() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _cutoffs(text: str) -> tuple:
+    """argparse type: comma-separated positive cutoffs."""
+    return tuple(_positive_int(k) for k in text.split(","))
+
+
 def _field_names(cls) -> frozenset:
     return frozenset(f.name for f in dataclasses.fields(cls))
 
@@ -142,6 +154,9 @@ def cmd_train(args) -> int:
     cfg = _load_maybe_config(args)
     tc = build_train_config(cfg, seed=args.seed, mode=args.mode)
     ds = datagen.read_dataset(args.data)
+    if len(ds.test) < max(tc.eval_ks):
+        raise ValueError(f"test split ({len(ds.test)}) too small for "
+                         f"R@{max(tc.eval_ks)}")
     out = Path(args.out)
     result = train(ds, tc, out_dir=out, threads=args.threads)
     print(f"trained {tc.warmup_epochs + tc.epochs} epochs "
@@ -165,8 +180,7 @@ def cmd_eval(args) -> int:
     ds = datagen.read_dataset(args.data)
     split = dict(ds.splits())[args.split]
     models = _load_models(args.checkpoint)
-    ks = tuple(int(k) for k in args.ks.split(","))
-    report = evalkit.evaluate(models, split, ks=ks, scorer=args.scorer,
+    report = evalkit.evaluate(models, split, ks=args.ks, scorer=args.scorer,
                               threads=args.threads)
     print(report.format_text())
     if args.out:
@@ -219,7 +233,7 @@ def build_parser() -> _Parser:
     p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--mode", choices=["mscn", "fixed_margin_baseline"],
                    help="override the training mode")
-    p.add_argument("--threads", type=int, default=None,
+    p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker threads for evaluation")
     p.set_defaults(func=cmd_train)
 
@@ -229,8 +243,9 @@ def build_parser() -> _Parser:
                    help="checkpoint file; repeat to average networks")
     p.add_argument("--split", default="test", choices=list(datagen.SPLIT_NAMES))
     p.add_argument("--scorer", default="mscn", choices=["mscn", "cosine"])
-    p.add_argument("--ks", default="1,5,10", help="comma-separated cutoffs")
-    p.add_argument("--threads", type=int, default=None)
+    p.add_argument("--ks", type=_cutoffs, default="1,5,10",
+                   help="comma-separated cutoffs")
+    p.add_argument("--threads", type=_positive_int, default=None)
     p.add_argument("--out", help="directory for report.tsv")
     p.set_defaults(func=cmd_eval)
 

@@ -242,19 +242,28 @@ def inject_noise(ds: Dataset, ratio: float, noise_seed: int) -> Dataset:
 # binary serialization
 
 
+def _record_dtype(d_img: int, d_txt: int) -> np.dtype:
+    """One packed record: u64 id, u64 original partner, u8 clean flag, then
+    the image and text vectors as little-endian f64."""
+    return np.dtype([("id", "<u8"), ("partner", "<u8"), ("clean", "u1"),
+                     ("image", "<f8", (d_img,)), ("text", "<f8", (d_txt,))])
+
+
 def write_dataset(path, ds: Dataset) -> None:
     blob = bytearray()
     blob += DATASET_MAGIC
     blob += struct.pack("<I", DATASET_VERSION)
     blob += struct.pack("<4I", *(len(split) for _, split in ds.splits()))
     blob += struct.pack("<2I", ds.d_img, ds.d_txt)
+    dtype = _record_dtype(ds.d_img, ds.d_txt)
     for _, split in ds.splits():
-        for i in range(len(split)):
-            blob += struct.pack("<QQB", int(split.ids[i]),
-                                int(split.original_partner[i]),
-                                int(split.clean[i]))
-            blob += split.images[i].astype("<f8").tobytes()
-            blob += split.texts[i].astype("<f8").tobytes()
+        records = np.empty(len(split), dtype=dtype)
+        records["id"] = split.ids
+        records["partner"] = split.original_partner
+        records["clean"] = split.clean
+        records["image"] = split.images
+        records["text"] = split.texts
+        blob += records.tobytes()
     manifest = json.dumps(ds.manifest, sort_keys=True,
                           separators=(",", ":")).encode("utf-8")
     blob += struct.pack("<I", len(manifest))
@@ -286,23 +295,17 @@ def read_dataset(path) -> Dataset:
     d_img, d_txt = struct.unpack("<2I", take(8))
     if d_img < 1 or d_txt < 1 or d_img > 1_000_000 or d_txt > 1_000_000:
         raise DatasetFormatError(f"implausible dimensions ({d_img}, {d_txt})")
-    splits = []
+    dtype = _record_dtype(d_img, d_txt)
+    records = []
     for count in counts:
-        ids = np.empty(count, dtype=np.int64)
-        partners = np.empty(count, dtype=np.int64)
-        clean = np.empty(count, dtype=bool)
-        images = np.empty((count, d_img), dtype=np.float64)
-        texts = np.empty((count, d_txt), dtype=np.float64)
-        for i in range(count):
-            rid, partner, flag = struct.unpack("<QQB", take(17))
-            if flag not in (0, 1):
-                raise DatasetFormatError(f"bad clean flag {flag} in record {rid}")
-            ids[i] = rid
-            partners[i] = partner
-            clean[i] = bool(flag)
-            images[i] = np.frombuffer(take(8 * d_img), dtype="<f8")
-            texts[i] = np.frombuffer(take(8 * d_txt), dtype="<f8")
-        splits.append((ids, partners, clean, images, texts))
+        # take() checks the byte count, so a huge claimed count allocates nothing
+        rec = np.frombuffer(take(count * dtype.itemsize), dtype=dtype)
+        bad = np.flatnonzero(rec["clean"] > 1)
+        if bad.size:
+            first = rec[bad[0]]
+            raise DatasetFormatError(
+                f"bad clean flag {first['clean']} in record {first['id']}")
+        records.append(rec)
     (manifest_len,) = struct.unpack("<I", take(4))
     try:
         manifest = json.loads(take(manifest_len).decode("utf-8"))
@@ -320,14 +323,20 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError("manifest cluster_by_id has the wrong length")
     cluster_by_id = np.asarray(cluster_by_id, dtype=np.int64)
 
-    def build(ids, partners, clean, images, texts) -> Split:
-        if ids.size and (ids.min() < 0 or ids.max() >= total):
+    def build(rec) -> Split:
+        # range checks run on the stored u64 values, so an id >= 2**63
+        # is rejected here rather than wrapping in the int64 copy
+        if rec.size and rec["id"].max() >= total:
             raise DatasetFormatError("record id outside the dataset range")
-        if partners.size and (partners.min() < 0 or partners.max() >= total):
+        if rec.size and rec["partner"].max() >= total:
             raise DatasetFormatError("partner id outside the dataset range")
-        return Split(ids=ids, images=images, texts=texts,
-                     original_partner=partners, clean=clean,
+        ids = rec["id"].astype(np.int64)
+        return Split(ids=ids,
+                     images=np.array(rec["image"], dtype=np.float64, order="C"),
+                     texts=np.array(rec["text"], dtype=np.float64, order="C"),
+                     original_partner=rec["partner"].astype(np.int64),
+                     clean=rec["clean"].astype(bool),
                      cluster=cluster_by_id[ids])
 
-    train, meta, val, test = (build(*s) for s in splits)
+    train, meta, val, test = (build(r) for r in records)
     return Dataset(train=train, meta=meta, val=val, test=test, manifest=manifest)

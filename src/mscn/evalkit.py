@@ -184,7 +184,7 @@ def _truth_maps(split: Split) -> tuple[np.ndarray, np.ndarray]:
     original_partner[j]; on clean splits both maps are the identity."""
     id_to_pos = {int(rid): i for i, rid in enumerate(split.ids)}
     partner_pos = np.array([id_to_pos.get(int(p), -1)
-                            for p in split.original_partner])
+                            for p in split.original_partner], dtype=np.int64)
     if np.any(partner_pos < 0):
         raise ValueError("evaluate: a text's original image is not in the split")
     i2t = np.full(len(split), -1, dtype=np.int64)

@@ -21,7 +21,7 @@ a run is a pure function of (dataset bytes, config).
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
 
@@ -177,6 +177,26 @@ def _check_finite(grads: list[np.ndarray], names, context: str):
                 f"(|max|={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
 
 
+def _descend(params, lifted, grads, opt: AdamState, lr: float,
+             cfg: TrainConfig, context: str):
+    """Optimizer step on `params` from the gradients of `lifted`, its copy
+    on a record, after checking that they are finite."""
+    g = [grads[t].data for _, t in lifted.items()]
+    _check_finite(g, [n for n, _ in lifted.items()], context)
+    return params.with_arrays(optimizer_step(params.arrays(), g, opt, lr, cfg))
+
+
+def _descend_on(params, loss_of, opt: AdamState, lr: float, cfg: TrainConfig,
+                context: str):
+    """Lift `params` onto a fresh record, differentiate loss_of(lifted) and
+    descend.  Returns (new params, loss value)."""
+    with ad.Tape() as tape:
+        lifted = params.lift(tape)
+        loss = loss_of(lifted)
+        grads = ad.backward(tape, loss)
+    return _descend(params, lifted, grads, opt, lr, cfg, context), loss.item()
+
+
 def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
                    meta_lifted: model.MetaNetParams, images, texts,
                    alpha: float, cfg: TrainConfig):
@@ -199,31 +219,22 @@ def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
     mloss = objective.meta_loss(batch.images, batch.texts, batch.labels,
                                 virtual_main, meta_lifted,
                                 negative_term=cfg.meta_bce_negative_term)
-    leaves = [t for _, t in meta_lifted.items()]
-    grads = ad.backward(tape, mloss, wrt=leaves)
-    names = [n for n, _ in meta_lifted.items()]
-    g = [grads[t].data for t in leaves]
-    _check_finite(g, names, "meta_update")
-    new_arrays = optimizer_step(state.meta.arrays(), g, state.opt_meta, lr_meta, cfg)
-    return state.meta.with_arrays(new_arrays), mloss.item()
+    grads = ad.backward(tape, mloss, wrt=[t for _, t in meta_lifted.items()])
+    return _descend(state.meta, meta_lifted, grads, state.opt_meta, lr_meta,
+                    cfg, "meta_update"), mloss.item()
 
 
 def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
                   lr_main: float, cfg: TrainConfig):
     """Stage 3: step the main params on the same batch under the updated
     correction network (held constant)."""
-    with ad.Tape() as tape:
-        main_l = state.main.lift(tape)
-        loss = objective.triplet_loss(images, texts, main_l,
-                                      meta_new.lift(None),
-                                      cfg.gamma, cfg.tau,
-                                      adaptive=cfg.use_adaptive_margin)
-        grads = ad.backward(tape, loss)
-    names = [n for n, _ in main_l.items()]
-    g = [grads[t].data for _, t in main_l.items()]
-    _check_finite(g, names, "actual_update")
-    new_arrays = optimizer_step(state.main.arrays(), g, state.opt_main, lr_main, cfg)
-    return state.main.with_arrays(new_arrays), loss.item()
+    return _descend_on(
+        state.main,
+        lambda main_l: objective.triplet_loss(images, texts, main_l,
+                                              meta_new.lift(None),
+                                              cfg.gamma, cfg.tau,
+                                              adaptive=cfg.use_adaptive_margin),
+        state.opt_main, lr_main, cfg, "actual_update")
 
 
 def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
@@ -246,68 +257,43 @@ def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
     meta_new, train_loss, meta_loss_val = _retained_stages(
         state, images, texts, batch, lr_main, lr_meta, cfg)
     main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg)
-    new_state = NetState(main=main_new, meta=meta_new,
-                         opt_main=state.opt_main, opt_meta=state.opt_meta)
-    return new_state, {"train_loss": train_loss, "meta_loss": meta_loss_val}
+    return (replace(state, main=main_new, meta=meta_new),
+            {"train_loss": train_loss, "meta_loss": meta_loss_val})
 
 
 def warmup_step(state: NetState, images, texts, batch: Optional[MetaBatch],
                 lr_main: float, lr_meta: float, cfg: TrainConfig):
     """Fixed-margin step on the main params, then (optionally) a supervised
     step of the correction network at the updated main params."""
-    with ad.Tape() as tape:
-        main_l = state.main.lift(tape)
-        loss = objective.triplet_loss(images, texts, main_l,
-                                      state.meta.lift(None),
-                                      cfg.gamma, cfg.tau, adaptive=False)
-        grads = ad.backward(tape, loss)
-    g = [grads[t].data for _, t in main_l.items()]
-    _check_finite(g, [n for n, _ in main_l.items()], "warmup main")
-    main_new = state.main.with_arrays(
-        optimizer_step(state.main.arrays(), g, state.opt_main, lr_main, cfg))
-    meta_new = state.meta
-    meta_loss_val = None
+    main_new, loss_val = _descend_on(
+        state.main,
+        lambda main_l: objective.triplet_loss(images, texts, main_l,
+                                              state.meta.lift(None),
+                                              cfg.gamma, cfg.tau, adaptive=False),
+        state.opt_main, lr_main, cfg, "warmup main")
+    meta_new, meta_loss_val = state.meta, None
     if batch is not None:
-        with ad.Tape() as tape:
-            meta_l = state.meta.lift(tape)
-            mloss = objective.meta_loss(batch.images, batch.texts, batch.labels,
-                                        main_new.lift(None), meta_l,
-                                        negative_term=cfg.meta_bce_negative_term)
-            mgrads = ad.backward(tape, mloss)
-        mg = [mgrads[t].data for _, t in meta_l.items()]
-        _check_finite(mg, [n for n, _ in meta_l.items()], "warmup meta")
-        meta_new = state.meta.with_arrays(
-            optimizer_step(state.meta.arrays(), mg, state.opt_meta, lr_meta, cfg))
-        meta_loss_val = mloss.item()
-    new_state = NetState(main=main_new, meta=meta_new,
-                         opt_main=state.opt_main, opt_meta=state.opt_meta)
-    return new_state, {"train_loss": loss.item(), "meta_loss": meta_loss_val}
+        meta_new, meta_loss_val = _descend_on(
+            state.meta,
+            lambda meta_l: objective.meta_loss(
+                batch.images, batch.texts, batch.labels, main_new.lift(None),
+                meta_l, negative_term=cfg.meta_bce_negative_term),
+            state.opt_meta, lr_meta, cfg, "warmup meta")
+    return (replace(state, main=main_new, meta=meta_new),
+            {"train_loss": loss_val, "meta_loss": meta_loss_val})
 
 
 def baseline_step(state: NetState, images, texts, lr_main: float,
                   cfg: TrainConfig):
     """Fixed-margin triplet step on cosine scores; no correction network."""
-    with ad.Tape() as tape:
-        main_l = state.main.lift(tape)
+    def loss_of(main_l):
         scores, _ = model.cosine_scores(images, texts, main_l)
-        loss = objective.triplet_loss_from_scores(
+        return objective.triplet_loss_from_scores(
             scores, cfg.gamma, cfg.tau, adaptive=False, clamp_scores=False)
-        grads = ad.backward(tape, loss)
-    g = [grads[t].data for _, t in main_l.items()]
-    _check_finite(g, [n for n, _ in main_l.items()], "baseline")
-    main_new = state.main.with_arrays(
-        optimizer_step(state.main.arrays(), g, state.opt_main, lr_main, cfg))
-    new_state = NetState(main=main_new, meta=state.meta,
-                         opt_main=state.opt_main, opt_meta=state.opt_meta)
-    return new_state, {"train_loss": loss.item(), "meta_loss": None}
 
-
-def _aligned_scores(split: Split, indices, main, meta) -> np.ndarray:
-    """Correction scores of the split's own (image, text) pairs, no record."""
-    idx = np.arange(len(split)) if indices is None else indices
-    s = model.pair_score(ad.Tensor(split.images[idx]), ad.Tensor(split.texts[idx]),
-                         main, meta)
-    return np.atleast_1d(s.data)
+    main_new, loss_val = _descend_on(state.main, loss_of, state.opt_main,
+                                     lr_main, cfg, "baseline")
+    return replace(state, main=main_new), {"train_loss": loss_val, "meta_loss": None}
 
 
 def fit_purifier(net: NetState, train_split: Split, meta_split: Split,
@@ -317,16 +303,17 @@ def fit_purifier(net: NetState, train_split: Split, meta_split: Split,
     Components are initialized from the net's scores of the trusted meta
     pairs (positives) and of freshly constructed cross-index train pairs
     (negatives); EM then runs on the scores of all train pairs."""
-    train_scores = purifier.clamp_score(
-        _aligned_scores(train_split, None, net.main, net.meta))
-    pos_scores = _aligned_scores(meta_split, None, net.main, net.meta)
+    def scores(images, texts) -> np.ndarray:
+        return np.atleast_1d(model.pair_score(
+            ad.Tensor(images), ad.Tensor(texts), net.main, net.meta).data)
+
+    train_scores = purifier.clamp_score(scores(train_split.images, train_split.texts))
+    pos_scores = scores(meta_split.images, meta_split.texts)
     rng = _rng(seed, _TAG_NEG_PAIRS, epoch, net_idx)
     neg = construct_meta_batch(meta_split, train_split,
                                2 * max(len(meta_split), 2), rng)
     half = len(neg.labels) // 2
-    neg_scores = np.atleast_1d(model.pair_score(
-        ad.Tensor(neg.images[half:]), ad.Tensor(neg.texts[half:]),
-        net.main, net.meta).data)
+    neg_scores = scores(neg.images[half:], neg.texts[half:])
     init = purifier.moment_match_init(pos_scores, neg_scores)
     fit = purifier.em_fit(train_scores, init)
     admitted = purifier.purify(fit.mixture, train_scores)

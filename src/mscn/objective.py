@@ -29,7 +29,7 @@ from .autodiff import (
     sub,
     transpose,
 )
-from .model import MainNetParams, MetaNetParams, all_pairs_scores, embed_image, embed_text, mscn_score, similarity_feature
+from .model import MainNetParams, MetaNetParams, all_pairs_scores, pair_score
 from .purifier import SCORE_CLAMP_HI, SCORE_CLAMP_LO
 
 
@@ -122,10 +122,7 @@ def meta_loss(images, texts, labels, main: MainNetParams, meta: MetaNetParams,
         raise ValueError("meta_loss: empty batch")
     if not np.all((y == 0.0) | (y == 1.0)):
         raise ValueError("meta_loss: labels must be 0 or 1")
-    u = embed_image(imgs, main)
-    v = embed_text(txts, main)
-    s = mscn_score(similarity_feature(u, v, main.sim_w), meta)
-    s = clamp(s, SCORE_CLAMP_LO, SCORE_CLAMP_HI)
+    s = clamp(pair_score(imgs, txts, main, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
     ll = mul(Tensor(y), log(s))
     if negative_term:
         ll = add(ll, mul(Tensor(1.0 - y), log(sub(1.0, s))))

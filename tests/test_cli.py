@@ -113,13 +113,24 @@ def test_gen_data_bad_ratio_exits_config(tmp_path, capsys):
 # usage errors
 
 
-def test_usage_errors_exit_config(capsys):
+def test_usage_errors_exit_config(tmp_path, capsys):
     assert main([]) == EXIT_CONFIG
     assert main(["train"]) == EXIT_CONFIG        # missing --data/--out
     assert main(["no-such-command"]) == EXIT_CONFIG
     assert main(["eval", "--data", "x", "--checkpoint", "y",
                  "--split", "bogus"]) == EXIT_CONFIG
     assert capsys.readouterr().err  # messages went to stderr
+    # bad --threads / --ks are usage errors, caught before any file is read
+    # (the data file does not exist, which would otherwise exit 2)
+    absent = str(tmp_path / "absent.mscd")
+    out = tmp_path / "out"
+    assert main(["train", "--config", SMOKE, "--data", absent,
+                 "--out", str(out), "--threads", "0"]) == EXIT_CONFIG
+    for extra in (["--threads", "0"], ["--ks", "0"], ["--ks", "1,x"]):
+        assert main(["eval", "--data", absent, "--checkpoint", "y",
+                     "--out", str(out), *extra]) == EXIT_CONFIG, extra
+        assert "positive integer" in capsys.readouterr().err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -250,6 +261,29 @@ def test_missing_data_file_exits_runtime(tmp_path, capsys):
                str(tmp_path / "absent.mscd"), "--out", str(tmp_path / "o")])
     assert rc == EXIT_RUNTIME
     assert "error" in capsys.readouterr().err
+
+
+def test_empty_test_split_fails_before_training(pipeline, tmp_path, capsys):
+    """With test_fraction 0, train stops before its first epoch and eval
+    of the empty split exits 2 with a message, not a traceback."""
+    _, run = pipeline
+    cfg = json.loads(Path(SMOKE).read_text(encoding="utf-8"))
+    cfg["data"]["test_fraction"] = 0
+    config = write_json(tmp_path / "no_test.json", cfg)
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", config, "--out", str(data)]) == EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "run"
+    rc = main(["train", "--config", config, "--data", str(data / "dataset.mscd"),
+               "--out", str(out)])
+    assert rc == EXIT_RUNTIME
+    assert not (out / "metrics.tsv").exists()
+    assert "test split (0) too small for R@5" in capsys.readouterr().err
+    rc = main(["eval", "--data", str(data / "dataset.mscd"),
+               "--checkpoint", str(run / "net1_best.mscp"), "--split", "test"])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: ValueError") and "Traceback" not in err
 
 
 def test_corrupt_data_file_exits_runtime(tmp_path):

@@ -4,6 +4,8 @@ round trip with corruption rejection."""
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -238,3 +240,45 @@ class TestBinaryFormat:
         dg.write_dataset(p, ds)
         with pytest.raises(dg.DatasetFormatError, match="sizes"):
             dg.read_dataset(p)
+
+    def test_huge_record_count_rejected_before_allocating(self, tmp_path):
+        """A header claiming 2**32 - 1 train records is a truncation, found
+        from the byte count before any array of that size exists."""
+        ds = dg.generate(small_cfg(19))
+        p = tmp_path / "x.mscd"
+        dg.write_dataset(p, ds)
+        blob = bytearray(p.read_bytes())
+        blob[8:12] = (2**32 - 1).to_bytes(4, "little")  # train count
+        p.write_bytes(bytes(blob))
+        tracemalloc.start()
+        try:
+            with pytest.raises(dg.DatasetFormatError, match="truncated"):
+                dg.read_dataset(p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * len(blob)
+
+    def test_record_id_beyond_int64_rejected(self, tmp_path):
+        ds = dg.generate(small_cfg(19))
+        p = tmp_path / "x.mscd"
+        dg.write_dataset(p, ds)
+        blob = bytearray(p.read_bytes())
+        blob[32:40] = (2**63).to_bytes(8, "little")  # first record's id
+        p.write_bytes(bytes(blob))
+        with pytest.raises(dg.DatasetFormatError, match="record id"):
+            dg.read_dataset(p)
+
+    def test_read_arrays_are_contiguous_and_typed(self, tmp_path):
+        ds = dg.inject_noise(dg.generate(small_cfg(18)), 0.3, noise_seed=2)
+        p = tmp_path / "data.mscd"
+        dg.write_dataset(p, ds)
+        for _, split in dg.read_dataset(p).splits():
+            for name, dtype in (("ids", np.int64), ("images", np.float64),
+                                ("texts", np.float64),
+                                ("original_partner", np.int64),
+                                ("clean", np.bool_), ("cluster", np.int64)):
+                arr = getattr(split, name)
+                assert arr.dtype == dtype, name
+                assert arr.flags.c_contiguous and arr.flags.writeable, name
+

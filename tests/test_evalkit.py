@@ -229,6 +229,15 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="k=1000"):
             ek.evaluate([nets], ds.test, ks=(1, 1000))
 
+    @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
+    def test_empty_split_is_a_value_error(self, scorer):
+        ds = dg.generate(dg.GenConfig(seed=33, n_clusters=4, pairs_per_cluster=30,
+                                      d_img=8, d_txt=6, test_fraction=0.0))
+        assert len(ds.test) == 0
+        nets = tiny_nets(66, d_img=8, d_txt=6)
+        with pytest.raises(ValueError, match="no queries"):
+            ek.evaluate([nets], ds.test, ks=(1,), scorer=scorer)
+
     def test_kv_roundtrip(self):
         ds = dg.generate(dg.GenConfig(seed=32, n_clusters=4, pairs_per_cluster=30,
                                       d_img=8, d_txt=6))

@@ -396,6 +396,46 @@ def test_bilevel_rejects_non_finite():
     _check_finite([np.array([1.0, 2.0])], ["w"], "test")
 
 
+@pytest.mark.parametrize("context, step, poisoned_call", [
+    ("warmup main", "warmup", 1),
+    ("warmup meta", "warmup", 2),
+    ("meta_update", "bilevel", 1),
+    ("actual_update", "bilevel", 2),
+    ("baseline", "baseline", 1),
+])
+def test_every_descent_checks_its_gradients(monkeypatch, context, step,
+                                            poisoned_call):
+    """Each optimizer step refuses a non-finite gradient and names its
+    stage.  The n-th first-order sweep of the step returns one inf entry
+    (the virtual stage sweeps with backward_retaining, which is left
+    alone)."""
+    real_backward = ad.backward
+    calls = []
+
+    def poisoned_backward(*args, **kwargs):
+        grads = real_backward(*args, **kwargs)
+        calls.append(None)
+        if len(calls) == poisoned_call:
+            first = next(iter(grads))
+            bad = grads[first].data.copy()
+            bad.flat[0] = np.inf
+            grads[first] = ad.Tensor(bad)
+        return grads
+
+    monkeypatch.setattr(ad, "backward", poisoned_backward)
+    cfg = tiny_cfg()
+    imgs, txts = batch_data(9045)
+    mb = meta_batch_for(9045)
+    run = {
+        "warmup": lambda s: warmup_step(s, imgs, txts, mb, 1e-3, 1e-3, cfg),
+        "bilevel": lambda s: bilevel_step(s, imgs, txts, mb, 1e-3, 1e-3, cfg),
+        "baseline": lambda s: baseline_step(s, imgs, txts, 1e-3, cfg),
+    }[step]
+    with pytest.raises(NonFiniteGradientError, match=f"^{context}: non-finite"):
+        run(tiny_state(9045))
+    assert len(calls) == poisoned_call
+
+
 # ---------------------------------------------------------------------------
 # warmup and baseline steps
 
