@@ -11,11 +11,19 @@ on a record opened with ``retain=True`` appends the backward pass to the
 same record; the returned gradients are then ordinary recorded values and
 can be differentiated again.
 
-Ownership: a record holds its nodes, a node holds its parents, its output
-array and its VJP, and nothing points back.  A VJP is handed its own
-output at sweep time and never closes over it; a node refers to its record
-only weakly; a tape drops its recording context on exit.  A record is
-therefore freed by reference counting the moment its step lets go of it.
+Ownership: a record holds its nodes, a node holds its parents and its
+VJP, and nothing points back.  A VJP is handed its own output at sweep
+time and never closes over it; a node refers to its record only weakly; a
+tape drops its recording context on exit.  A record is therefore freed by
+reference counting the moment its step lets go of it.
+
+A record keeps only the arrays that some VJP reads.  A node holds its
+output only when its own VJP reads it (leaves, ``relu``, ``sigmoid``,
+``div`` and ``l2norm``), and a VJP closes over an operand only when its
+gradient reads it: both for ``mul`` and ``matmul``, the divisor for
+``div``, none for ``add`` and ``sub``.  Any other intermediate is freed as
+soon as the forward pass no longer uses it, even while its record lives,
+which is what lets two training steps run side by side in little memory.
 
 A sweep does only the work its caller asks for.  ``backward(..., wrt=)``
 marks the nodes that depend on the requested leaves and runs VJPs only
@@ -85,13 +93,15 @@ class _using_tape:
 
 
 class Node:
-    """One recorded operation: parents, output array and a VJP.
+    """One recorded operation: parents, a VJP and, if the VJP reads it, the
+    output array (else ``data`` is None).
 
     ``record`` is the owning tape's weak reference, so a node never keeps
     its record alive.  The VJP is called as ``vjp(g, out, needs)``: `g` is
-    the gradient of the output, `out` the output as a Tensor on this node,
-    and `needs[i]` says whether input i wants a gradient.  It returns one
-    entry per input, None where none was wanted.
+    the gradient of the output, `out` the output as a Tensor on this node
+    (None where the node keeps no output), and `needs[i]` says whether
+    input i wants a gradient.  It returns one entry per input, None where
+    none was wanted.
     """
 
     __slots__ = ("record", "op", "parents", "vjp", "data")
@@ -177,7 +187,11 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable) -> Tensor:
+def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable,
+            keep_out: bool = False) -> Tensor:
+    """Wrap `out_data`, and append a node to the active record if an input
+    is on it.  The node holds the output only with `keep_out`, which an op
+    sets when its VJP reads `out`."""
     out = Tensor(out_data)
     tape = _active_tape()
     if tape is None:
@@ -194,7 +208,8 @@ def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable) -> Tenso
         parents.append(node)
         tracked = tracked or node is not None
     if tracked:
-        out.node = Node(tape._ref, op, tuple(parents), vjp, out.data)
+        out.node = Node(tape._ref, op, tuple(parents), vjp,
+                        out.data if keep_out else None)
         tape.nodes.append(out.node)
     return out
 
@@ -240,30 +255,36 @@ def _unbroadcast(g: Tensor, shape) -> Tensor:
     return out if out.shape == shape else reshape(out, shape)
 
 
-def _binary(op: str, a, b, fwd, grads, negate_b: bool = False) -> Tensor:
+def _binary(op: str, a, b, fwd, grads, keep=(False, False),
+            negate_b: bool = False, keep_out: bool = False) -> Tensor:
     """Elementwise binary op with numpy broadcasting.
 
     Operands are never materialized to the common shape.  `grads(g, a, b,
     out, needs)` gives the gradients at the output shape; they are summed
-    back down to each operand's shape here.  With `negate_b` the b-gradient
-    is negated after that sum, which is exact and touches fewer elements.
+    back down to each operand's shape here.  The VJP holds operand i only
+    if `keep[i]` (grads sees None otherwise), and the node its output only
+    with `keep_out`.  With `negate_b` the b-gradient is negated after that
+    sum, which is exact and touches fewer elements.
     """
     a, b = _lift(a), _lift(b)
     try:
         np.broadcast_shapes(a.shape, b.shape)
     except ValueError:
         raise ShapeMismatchError(op, a.shape, b.shape) from None
+    a_shape, b_shape = a.shape, b.shape
+    kept_a = a if keep[0] else None
+    kept_b = b if keep[1] else None
 
     def vjp(g, out, needs):
-        ga, gb = grads(g, a, b, out, needs)
-        ga = _unbroadcast(ga, a.shape) if needs[0] else None
+        ga, gb = grads(g, kept_a, kept_b, out, needs)
+        ga = _unbroadcast(ga, a_shape) if needs[0] else None
         if needs[1]:
-            gb = _unbroadcast(gb, b.shape)
+            gb = _unbroadcast(gb, b_shape)
             if negate_b:
                 gb = neg(gb)
         return ga, gb
 
-    return _record(op, fwd(a.data, b.data), (a, b), vjp)
+    return _record(op, fwd(a.data, b.data), (a, b), vjp, keep_out)
 
 
 def add(a, b) -> Tensor:
@@ -277,7 +298,8 @@ def sub(a, b) -> Tensor:
 def mul(a, b) -> Tensor:
     return _binary("mul", a, b, np.multiply,
                    lambda g, a, b, out, needs: (mul(g, b) if needs[0] else None,
-                                                mul(g, a) if needs[1] else None))
+                                                mul(g, a) if needs[1] else None),
+                   keep=(True, True))
 
 
 def div(a, b) -> Tensor:
@@ -290,7 +312,8 @@ def div(a, b) -> Tensor:
         ga = div(g, b)
         return ga, mul(ga, out) if needs[1] else None
 
-    return _binary("div", a, b, fwd, grads, negate_b=True)
+    return _binary("div", a, b, fwd, grads, keep=(False, True), negate_b=True,
+                   keep_out=True)
 
 
 def scalar_mul(c: float, x) -> Tensor:
@@ -305,21 +328,25 @@ def neg(x) -> Tensor:
 
 def square(x) -> Tensor:
     x = _lift(x)
+    # 2 * (g * x) has the bits of g * (2 * x), since doubling is exact, and
+    # records no (x-sized) 2x array
     return _record("square", x.data * x.data, (x,),
-                   lambda g, *_: (mul(g, scalar_mul(2.0, x)),))
+                   lambda g, *_: (scalar_mul(2.0, mul(g, x)),))
 
 
 def relu(x) -> Tensor:
     """Hinge [x]+ with the strict-inequality subgradient (0 at exactly 0)."""
     x = _lift(x)
     return _record("relu", np.maximum(x.data, 0.0), (x,),
-                   lambda g, out, needs: (mul(g, Tensor(out.data > 0.0)),))
+                   lambda g, out, needs: (mul(g, Tensor(out.data > 0.0)),),
+                   keep_out=True)
 
 
 def sigmoid(x) -> Tensor:
     x = _lift(x)
     return _record("sigmoid", expit(x.data), (x,),
-                   lambda g, out, needs: (mul(g, mul(out, sub(1.0, out))),))
+                   lambda g, out, needs: (mul(g, mul(out, sub(1.0, out))),),
+                   keep_out=True)
 
 
 def log(x) -> Tensor:
@@ -350,7 +377,8 @@ def l2norm(x) -> Tensor:
         ratio = div(g, out)  # (...,)
         return (mul(x, reshape(ratio, ratio.shape + (1,))),)
 
-    return _record("l2norm", np.sqrt(np.sum(x.data * x.data, axis=-1)), (x,), vjp)
+    return _record("l2norm", np.sqrt(np.sum(x.data * x.data, axis=-1)), (x,), vjp,
+                   keep_out=True)
 
 
 def row_max(x) -> tuple[Tensor, np.ndarray]:
@@ -364,9 +392,10 @@ def row_max(x) -> tuple[Tensor, np.ndarray]:
         raise ShapeMismatchError("row_max", x.shape)
     idx = np.argmax(x.data, axis=1)
     rows = np.arange(x.shape[0])
+    shape = x.shape
 
     def vjp(g, *_):
-        onehot = np.zeros(x.shape)
+        onehot = np.zeros(shape)
         onehot[rows, idx] = 1.0
         return (mul(Tensor(onehot), reshape(g, (g.shape[0], 1))),)
 
@@ -477,8 +506,8 @@ def _backprop(record: Tape, output: Tensor,
         needs = tuple(p is not None and (live is None or p in live) for p in node.parents)
         if not any(needs):
             continue
-        for parent, need, pg in zip(node.parents, needs,
-                                    node.vjp(g, Tensor(node.data, node), needs)):
+        out_t = None if node.data is None else Tensor(node.data, node)
+        for parent, need, pg in zip(node.parents, needs, node.vjp(g, out_t, needs)):
             if not need:
                 continue
             acc = grads.get(parent)

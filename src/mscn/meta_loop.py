@@ -13,6 +13,8 @@ Each epoch both network pairs score every training pair, a Beta mixture
 splits the scores into clean/noisy, and each pair trains on the set the
 *other* pair admitted.  A warmup phase precedes this: fixed-margin
 training plus per-iteration supervised updates of the correction network.
+The sets are fixed before an epoch's steps start, so within an epoch the
+two pairs' step loops share nothing and can run on two threads.
 
 Everything stochastic draws from SeedSequence([seed, *tags]) streams, so
 a run is a pure function of (dataset bytes, config).
@@ -21,6 +23,7 @@ a run is a pure function of (dataset bytes, config).
 from __future__ import annotations
 
 import logging
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -74,7 +77,6 @@ class TrainConfig:
     meta_bce_negative_term: bool = True
     use_adaptive_margin: bool = True
     use_purification: bool = True
-    purifier_refit: str = "epoch"
     eval_ks: tuple = (1, 5, 10)
 
     def validate(self):
@@ -92,8 +94,6 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must lie in (0, 1]")
         if self.optimizer not in ("adam", "sgd"):
             raise ValueError(f"unknown optimizer: {self.optimizer!r}")
-        if self.purifier_refit not in ("epoch", "step"):
-            raise ValueError(f"unknown purifier_refit: {self.purifier_refit!r}")
         if not self.d_sim < self.d_emb:
             raise ValueError("d_sim must be below d_emb")
         if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
@@ -367,13 +367,54 @@ def _purity(admitted: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
     return precision, recall
 
 
+def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
+                     warm: bool, lr_main: float, lr_meta: float,
+                     train_split: Split, meta_split: Split, cfg: TrainConfig):
+    """One epoch of steps of network pair `k` over its training pool.
+
+    Reads nothing the other pair's loop writes: every random draw comes
+    from a stream keyed by (epoch, k, step).  Returns (net, training
+    losses, meta losses)."""
+    order = _rng(cfg.seed, _TAG_SHUFFLE, epoch, k).permutation(pool.size)
+    shuffled = pool[order]
+    losses, mlosses = [], []
+    for step in range(pool.size // cfg.batch_size):
+        sel = shuffled[step * cfg.batch_size:(step + 1) * cfg.batch_size]
+        imgs = train_split.images[sel]
+        txts = train_split.texts[sel]
+        if cfg.mode == "fixed_margin_baseline":
+            net, diag = baseline_step(net, imgs, txts, lr_main, cfg)
+        else:
+            mb = construct_meta_batch(
+                meta_split, train_split, cfg.meta_batch_size,
+                _rng(cfg.seed, _TAG_META_BATCH, epoch, k, step))
+            if warm:
+                net, diag = warmup_step(net, imgs, txts,
+                                        mb if cfg.warmup_meta else None,
+                                        lr_main, lr_meta, cfg)
+            else:
+                net, diag = bilevel_step(net, imgs, txts, mb, lr_main,
+                                         lr_meta, cfg)
+        if not np.isfinite(diag["train_loss"]):
+            raise NonFiniteGradientError(
+                f"epoch {epoch} net {k + 1}: non-finite training loss")
+        losses.append(diag["train_loss"])
+        if diag["meta_loss"] is not None:
+            mlosses.append(diag["meta_loss"])
+    return net, losses, mlosses
+
+
 def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainResult:
     """Run the full schedule (warmup then main epochs) on two network pairs.
 
     With out_dir set, writes metrics.tsv (one row per epoch, flushed as it
     goes), best-validation checkpoints, and final checkpoints.  `threads`
     is the worker count of every validation eval (see
-    `evalkit.worker_count`)."""
+    `evalkit.worker_count`).  In mscn mode with more than one worker, each
+    epoch runs net 2's step loop on a second thread while net 1's runs on
+    the calling thread; the outputs do not depend on it.  The baseline's
+    many small ops would only contend for the interpreter lock, so its
+    loops run one after the other."""
     cfg.validate()
     train_split, meta_split, val_split = ds.train, ds.meta, ds.val
     if len(train_split) < cfg.batch_size:
@@ -415,6 +456,10 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
     best_epoch = -1
     best_nets = [(net.main, net.meta) for net in nets]
     report = None
+    executor = None
+    if cfg.mode == "mscn" and evalkit.worker_count(threads) > 1:
+        executor = ThreadPoolExecutor(max_workers=1,
+                                      thread_name_prefix="mscn-net")
 
     try:
         for epoch in range(total_epochs):
@@ -454,48 +499,17 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
                         "pool": pool,
                     })
 
-            losses = [[], []]
-            mlosses = [[], []]
-            for k in range(2):
-                pool = pools[k]
-                order = _rng(cfg.seed, _TAG_SHUFFLE, epoch, k).permutation(pool.size)
-                shuffled = pool[order]
-                n_steps = pool.size // cfg.batch_size
-                for step in range(n_steps):
-                    sel = shuffled[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-                    imgs = train_split.images[sel]
-                    txts = train_split.texts[sel]
-                    if cfg.mode == "fixed_margin_baseline":
-                        nets[k], diag = baseline_step(nets[k], imgs, txts,
-                                                      lr_main, cfg)
-                    else:
-                        mb = construct_meta_batch(
-                            meta_split, train_split, cfg.meta_batch_size,
-                            _rng(cfg.seed, _TAG_META_BATCH, epoch, k, step))
-                        if warm:
-                            nets[k], diag = warmup_step(
-                                nets[k], imgs, txts,
-                                mb if cfg.warmup_meta else None,
-                                lr_main, lr_meta, cfg)
-                        else:
-                            if cfg.purifier_refit == "step" and cfg.use_purification:
-                                admitted, _, _ = fit_purifier(
-                                    nets[1 - k], train_split, meta_split,
-                                    cfg.seed, epoch, 1 - k)
-                                if admitted.size >= cfg.batch_size:
-                                    draw = _rng(cfg.seed, _TAG_SHUFFLE, epoch, k,
-                                                step).permutation(admitted.size)
-                                    sel = admitted[draw[:cfg.batch_size]]
-                                    imgs = train_split.images[sel]
-                                    txts = train_split.texts[sel]
-                            nets[k], diag = bilevel_step(
-                                nets[k], imgs, txts, mb, lr_main, lr_meta, cfg)
-                    if not np.isfinite(diag["train_loss"]):
-                        raise NonFiniteGradientError(
-                            f"epoch {epoch} net {k + 1}: non-finite training loss")
-                    losses[k].append(diag["train_loss"])
-                    if diag["meta_loss"] is not None:
-                        mlosses[k].append(diag["meta_loss"])
+            def run_net(k):
+                return _train_net_epoch(nets[k], k, pools[k], epoch, warm,
+                                        lr_main, lr_meta, train_split,
+                                        meta_split, cfg)
+
+            if executor is None:
+                done = [run_net(k) for k in range(2)]
+            else:
+                second = executor.submit(run_net, 1)
+                done = [run_net(0), second.result()]
+            nets, losses, mlosses = (list(col) for col in zip(*done))
 
             report = evalkit.evaluate(
                 [(net.main, net.meta) for net in nets], val_split,
@@ -537,6 +551,8 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
                         model.save_checkpoint(
                             out_path / f"net{k + 1}_best.mscp", net.main, net.meta)
     finally:
+        if executor is not None:
+            executor.shutdown()
         if metrics_fh is not None:
             metrics_fh.close()
 

@@ -202,15 +202,35 @@ def similarity_feature(u, v, sim_w) -> Tensor:
     v = v if isinstance(v, Tensor) else Tensor(v)
     if u.shape != v.shape:
         raise ShapeMismatchError("similarity_feature", u.shape, v.shape)
-    proj = matmul(square(sub(u, v)), sim_w)
+    unit, _ = _unit_rows(matmul(square(sub(u, v)), sim_w))
+    return unit
+
+
+def _unit_rows(proj: Tensor, degenerate: str = "error") -> tuple[Tensor, np.ndarray]:
+    """Each row of the projected feature `proj` scaled to unit norm, and the
+    mask of rows whose norm is not representable (<= NORM_EPSILON).
+
+    degenerate="error" raises on any such row (the training contract);
+    degenerate="half" divides those rows by 1 instead, for the caller to
+    score 0.5 (evaluation only, never under an active record)."""
     norms = l2norm(proj)
-    if np.any(norms.data <= NORM_EPSILON):
-        bad = int(np.sum(norms.data <= NORM_EPSILON))
-        raise DegenerateSimilarityError(
-            f"{bad} pair(s) with similarity norm <= {NORM_EPSILON:g}")
+    mask = norms.data <= NORM_EPSILON
+    if degenerate == "error":
+        if np.any(mask):
+            raise DegenerateSimilarityError(
+                f"{int(np.sum(mask))} pair(s) with similarity norm <= "
+                f"{NORM_EPSILON:g}")
+        safe = norms
+    elif degenerate == "half":
+        if _active_tape() is not None:
+            raise RuntimeError("degenerate='half' is an evaluation mode; "
+                               "it cannot run under an active record")
+        safe = Tensor(np.where(mask, 1.0, norms.data))
+    else:
+        raise ValueError(f"unknown degenerate policy: {degenerate!r}")
     if proj.ndim == 2:
-        return div(proj, reshape(norms, (proj.shape[0], 1)))
-    return div(proj, norms)
+        safe = reshape(safe, (proj.shape[0], 1))
+    return div(proj, safe), mask
 
 
 def mscn_score(features, params: MetaNetParams) -> Tensor:
@@ -252,28 +272,15 @@ def block_scores(u, v, sim_w, meta: MetaNetParams,
     degenerate="error" raises on unrepresentable similarity norms (the
     training contract); degenerate="half" scores those cells 0.5 and
     reports the count (evaluation only, never under an active record).
+    See `_unit_rows`.
     """
     u, v = _tensorish(u), _tensorish(v)
     ni, nt, d = u.shape[0], v.shape[0], u.shape[1]
     diff2 = square(sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d))))
     proj = matmul(reshape(diff2, (ni * nt, d)), _tensorish(sim_w))
-    norms = l2norm(proj)
-    mask = norms.data <= NORM_EPSILON
-    n_bad = int(np.sum(mask))
-    if degenerate == "error":
-        if n_bad:
-            raise DegenerateSimilarityError(
-                f"{n_bad} pair(s) with similarity norm <= {NORM_EPSILON:g}")
-        safe = norms
-    elif degenerate == "half":
-        if _active_tape() is not None:
-            raise RuntimeError("degenerate='half' is an evaluation mode; "
-                               "it cannot run under an active record")
-        safe = Tensor(np.where(mask, 1.0, norms.data))
-    else:
-        raise ValueError(f"unknown degenerate policy: {degenerate!r}")
-    unit = div(proj, reshape(safe, (ni * nt, 1)))
+    unit, mask = _unit_rows(proj, degenerate)
     scores = reshape(mscn_score(unit, meta), (ni, nt))
+    n_bad = int(np.sum(mask))
     if n_bad:
         scores = Tensor(np.where(mask.reshape(ni, nt), 0.5, scores.data))
     return scores, n_bad

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -644,3 +645,27 @@ class TestRetainedRecords:
 
         assert_close_grad(hvp, central_difference(g_dot_probe, x0), rel=1e-4,
                           label="hvp")
+
+    def test_retained_record_keeps_only_what_a_vjp_reads(self):
+        """Outputs that no VJP reads (here of matmul and add) are freed while
+        their retained record lives; square's input, which its VJP reads,
+        is kept."""
+        rng = rng_for(17)
+        x = ad.Tensor(rng.normal(size=(4, 8)))
+        with ad.Tape(retain=True) as tape:
+            w = tape.leaf(rng.normal(size=(8, 8)))
+            b = tape.leaf(rng.normal(size=8))
+            h = ad.matmul(x, w)
+            a = ad.add(h, b)
+            s = ad.add(a, b)
+            loss = ad.reduce_sum(ad.square(s))
+            refs = {name: weakref.ref(t.data) for name, t in
+                    (("matmul", h), ("add", a), ("square input", s))}
+            del h, a, s
+            assert refs["matmul"]() is None
+            assert refs["add"]() is None
+            assert refs["square input"]() is not None
+            grads = ad.backward_retaining(tape, loss, wrt=[w])
+            # the record still differentiates: d/dw of sum(x @ w + 2b)^2
+            want = x.data.T @ (2.0 * (x.data @ w.data + 2.0 * b.data))
+            np.testing.assert_allclose(grads[w].data, want, rtol=1e-12)

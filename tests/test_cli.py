@@ -130,6 +130,11 @@ def test_usage_errors_exit_config(tmp_path, capsys):
         assert main(["eval", "--data", absent, "--checkpoint", "y",
                      "--out", str(out), *extra]) == EXIT_CONFIG, extra
         assert "positive integer" in capsys.readouterr().err
+    # cutoffs are distinct and ascending, as eval_ks must be in a config
+    for ks in ("5,1,1", "1,1", "5,1"):
+        assert main(["eval", "--data", absent, "--checkpoint", "y",
+                     "--out", str(out), "--ks", ks]) == EXIT_CONFIG, ks
+        assert "distinct ascending" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -330,6 +335,20 @@ def test_train_outputs_do_not_depend_on_blas_threads(pipeline, tmp_path):
             env=_env_without_blas_threads(OPENBLAS_NUM_THREADS=n),
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == EXIT_OK, proc.stderr
+        outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+    assert len(outputs["1"]) == 6
+    assert outputs["1"] == outputs["2"]
+
+
+def test_train_outputs_do_not_depend_on_training_threads(pipeline, tmp_path):
+    """Training the two network pairs on two threads writes the same bytes
+    as training them one after the other."""
+    data, _ = pipeline
+    outputs = {}
+    for n in ("1", "2"):
+        out = tmp_path / f"threads{n}"
+        assert main(["train", "--config", SMOKE, "--data", str(data),
+                     "--out", str(out), "--threads", n]) == EXIT_OK
         outputs[n] = {p.name: p.read_bytes() for p in sorted(out.iterdir())}
     assert len(outputs["1"]) == 6
     assert outputs["1"] == outputs["2"]

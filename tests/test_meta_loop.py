@@ -1,6 +1,7 @@
 """Bi-level step semantics, optimizer behavior, and the training driver."""
 
 import gc
+import threading
 import weakref
 
 import numpy as np
@@ -98,7 +99,7 @@ def test_config_validation_rejects_bad_values():
     bad = [dict(mode="other"), dict(batch_size=1), dict(meta_batch_size=7),
            dict(meta_batch_size=0), dict(lr_main=-1.0), dict(epochs=-1),
            dict(lr_decay_factor=0.0), dict(optimizer="rmsprop"),
-           dict(purifier_refit="never"), dict(d_emb=4, d_sim=4),
+           dict(d_emb=4, d_sim=4),
            dict(eval_ks=(5, 1)), dict(eval_ks=()), dict(gamma=-0.1),
            dict(tau=0.0)]
     for kw in bad:
@@ -737,11 +738,45 @@ def test_train_lr_decay_schedule():
     assert lrs == [cfg.lr_main, cfg.lr_main * 0.1, cfg.lr_main * 0.1]
 
 
-def test_train_purifier_step_refit_runs():
+@pytest.mark.parametrize("warmup_epochs, epochs", [(1, 0), (0, 1)])
+def test_non_finite_loss_in_threaded_net_2_matches_serial(
+        monkeypatch, warmup_epochs, epochs):
+    """A non-finite training loss of net 2 aborts the run with the serial
+    path's error, also when net 2's steps run on their own thread (warmup
+    and bilevel loops alike)."""
+    made = []
+
+    class NumberedAdam(AdamState):
+        def __init__(self, arrays):
+            super().__init__(arrays)
+            made.append(self)  # per net: main, then meta
+
+    net2_threads = set()
+
+    def poison(real):
+        def step(state, *args, **kwargs):
+            new, diag = real(state, *args, **kwargs)
+            if state.opt_main is made[2]:
+                net2_threads.add(threading.get_ident())
+                diag = dict(diag, train_loss=float("nan"))
+            return new, diag
+        return step
+
+    monkeypatch.setattr(meta_loop, "AdamState", NumberedAdam)
+    monkeypatch.setattr(meta_loop, "warmup_step", poison(warmup_step))
+    monkeypatch.setattr(meta_loop, "bilevel_step", poison(bilevel_step))
     ds = small_dataset(noise=0.5)
-    cfg = train_cfg(warmup_epochs=1, epochs=1, purifier_refit="step")
-    result = train(ds, cfg)
-    assert len(result.metrics) == 2
+    cfg = train_cfg(warmup_epochs=warmup_epochs, epochs=epochs)
+    messages = {}
+    for threads in (1, 2):
+        made.clear()
+        net2_threads.clear()
+        with pytest.raises(NonFiniteGradientError) as err:
+            train(ds, cfg, threads=threads)
+        messages[threads] = str(err.value)
+        on_calling_thread = net2_threads == {threading.get_ident()}
+        assert on_calling_thread == (threads == 1)
+    assert messages[1] == messages[2] == "epoch 0 net 2: non-finite training loss"
 
 
 def test_train_no_purification_switch():
