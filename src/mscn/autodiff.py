@@ -33,16 +33,16 @@ each operand's shape inside the VJP; ``sub`` and ``div`` negate their
 b-gradient after that sum, on the smaller array.
 
 An op allocates only its output.  ``transpose`` returns a view, and
-``matmul`` hands numpy's BLAS call the strided operands as they are,
-except where the kernel would depend on the layout: a matrix-vector
-product (a 1-D operand, or a result with a dimension of 1), for which
-OpenBLAS runs another gemv kernel on a transposed operand, and ``x @
-x.T`` on one buffer, which numpy sends to a symmetric-product kernel.
-Each kernel sums in its own order, so there the operands are made
-contiguous first and the product keeps the bits of contiguous operands.
-The masks of ``relu``, ``clamp`` and ``row_max`` are built at sweep time
-from the output, the input and the argmax indices, so a forward pass with
-no record (all of evaluation) builds none.
+``matmul``, which takes 2-D operands only, hands numpy's BLAS call the
+strided operands as they are, except where the kernel would depend on
+the layout: a matrix-vector product (a result with a dimension of 1),
+for which OpenBLAS runs another gemv kernel on a transposed operand, and
+``x @ x.T`` on one buffer, which numpy sends to a symmetric-product
+kernel.  Each kernel sums in its own order, so there the operands are
+made contiguous first and the product keeps the bits of contiguous
+operands.  The masks of ``relu``, ``clamp`` and ``row_max`` are built at
+sweep time from the output, the input and the argmax indices, so a
+forward pass with no record (all of evaluation) builds none.
 """
 
 from __future__ import annotations
@@ -220,27 +220,15 @@ def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable,
 
 def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
-    if a.ndim == 0 or b.ndim == 0 or a.ndim > 2 or b.ndim > 2:
-        raise ShapeMismatchError("matmul", a.shape, b.shape)
-    if a.shape[-1] != (b.shape[0] if b.ndim >= 1 else -1):
+    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError("matmul", a.shape, b.shape)
 
     def vjp(g: Tensor, out, needs):
-        if a.ndim == 2 and b.ndim == 2:
-            grads = (lambda: matmul(g, transpose(b)), lambda: matmul(transpose(a), g))
-        elif a.ndim == 1 and b.ndim == 2:  # (k,) @ (k, n) -> (n,)
-            grads = (lambda: matmul(b, g),
-                     lambda: matmul(reshape(a, (a.shape[0], 1)), reshape(g, (1, g.shape[0]))))
-        elif a.ndim == 2 and b.ndim == 1:  # (m, k) @ (k,) -> (m,)
-            grads = (lambda: matmul(reshape(g, (g.shape[0], 1)), reshape(b, (1, b.shape[0]))),
-                     lambda: matmul(transpose(a), g))
-        else:  # (k,) @ (k,) -> scalar dot product
-            grads = (lambda: mul(g, b), lambda: mul(g, a))
-        return tuple(grad() if need else None for grad, need in zip(grads, needs))
+        return (matmul(g, transpose(b)) if needs[0] else None,
+                matmul(transpose(a), g) if needs[1] else None)
 
     x, y = a.data, b.data
-    if (x.ndim == 1 or y.ndim == 1 or x.shape[0] == 1 or y.shape[-1] == 1
-            or np.may_share_memory(x, y)):
+    if x.shape[0] == 1 or y.shape[1] == 1 or np.may_share_memory(x, y):
         x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     return _record("matmul", x @ y, (a, b), vjp)
 

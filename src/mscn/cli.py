@@ -15,8 +15,8 @@ import dataclasses
 import json
 import logging
 import sys
+import typing
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -34,7 +34,23 @@ _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
 _SECTIONS = ("data", "noise", "train")
-_NOISE_KEYS = frozenset({"ratio", "seed"})
+_NOISE_TYPES = {"ratio": float, "seed": int}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# the JSON values each declared field type takes; bools are not numbers
+_TYPE_CHECKS = {
+    bool: ("a boolean", lambda v: isinstance(v, bool)),
+    int: ("an integer", _is_int),
+    float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    str: ("a string", lambda v: isinstance(v, str)),
+    typing.Optional[int]: ("an integer or null", lambda v: v is None or _is_int(v)),
+    tuple: ("a list of integers",
+            lambda v: isinstance(v, list) and all(map(_is_int, v))),
+}
 
 
 class ConfigError(ValueError):
@@ -86,12 +102,9 @@ def _keep_freed_memory():
     mallopt(_M_ARENA_MAX, 2)
 
 
-def _field_names(cls) -> frozenset:
-    return frozenset(f.name for f in dataclasses.fields(cls))
-
-
 def load_config(path) -> dict:
-    """Strict loader: unknown sections or keys are errors, not surprises."""
+    """Strict loader: unknown sections or keys, and values of the wrong
+    JSON type, are errors, not surprises."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -105,17 +118,22 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)} "
                           f"(expected subset of {list(_SECTIONS)})")
-    allowed = {"data": _field_names(datagen.GenConfig),
-               "noise": _NOISE_KEYS,
-               "train": _field_names(TrainConfig)}
-    for section, keys in allowed.items():
+    declared = {"data": typing.get_type_hints(datagen.GenConfig),
+                "noise": _NOISE_TYPES,
+                "train": typing.get_type_hints(TrainConfig)}
+    for section, types in declared.items():
         body = raw.get(section, {})
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
-        bad = set(body) - keys
+        bad = set(body) - set(types)
         if bad:
             raise ConfigError(f"unknown keys in config section {section!r}: "
                               f"{sorted(bad)}")
+        for key, value in body.items():
+            expected, accepts = _TYPE_CHECKS[types[key]]
+            if not accepts(value):
+                raise ConfigError(f"config value {section}.{key} must be "
+                                  f"{expected}, got {json.dumps(value)}")
     return raw
 
 
@@ -136,7 +154,7 @@ def build_train_config(cfg: dict, seed=None, mode=None) -> TrainConfig:
     try:
         body = dict(cfg.get("train", {}))
         if "eval_ks" in body:
-            body["eval_ks"] = tuple(int(k) for k in body["eval_ks"])
+            body["eval_ks"] = tuple(body["eval_ks"])
         tc = TrainConfig(**body)
         if seed is not None:
             tc = dataclasses.replace(tc, seed=int(seed))
@@ -229,8 +247,7 @@ def cmd_purify_report(args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     for idx, path in enumerate(args.checkpoint, start=1):
         main_p, meta_p = model.load_checkpoint(path)
-        net = SimpleNamespace(main=main_p, meta=meta_p)
-        admitted, fit, scores = fit_purifier(net, ds.train, ds.meta,
+        admitted, fit, scores = fit_purifier(main_p, meta_p, ds.train, ds.meta,
                                              seed=args.seed, epoch=0,
                                              net_idx=idx - 1)
         report_path = out / f"purifier_net{idx}.tsv"

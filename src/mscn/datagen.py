@@ -314,6 +314,8 @@ def read_dataset(path) -> Dataset:
     if pos != len(blob):
         raise DatasetFormatError(f"{len(blob) - pos} trailing bytes after manifest")
 
+    if not isinstance(manifest, dict):
+        raise DatasetFormatError("manifest must be a JSON object")
     sizes = manifest.get("sizes")
     if not isinstance(sizes, dict) or [sizes.get(n) for n in SPLIT_NAMES] != list(counts):
         raise DatasetFormatError("manifest sizes disagree with record counts")
@@ -321,6 +323,8 @@ def read_dataset(path) -> Dataset:
     total = sum(counts)
     if not isinstance(cluster_by_id, list) or len(cluster_by_id) != total:
         raise DatasetFormatError("manifest cluster_by_id has the wrong length")
+    if not all(type(c) is int and -2**63 <= c < 2**63 for c in cluster_by_id):
+        raise DatasetFormatError("manifest cluster_by_id holds a non-integer entry")
     cluster_by_id = np.asarray(cluster_by_id, dtype=np.int64)
 
     def build(rec) -> Split:

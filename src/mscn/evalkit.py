@@ -1,14 +1,16 @@
 """Retrieval evaluation: averaged score matrices and recall@K.
 
-The mscn scorer embeds images and texts once per model, then scores
-fixed tiles of at most TILE images x TILE texts, the training batch's
-block, through `model.block_scores`.  A tile's (TILE * TILE, d_emb)
-intermediates are 2 MiB at d_emb=64 whatever the split size, so peak
-memory follows the tile, not the number of texts.  The cosine scorer
-scores fixed CHUNK_ROWS-row chunks that span all texts.  The worker count
-(MSCN_THREADS or the CPUs this process may run on) only decides how many
-blocks run concurrently, never how the matrix is partitioned, so outputs
-are bitwise invariant to it.
+Both scorers embed images and texts once per model, then run one block
+loop; they differ only in the block's shape and the function that scores
+it.  The mscn scorer scores fixed tiles of at most TILE images x TILE
+texts, the training batch's block, through `model.block_scores`.  A
+tile's (TILE * TILE, d_emb) intermediates are 2 MiB at d_emb=64 whatever
+the split size, so peak memory follows the tile, not the number of texts.
+The cosine scorer scores fixed CHUNK_ROWS-row chunks that span all texts
+through `model.block_cosine`.  The worker count (`threads`, or the CPUs
+this process may run on) only decides how many blocks run concurrently,
+never how the matrix is partitioned, so outputs are bitwise invariant to
+it.
 
 Ranking is deterministic: a candidate ranks ahead of the true one if its
 score is strictly higher, or equal with a lower index.
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import model
-from .autodiff import ShapeMismatchError
 from .datagen import Split
 
 TILE = 64
@@ -31,16 +32,11 @@ CHUNK_ROWS = 32
 
 
 def worker_count(threads=None) -> int:
+    """`threads` if given, else the number of CPUs this process may run on."""
     if threads is not None:
         if threads < 1:
             raise ValueError(f"worker count must be positive, got {threads}")
         return int(threads)
-    env = os.environ.get("MSCN_THREADS", "").strip()
-    if env:
-        n = int(env)
-        if n < 1:
-            raise ValueError(f"MSCN_THREADS must be positive, got {env!r}")
-        return n
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
@@ -57,37 +53,31 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
         raise ValueError("score_matrix: need at least one model")
     if scorer not in ("mscn", "cosine"):
         raise ValueError(f"unknown scorer: {scorer!r}")
-    images = np.asarray(images, dtype=np.float64)
-    texts = np.asarray(texts, dtype=np.float64)
-    if images.ndim != 2 or texts.ndim != 2:
-        raise ShapeMismatchError("score_matrix", images.shape, texts.shape)
-    ni, nt = images.shape[0], texts.shape[0]
+    sides = [(model.embed_image(images, main).data,
+              model.embed_text(texts, main).data) for main, _ in models]
+    ni, nt = len(images), len(texts)
     out = np.empty((ni, nt), dtype=np.float64)
 
     if scorer == "mscn":
-        sides = [(model.embed_image(images, main).data,
-                  model.embed_text(texts, main).data) for main, _ in models]
         blocks = [(slice(r, r + TILE), slice(c, c + TILE))
                   for r in range(0, ni, TILE) for c in range(0, nt, TILE)]
 
-        def score(rows, cols):
-            for (main, meta), (u, v) in zip(models, sides):
-                yield model.block_scores(u[rows], v[cols], main.sim_w, meta,
-                                         degenerate="half")
+        def score(u, v, main, meta):
+            return model.block_scores(u, v, main.sim_w, meta, degenerate="half")
     else:
+        # splitting the columns of a cosine block would change gemm bits
         blocks = [(slice(r, r + CHUNK_ROWS), slice(None))
                   for r in range(0, ni, CHUNK_ROWS)]
 
-        def score(rows, cols):
-            for main, _ in models:
-                yield model.cosine_scores(images[rows], texts, main,
-                                          degenerate="zero")
+        def score(u, v, main, meta):
+            return model.block_cosine(u, v, degenerate="zero")
 
     def run_block(block) -> int:
         rows, cols = block
         acc = None
         bad = 0
-        for scores, n_bad in score(rows, cols):
+        for (main, meta), (u, v) in zip(models, sides):
+            scores, n_bad = score(u[rows], v[cols], main, meta)
             bad += n_bad
             acc = scores.data if acc is None else acc + scores.data
         out[rows, cols] = acc / len(models)

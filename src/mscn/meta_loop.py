@@ -296,16 +296,16 @@ def baseline_step(state: NetState, images, texts, lr_main: float,
     return replace(state, main=main_new), {"train_loss": loss_val, "meta_loss": None}
 
 
-def fit_purifier(net: NetState, train_split: Split, meta_split: Split,
-                 seed: int, epoch: int, net_idx: int):
+def fit_purifier(main: model.MainNetParams, meta: model.MetaNetParams,
+                 train_split: Split, meta_split: Split, seed: int, epoch: int,
+                 net_idx: int):
     """Fit the score mixture for one network pair and purify the train set.
 
-    Components are initialized from the net's scores of the trusted meta
+    Components are initialized from the pair's scores of the trusted meta
     pairs (positives) and of freshly constructed cross-index train pairs
     (negatives); EM then runs on the scores of all train pairs."""
     def scores(images, texts) -> np.ndarray:
-        return np.atleast_1d(model.pair_score(
-            ad.Tensor(images), ad.Tensor(texts), net.main, net.meta).data)
+        return model.pair_score(images, texts, main, meta).data
 
     train_scores = purifier.clamp_score(scores(train_split.images, train_split.texts))
     pos_scores = scores(meta_split.images, meta_split.texts)
@@ -475,7 +475,8 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
                 # each net trains on the set the *other* net admitted
                 for k in range(2):
                     admitted, fit, scores = fit_purifier(
-                        nets[k], train_split, meta_split, cfg.seed, epoch, k)
+                        nets[k].main, nets[k].meta, train_split, meta_split,
+                        cfg.seed, epoch, k)
                     fallback = admitted.size < cfg.batch_size
                     if fallback:
                         log.warning(

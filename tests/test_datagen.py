@@ -241,6 +241,23 @@ class TestBinaryFormat:
         with pytest.raises(dg.DatasetFormatError, match="sizes"):
             dg.read_dataset(p)
 
+    def test_manifest_must_be_an_object(self, tmp_path):
+        ds = dg.generate(small_cfg(19))
+        ds.manifest = [1, 2]
+        p = tmp_path / "x.mscd"
+        dg.write_dataset(p, ds)
+        with pytest.raises(dg.DatasetFormatError, match="JSON object"):
+            dg.read_dataset(p)
+
+    def test_non_integer_cluster_entry(self, tmp_path):
+        for entry in ("x", 1.5, None, True, 2**63):
+            ds = dg.generate(small_cfg(19))
+            ds.manifest["cluster_by_id"][3] = entry
+            p = tmp_path / "x.mscd"
+            dg.write_dataset(p, ds)
+            with pytest.raises(dg.DatasetFormatError, match="non-integer"):
+                dg.read_dataset(p)
+
     def test_huge_record_count_rejected_before_allocating(self, tmp_path):
         """A header claiming 2**32 - 1 train records is a truncation, found
         from the byte count before any array of that size exists."""

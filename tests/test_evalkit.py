@@ -91,7 +91,7 @@ class TestScoreMatrix:
         np.testing.assert_array_equal(both, (s1 + s2) / 2)
         assert np.all((both > 0) & (both < 1))
 
-    def test_worker_count_invariance(self, monkeypatch):
+    def test_worker_count_invariance(self):
         rng = rng_for(803)
         imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(40, 4))
         nets = tiny_nets(62)
@@ -99,9 +99,6 @@ class TestScoreMatrix:
         for workers in (2, 4, 7):
             out, _ = ek.score_matrix([nets], imgs, txts, threads=workers)
             np.testing.assert_array_equal(out, base)
-        monkeypatch.setenv("MSCN_THREADS", "3")
-        out, _ = ek.score_matrix([nets], imgs, txts)
-        np.testing.assert_array_equal(out, base)
 
     @pytest.mark.parametrize("ni,nt", [(1, 70), (65, 129), (129, 1), (130, 130)])
     def test_tiles_match_whole_matrix(self, ni, nt):
@@ -148,13 +145,22 @@ class TestScoreMatrix:
             assert n_bad == 70 * 65
             np.testing.assert_array_equal(out, np.full((70, 65), 0.5))
 
-    def test_env_validation(self, monkeypatch):
-        monkeypatch.setenv("MSCN_THREADS", "0")
-        with pytest.raises(ValueError, match="MSCN_THREADS"):
-            ek.worker_count()
+    @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
+    def test_degenerate_cells_count_once(self, scorer):
+        """All-zero main weights make every embedding zero, so every cell is
+        degenerate on both sides; each counts once."""
+        main, meta = tiny_nets(70)
+        main = main.with_arrays([np.zeros_like(a) for a in main.arrays()])
+        rng = rng_for(809)
+        imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(65, 4))
+        neutral = 0.5 if scorer == "mscn" else 0.0
+        for workers in (1, 2):
+            out, n_bad = ek.score_matrix([(main, meta)], imgs, txts,
+                                         scorer=scorer, threads=workers)
+            assert n_bad == 70 * 65
+            np.testing.assert_array_equal(out, np.full((70, 65), neutral))
 
     def test_default_counts_usable_cpus(self, monkeypatch):
-        monkeypatch.delenv("MSCN_THREADS", raising=False)
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
                             raising=False)
         assert ek.worker_count() == 1

@@ -582,8 +582,8 @@ def test_retained_record_is_freed_before_the_actual_step(monkeypatch):
 def test_fit_purifier_provenance():
     ds = small_dataset(noise=0.5)
     state = tiny_state(9060, d_img=8, d_txt=6)
-    admitted, fit, scores = fit_purifier(state, ds.train, ds.meta,
-                                         seed=3, epoch=0, net_idx=0)
+    admitted, fit, scores = fit_purifier(state.main, state.meta, ds.train,
+                                         ds.meta, seed=3, epoch=0, net_idx=0)
     assert scores.shape == (len(ds.train),)
     assert np.all((scores >= purifier.SCORE_CLAMP_LO)
                   & (scores <= purifier.SCORE_CLAMP_HI))
@@ -594,8 +594,10 @@ def test_fit_purifier_provenance():
 def test_fit_purifier_deterministic():
     ds = small_dataset(noise=0.5)
     state = tiny_state(9061, d_img=8, d_txt=6)
-    a = fit_purifier(state, ds.train, ds.meta, seed=3, epoch=2, net_idx=1)
-    b = fit_purifier(state, ds.train, ds.meta, seed=3, epoch=2, net_idx=1)
+    a = fit_purifier(state.main, state.meta, ds.train, ds.meta,
+                     seed=3, epoch=2, net_idx=1)
+    b = fit_purifier(state.main, state.meta, ds.train, ds.meta,
+                     seed=3, epoch=2, net_idx=1)
     np.testing.assert_array_equal(a[0], b[0])
     np.testing.assert_array_equal(a[2], b[2])
 

@@ -49,15 +49,15 @@ class TestEmbeddings:
         batch = model.embed_image(imgs, main).data
         assert batch.shape == (3, 6)
         for i in range(3):
-            single = model.embed_image(imgs[i], main).data
-            assert single.shape == (6,)
-            # batched dgemm and single dgemv may differ in the last bit
-            np.testing.assert_allclose(single, batch[i], rtol=1e-13, atol=1e-15)
+            single = model.embed_image(imgs[i:i + 1], main).data
+            assert single.shape == (1, 6)
+            # batched dgemm and one-row dgemv may differ in the last bit
+            np.testing.assert_allclose(single[0], batch[i], rtol=1e-13, atol=1e-15)
 
     def test_dimension_mismatch(self):
         main, _ = tiny_nets(1)
         with pytest.raises(ad.ShapeMismatchError, match="embed_image"):
-            model.embed_image(np.zeros(7), main)
+            model.embed_image(np.zeros((2, 7)), main)
         with pytest.raises(ad.ShapeMismatchError, match="embed_text"):
             model.embed_text(np.zeros((2, 5)), main)
 
@@ -76,7 +76,7 @@ class TestSimilarityFeature:
 
     def test_identical_embeddings_degenerate(self):
         main, _ = tiny_nets(2)
-        u = ad.Tensor(np.ones(6))
+        u = ad.Tensor(np.ones((1, 6)))
         with pytest.raises(model.DegenerateSimilarityError):
             model.similarity_feature(u, u, main.sim_w)
 
@@ -84,8 +84,8 @@ class TestSimilarityFeature:
         """Scaling |u-v|^2 by c scales the projection but not the feature."""
         main, _ = tiny_nets(2)
         rng = rng_for(503)
-        u = rng.normal(size=6)
-        v = rng.normal(size=6)
+        u = rng.normal(size=(2, 6))
+        v = rng.normal(size=(2, 6))
         base = model.similarity_feature(ad.Tensor(u), ad.Tensor(v), main.sim_w).data
         scaled = model.similarity_feature(
             ad.Tensor(v + np.sqrt(3.0) * (u - v)), ad.Tensor(v), main.sim_w).data
@@ -103,13 +103,6 @@ class TestScores:
         assert np.all((s > 0) & (s < 1))
         assert np.all(np.abs(s - 0.5) < 0.4)
 
-    def test_scalar_variant(self):
-        main, meta = tiny_nets(3)
-        rng = rng_for(505)
-        s = model.pair_score(rng.normal(size=5), rng.normal(size=4), main, meta)
-        assert s.shape == ()
-        assert 0 < s.item() < 1
-
     def test_all_pairs_matches_pair_score(self):
         main, meta = tiny_nets(4)
         rng = rng_for(506)
@@ -118,9 +111,9 @@ class TestScores:
         mat, n_bad = model.all_pairs_scores(imgs, txts, main, meta)
         assert mat.shape == (3, 4) and n_bad == 0
         for i in range(3):
-            for j in range(4):
-                s = model.pair_score(imgs[i], txts[j], main, meta).item()
-                assert mat.data[i, j] == pytest.approx(s, rel=1e-12)
+            row = model.pair_score(np.repeat(imgs[i:i + 1], 4, axis=0), txts,
+                                   main, meta).data
+            np.testing.assert_allclose(mat.data[i], row, rtol=1e-12, atol=0)
 
     def test_degenerate_policy(self):
         main, meta = tiny_nets(4)
@@ -142,6 +135,29 @@ class TestScores:
                 model.all_pairs_scores(rng.normal(size=(2, 5)),
                                        rng.normal(size=(3, 4)),
                                        main, meta, degenerate="half")
+
+
+class TestBatchContract:
+    """Every scorer and matmul take (n, d) batches; a 1-D operand is refused."""
+
+    def test_1d_operands_raise(self):
+        main, meta = tiny_nets(6)
+        rng = rng_for(510)
+        img, txt = rng.normal(size=5), rng.normal(size=4)
+        u, f = rng.normal(size=6), rng.normal(size=3)
+        cases = [
+            ("matmul", lambda: ad.matmul(u, main.sim_w)),
+            ("matmul", lambda: ad.matmul(main.sim_w, f)),
+            ("embed_image", lambda: model.embed_image(img, main)),
+            ("embed_text", lambda: model.embed_text(txt, main)),
+            ("similarity_feature",
+             lambda: model.similarity_feature(u, u + 1.0, main.sim_w)),
+            ("mscn_score", lambda: model.mscn_score(f, meta)),
+            ("embed_image", lambda: model.pair_score(img, txt, main, meta)),
+        ]
+        for op, call in cases:
+            with pytest.raises(ad.ShapeMismatchError, match=op):
+                call()
 
 
 class TestParameterGradients:
@@ -225,6 +241,14 @@ class TestCheckpointFormat:
             p.write_bytes(blob[:cut])
             with pytest.raises(model.CheckpointFormatError):
                 model.load_checkpoint(p)
+
+    def test_tensor_name_not_utf8(self, tmp_path):
+        main, meta = tiny_nets(6)
+        p = tmp_path / "x.mscp"
+        model.save_checkpoint(p, main, meta)
+        p.write_bytes(p.read_bytes().replace(b"main.sim_w", b"\xffain.sim_w"))
+        with pytest.raises(model.CheckpointFormatError, match="UTF-8"):
+            model.load_checkpoint(p)
 
     def test_missing_tensor_detected(self, tmp_path):
         main, meta = tiny_nets(6)
