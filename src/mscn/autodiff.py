@@ -40,13 +40,26 @@ for which OpenBLAS runs another gemv kernel on a transposed operand, and
 ``x @ x.T`` on one buffer, which numpy sends to a symmetric-product
 kernel.  Each kernel sums in its own order, so there the operands are
 made contiguous first and the product keeps the bits of contiguous
-operands.  The masks of ``relu``, ``clamp`` and ``row_max`` are built at
-sweep time from the output, the input and the argmax indices, so a
-forward pass with no record (all of evaluation) builds none.
+operands.  An inner dimension of 1 makes an outer product, where each
+cell is a single product: it is computed by broadcasting, plus 0.0 so
+that a -0.0 product reads +0.0 as gemm's zero accumulator makes it.  The
+masks of ``relu``, ``clamp`` and ``row_max`` are built at sweep time from
+the output, the input and the argmax indices, so a forward pass with no
+record (all of evaluation) builds none.
+
+An op costs little besides its numpy call.  Shape errors are numpy's
+own: a binary op, ``reshape`` and ``broadcast_to`` turn the ValueError
+numpy raises into a ShapeMismatchError instead of checking first.
+Reductions and domain checks call the ndarray methods, which run the
+same ``add.reduce`` as the ``np.sum``/``np.any`` wrappers, and a float64
+ndarray is wrapped in a Tensor as it is.  A node records at once which
+of its inputs are on the record, so a full sweep reads that mask rather
+than building it again.
 """
 
 from __future__ import annotations
 
+import math
 import threading
 import weakref
 from typing import Callable, Iterable, Optional, Sequence
@@ -69,11 +82,15 @@ class RecordError(RuntimeError):
     """Misuse of a computation record (empty backward, foreign values, ...)."""
 
 
-_state = threading.local()
+class _State(threading.local):
+    tape: Optional["Tape"] = None
+
+
+_state = _State()
 
 
 def _active_tape() -> Optional["Tape"]:
-    return getattr(_state, "tape", None)
+    return _state.tape
 
 
 class _using_tape:
@@ -101,17 +118,22 @@ class Node:
     the gradient of the output, `out` the output as a Tensor on this node
     (None where the node keeps no output), and `needs[i]` says whether
     input i wants a gradient.  It returns one entry per input, None where
-    none was wanted.
+    none was wanted.  ``tracked`` is the `needs` of a full sweep: which
+    inputs are on the record at all.
     """
 
-    __slots__ = ("record", "op", "parents", "vjp", "data")
+    __slots__ = ("record", "op", "parents", "vjp", "data", "tracked")
 
-    def __init__(self, record, op, parents, vjp, data):
+    def __init__(self, record, op, parents, vjp, data, tracked=()):
         self.record = record
         self.op = op
         self.parents = parents  # tuple[Node | None], aligned with the op inputs
         self.vjp = vjp  # None for leaves
         self.data = data
+        self.tracked = tracked  # tuple[bool], aligned with parents
+
+
+_F64 = np.dtype(np.float64)
 
 
 class Tensor:
@@ -124,7 +146,10 @@ class Tensor:
     __slots__ = ("data", "node")
 
     def __init__(self, data, node: Optional[Node] = None):
-        self.data = np.asarray(data, dtype=np.float64)
+        # np.asarray would return a float64 ndarray as it is; skip the call
+        if type(data) is not np.ndarray or data.dtype is not _F64:
+            data = np.asarray(data, dtype=np.float64)
+        self.data = data
         self.node = node
 
     @property
@@ -193,24 +218,27 @@ def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable,
     is on it.  The node holds the output only with `keep_out`, which an op
     sets when its VJP reads `out`."""
     out = Tensor(out_data)
-    tape = _active_tape()
+    tape = _state.tape
     if tape is None:
         return out
-    parents = []
-    tracked = False
-    for t in inputs:
-        node = t.node
-        if node is not None and node.record is not tape._ref:
+    if len(inputs) == 1:  # every op has one or two inputs
+        parents = (inputs[0].node,)
+        tracked = (parents[0] is not None,)
+    else:
+        parents = (inputs[0].node, inputs[1].node)
+        tracked = (parents[0] is not None, parents[1] is not None)
+    if True not in tracked:
+        return out
+    ref = tape._ref
+    for p in parents:
+        if p is not None and p.record is not ref:
             raise RecordError(
                 f"{op}: input was recorded on a different record; "
                 "records must not be mixed"
             )
-        parents.append(node)
-        tracked = tracked or node is not None
-    if tracked:
-        out.node = Node(tape._ref, op, tuple(parents), vjp,
-                        out.data if keep_out else None)
-        tape.nodes.append(out.node)
+    out.node = Node(ref, op, parents, vjp, out.data if keep_out else None,
+                    tracked)
+    tape.nodes.append(out.node)
     return out
 
 
@@ -228,6 +256,12 @@ def matmul(a, b) -> Tensor:
                 matmul(transpose(a), g) if needs[1] else None)
 
     x, y = a.data, b.data
+    if x.shape[1] == 1:
+        # an outer product: each cell is one product added to a zero
+        # accumulator, which turns a -0.0 product into +0.0
+        out = x * y
+        out += 0.0
+        return _record("matmul", out, (a, b), vjp)
     if x.shape[0] == 1 or y.shape[1] == 1 or np.may_share_memory(x, y):
         x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
     return _record("matmul", x @ y, (a, b), vjp)
@@ -235,6 +269,8 @@ def matmul(a, b) -> Tensor:
 
 def _unbroadcast(g: Tensor, shape) -> Tensor:
     """Sum `g` down to `shape`, undoing numpy broadcasting."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     axes = tuple(range(extra)) + tuple(
         i + extra for i, d in enumerate(shape) if d == 1 and g.shape[i + extra] != 1
@@ -256,8 +292,8 @@ def _binary(op: str, a, b, fwd, grads, keep=(False, False),
     """
     a, b = _lift(a), _lift(b)
     try:
-        np.broadcast_shapes(a.shape, b.shape)
-    except ValueError:
+        out = fwd(a.data, b.data)
+    except ValueError:  # numpy's own broadcasting check
         raise ShapeMismatchError(op, a.shape, b.shape) from None
     a_shape, b_shape = a.shape, b.shape
     kept_a = a if keep[0] else None
@@ -272,7 +308,7 @@ def _binary(op: str, a, b, fwd, grads, keep=(False, False),
                 gb = neg(gb)
         return ga, gb
 
-    return _record(op, fwd(a.data, b.data), (a, b), vjp, keep_out)
+    return _record(op, out, (a, b), vjp, keep_out)
 
 
 def add(a, b) -> Tensor:
@@ -292,7 +328,7 @@ def mul(a, b) -> Tensor:
 
 def div(a, b) -> Tensor:
     def fwd(x, y):
-        if np.any(y == 0.0):
+        if (y == 0.0).any():
             raise ZeroDivisionError("div: zero denominator")
         return x / y
 
@@ -339,7 +375,7 @@ def sigmoid(x) -> Tensor:
 
 def log(x) -> Tensor:
     x = _lift(x)
-    if np.any(x.data <= 0.0):
+    if (x.data <= 0.0).any():
         raise ValueError("log: requires strictly positive inputs")
     return _record("log", np.log(x.data), (x,), lambda g, *_: (div(g, x),))
 
@@ -349,7 +385,7 @@ def clamp(x, lo: float, hi: float) -> Tensor:
     x = _lift(x)
     if not lo < hi:
         raise ValueError(f"clamp: empty interval [{lo}, {hi}]")
-    if np.any(np.isnan(x.data)):
+    if np.isnan(x.data).any():
         raise ValueError("clamp: NaN input")
     return _record("clamp", np.clip(x.data, lo, hi), (x,),
                    lambda g, *_: (mul(g, Tensor((x.data > lo) & (x.data < hi))),))
@@ -365,7 +401,7 @@ def l2norm(x) -> Tensor:
         ratio = div(g, out)  # (...,)
         return (mul(x, reshape(ratio, ratio.shape + (1,))),)
 
-    return _record("l2norm", np.sqrt(np.sum(x.data * x.data, axis=-1)), (x,), vjp,
+    return _record("l2norm", np.sqrt((x.data * x.data).sum(axis=-1)), (x,), vjp,
                    keep_out=True)
 
 
@@ -394,7 +430,7 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     if axis is None:
         return tuple(range(ndim))
     if isinstance(axis, int):
-        axis = (axis,)
+        return (axis % ndim,)
     return tuple(a % ndim for a in axis)
 
 
@@ -402,12 +438,12 @@ def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
     in_shape = x.shape
-    kept = tuple(1 if i in axes else d for i, d in enumerate(in_shape))
-    data = np.sum(x.data, axis=axes if axes else None, keepdims=keepdims)
+    data = x.data.sum(axis=axes if axes else None, keepdims=keepdims)
 
     def vjp(g, *_):
-        gk = g if keepdims else reshape(g, kept)
-        return (broadcast_to(gk, in_shape),)
+        if not keepdims:
+            g = reshape(g, tuple(1 if i in axes else d for i, d in enumerate(in_shape)))
+        return (broadcast_to(g, in_shape),)
 
     return _record("sum", data, (x,), vjp)
 
@@ -427,8 +463,11 @@ def broadcast_to(x, shape) -> Tensor:
     x = _lift(x)
     shape = tuple(shape)
     try:
-        data = np.broadcast_to(x.data, shape).copy()
-    except ValueError:
+        if x.ndim > len(shape):  # which assigning into `data` would allow
+            raise ValueError
+        data = np.empty(shape)
+        data[...] = x.data
+    except ValueError:  # numpy's own broadcasting check
         raise ShapeMismatchError("broadcast_to", x.shape, shape) from None
     in_shape = x.shape
     return _record("broadcast_to", data, (x,), lambda g, *_: (_unbroadcast(g, in_shape),))
@@ -436,12 +475,16 @@ def broadcast_to(x, shape) -> Tensor:
 
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
-    shape = tuple(int(s) for s in shape)
-    if x.size != int(np.prod(shape, dtype=np.int64)):
-        raise ShapeMismatchError("reshape", x.shape, shape)
+    shape = tuple(map(int, shape))
+    try:
+        # the size test rejects a single -1, numpy any other negative size
+        if x.size != math.prod(shape):
+            raise ValueError
+        data = x.data.reshape(shape)
+    except ValueError:
+        raise ShapeMismatchError("reshape", x.shape, shape) from None
     in_shape = x.shape
-    return _record("reshape", x.data.reshape(shape), (x,),
-                   lambda g, *_: (reshape(g, in_shape),))
+    return _record("reshape", data, (x,), lambda g, *_: (reshape(g, in_shape),))
 
 
 def transpose(x) -> Tensor:
@@ -455,12 +498,15 @@ def transpose(x) -> Tensor:
 # backward
 
 
-def _live_nodes(nodes: list[Node], roots: set) -> set:
-    """Nodes that depend on any of `roots`; record order is topological."""
-    live = set(roots)
+def _live_needs(nodes: list[Node], roots) -> dict:
+    """For each node that depends on any of `roots`, which of its inputs
+    do; record order is topological."""
+    live = dict.fromkeys(roots, ())
     for node in nodes:
-        if node.vjp is not None and any(p in live for p in node.parents):
-            live.add(node)
+        if node.vjp is not None:
+            needs = tuple([p in live for p in node.parents])
+            if True in needs:
+                live[node] = needs
     return live
 
 
@@ -484,15 +530,16 @@ def _backprop(record: Tape, output: Tensor,
         for t in leaves:
             if t.node is None or t.node.record is not record._ref or t.node.vjp is not None:
                 raise RecordError("backward: wrt must hold leaves of this record")
-        live = _live_nodes(nodes, {t.node for t in leaves})
+        live = _live_needs(nodes, [t.node for t in leaves])
     grads: dict[Node, Tensor] = {output.node: Tensor(np.ones_like(output.data))}
     for node in reversed(nodes):
-        g = grads.get(node)
-        if g is None or node.vjp is None:
+        if node.vjp is None:
             continue
-        del grads[node]
-        needs = tuple(p is not None and (live is None or p in live) for p in node.parents)
-        if not any(needs):
+        g = grads.pop(node, None)
+        if g is None:
+            continue
+        needs = node.tracked if live is None else live.get(node)
+        if needs is None:
             continue
         out_t = None if node.data is None else Tensor(node.data, node)
         for parent, need, pg in zip(node.parents, needs, node.vjp(g, out_t, needs)):

@@ -107,27 +107,58 @@ def _rng(seed: int, *tags: int) -> np.random.Generator:
 
 
 class AdamState:
-    """Per-tensor first/second moment estimates plus the step counter."""
+    """First/second moment estimates of a whole bundle, held flat in the
+    order of its arrays, plus the step counter."""
 
     def __init__(self, arrays):
-        self.m = [np.zeros_like(a) for a in arrays]
-        self.v = [np.zeros_like(a) for a in arrays]
+        size = sum(np.size(a) for a in arrays)
+        self.m = np.zeros(size)
+        self.v = np.zeros(size)
         self.t = 0
 
 
 def optimizer_step(arrays, grads, state: AdamState, lr: float,
-                   cfg: TrainConfig) -> list[np.ndarray]:
+                   cfg: TrainConfig, names=None,
+                   context: str = "optimizer_step") -> list[np.ndarray]:
+    """One Adam or SGD update of the bundle `arrays` from the aligned
+    `grads`, taken as one update of their concatenation; returns arrays of
+    the input shapes.  Every operation is elementwise, so each entry gets
+    the bits a per-array update would give it.  A non-finite gradient entry
+    raises NonFiniteGradientError naming its tensor (`names`, aligned with
+    `arrays`, else its index) before anything changes."""
+    g = np.concatenate(grads, axis=None)
+    _check_finite(g, grads, names, context)
+    new = np.concatenate(arrays, axis=None)
     if cfg.optimizer == "sgd":
-        return [a - lr * g for a, g in zip(arrays, grads)]
+        new -= lr * g
+        return _split(new, arrays)
     state.t += 1
     b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
-    out = []
-    for i, (a, g) in enumerate(zip(arrays, grads)):
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** state.t)
-        v_hat = state.v[i] / (1 - b2 ** state.t)
-        out.append(a - lr * m_hat / (np.sqrt(v_hat) + eps))
+    # in place, operation for operation:
+    #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
+    #   new = a - lr * m_hat / (sqrt(v_hat) + eps)
+    m, v = state.m, state.v
+    m *= b1
+    m += (1 - b1) * g
+    v *= b2
+    v += (1 - b2) * g * g
+    step = m / (1 - b1 ** state.t)
+    step *= lr
+    den = v / (1 - b2 ** state.t)
+    np.sqrt(den, out=den)
+    den += eps
+    step /= den
+    new -= step
+    return _split(new, arrays)
+
+
+def _split(flat: np.ndarray, like) -> list[np.ndarray]:
+    """`flat` cut into views with the shapes of the arrays in `like`."""
+    out, lo = [], 0
+    for a in like:
+        hi = lo + a.size
+        out.append(flat[lo:hi].reshape(a.shape))
+        lo = hi
     return out
 
 
@@ -169,12 +200,18 @@ def construct_meta_batch(meta_split: Split, train_split: Split, m: int,
     return MetaBatch(images=images, texts=texts, labels=labels)
 
 
-def _check_finite(grads: list[np.ndarray], names, context: str):
-    for name, g in zip(names, grads):
-        if not np.all(np.isfinite(g)):
+def _check_finite(flat: np.ndarray, grads, names, context: str):
+    """Check the concatenated gradient `flat` once; if it holds a
+    non-finite entry, raise naming the first of `grads` that does."""
+    if np.isfinite(flat).all():
+        return
+    for i, g in enumerate(grads):
+        finite = np.isfinite(g)
+        if not finite.all():
+            name = names[i] if names is not None else f"array {i}"
             raise NonFiniteGradientError(
                 f"{context}: non-finite gradient in {name} "
-                f"(|max|={np.abs(g[np.isfinite(g)]).max() if np.any(np.isfinite(g)) else 'n/a'})")
+                f"(|max|={np.abs(g[finite]).max() if finite.any() else 'n/a'})")
 
 
 def _descend(params, lifted, grads, opt: AdamState, lr: float,
@@ -182,8 +219,8 @@ def _descend(params, lifted, grads, opt: AdamState, lr: float,
     """Optimizer step on `params` from the gradients of `lifted`, its copy
     on a record, after checking that they are finite."""
     g = [grads[t].data for _, t in lifted.items()]
-    _check_finite(g, [n for n, _ in lifted.items()], context)
-    return params.with_arrays(optimizer_step(params.arrays(), g, opt, lr, cfg))
+    return params.with_arrays(optimizer_step(params.arrays(), g, opt, lr, cfg,
+                                             lifted.FIELDS, context))
 
 
 def _descend_on(params, loss_of, opt: AdamState, lr: float, cfg: TrainConfig,

@@ -213,7 +213,7 @@ def _unit_rows(x: Tensor, degenerate: str = "error",
     norms = l2norm(x)
     mask = norms.data <= NORM_EPSILON
     if degenerate == "error":
-        if np.any(mask):
+        if mask.any():
             raise DegenerateSimilarityError(
                 f"{int(np.sum(mask))} row(s) with norm <= {NORM_EPSILON:g}")
         safe = norms
@@ -270,7 +270,7 @@ def block_scores(u, v, sim_w, meta: MetaNetParams,
     proj = matmul(reshape(diff2, (ni * nt, d)), _tensorish(sim_w))
     unit, mask = _unit_rows(proj, degenerate)
     scores = reshape(mscn_score(unit, meta), (ni, nt))
-    n_bad = int(np.sum(mask))
+    n_bad = int(mask.sum())
     if n_bad:
         scores = Tensor(np.where(mask.reshape(ni, nt), 0.5, scores.data))
     return scores, n_bad
@@ -300,7 +300,7 @@ def block_cosine(u, v, degenerate: str = "error") -> tuple[Tensor, int]:
     vv, bad_v = _unit_rows(_tensorish(v), degenerate, neutral="zero")
     scores = matmul(uu, transpose(vv))
     mask = bad_u[:, None] | bad_v[None, :]
-    n_bad = int(np.sum(mask))
+    n_bad = int(mask.sum())
     if n_bad:
         scores = Tensor(np.where(mask, 0.0, scores.data))
     return scores, n_bad

@@ -50,7 +50,7 @@ def adaptive_margin(score, gamma: float, tau: float):
     """
     _check_margin_params(gamma, tau)
     s = score if isinstance(score, Tensor) else Tensor(float(score))
-    if np.any(s.data <= 0.0) or np.any(s.data >= 1.0):
+    if (s.data <= 0.0).any() or (s.data >= 1.0).any():
         raise ValueError("adaptive_margin: scores must lie strictly in (0, 1)")
     out = scalar_mul(gamma, sigmoid(scalar_mul(tau, sub(log(s), log(sub(1.0, s))))))
     return out if isinstance(score, Tensor) else out.item()
@@ -120,7 +120,7 @@ def meta_loss(images, texts, labels, main: MainNetParams, meta: MetaNetParams,
         raise ShapeMismatchError("meta_loss", y.shape, (imgs.shape[0],))
     if y.size == 0:
         raise ValueError("meta_loss: empty batch")
-    if not np.all((y == 0.0) | (y == 1.0)):
+    if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("meta_loss: labels must be 0 or 1")
     s = clamp(pair_score(imgs, txts, main, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
     ll = mul(Tensor(y), log(s))

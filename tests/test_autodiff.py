@@ -114,6 +114,21 @@ class TestCopies:
         got = ad.matmul(ad.Tensor(t), ad.transpose(ad.Tensor(t))).data
         assert got.tobytes() == (t @ t.T.copy()).tobytes()
 
+    @pytest.mark.parametrize("a_shape, b_shape, view", [
+        ((4096, 1), (1, 32), None), ((1, 1), (1, 5), None),
+        ((4096, 1), (1, 32), "a"), ((64, 1), (1, 32), "b")])
+    def test_inner_dimension_one_matches_gemm_bitwise(self, a_shape, b_shape, view):
+        # an outer product is computed by broadcasting; a zero operand makes
+        # -0.0 products, which the zero accumulator of gemm turns into +0.0
+        rng = rng_for(17, *a_shape, *b_shape)
+        a, b = rng.normal(size=a_shape), rng.normal(size=b_shape)
+        a[::3], b[:, ::2] = 0.0, -0.0
+        x = ad.transpose(ad.Tensor(a.T.copy())) if view == "a" else ad.Tensor(a)
+        y = ad.transpose(ad.Tensor(b.T.copy())) if view == "b" else ad.Tensor(b)
+        got = ad.matmul(x, y).data
+        assert got.shape == (a_shape[0], b_shape[1])
+        assert got.tobytes() == (a @ b).tobytes()
+
     @pytest.mark.parametrize("op", [ad.relu, lambda x: ad.clamp(x, -0.5, 0.5)],
                              ids=["relu", "clamp"])
     def test_unrecorded_forward_allocates_only_its_output(self, op):
@@ -157,6 +172,52 @@ class TestShapeAndDomainErrors:
     def test_transpose_needs_2d(self):
         with pytest.raises(ad.ShapeMismatchError, match="transpose"):
             ad.transpose(ad.Tensor(np.zeros(3)))
+
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "div"])
+    @pytest.mark.parametrize("recorded", [False, True])
+    def test_binary_mismatch_names_op_and_shapes(self, op, recorded):
+        a, b = np.ones((2, 3)), np.ones((4, 1, 2))
+        message = rf"^{op}: shapes \(2, 3\) and \(4, 1, 2\) do not conform$"
+        if not recorded:
+            with pytest.raises(ad.ShapeMismatchError, match=message):
+                getattr(ad, op)(ad.Tensor(a), ad.Tensor(b))
+            return
+        with ad.Tape() as tape:
+            x = tape.leaf(a)
+            before = len(tape.nodes)
+            with pytest.raises(ad.ShapeMismatchError, match=message):
+                getattr(ad, op)(x, ad.Tensor(b))
+            assert len(tape.nodes) == before
+
+    @pytest.mark.parametrize("shape", [(4, 2), (3, 3), (-1, 3), (2, -1), (-2, -3)])
+    def test_reshape_needs_the_exact_size(self, shape):
+        with pytest.raises(ad.ShapeMismatchError, match="reshape"):
+            ad.reshape(ad.Tensor(np.zeros(6)), shape)
+
+    def test_broadcast_to_rejects_what_numpy_broadcasting_does(self):
+        x = ad.Tensor(np.ones((3, 1)))
+        np.testing.assert_array_equal(ad.broadcast_to(x, (2, 3, 4)).data,
+                                      np.ones((2, 3, 4)))
+        for shape in [(3, 4, 2), (1, 3), (3,), (-1, 2)]:
+            with pytest.raises(ad.ShapeMismatchError, match="broadcast_to"):
+                ad.broadcast_to(x, shape)
+
+
+class TestTensorWrapping:
+    def test_float64_array_is_kept_without_a_copy(self):
+        x = rng_for(18).normal(size=(5, 4))
+        t = ad.Tensor(x)
+        assert t.data is x and np.shares_memory(t.data, x)
+        view = x.T
+        assert ad.Tensor(view).data is view
+
+    @pytest.mark.parametrize("value", [3, [1, 2, 3], [[1.5], [2.0]],
+                                       np.arange(4), np.ones(3, dtype=np.float32),
+                                       np.ones(2, dtype=bool)])
+    def test_other_values_become_float64_arrays(self, value):
+        t = ad.Tensor(value)
+        assert type(t.data) is np.ndarray and t.data.dtype == np.float64
+        np.testing.assert_array_equal(t.data, np.asarray(value, dtype=np.float64))
 
 
 class TestRecordDiscipline:

@@ -152,6 +152,61 @@ def test_adam_matches_reference_loop():
     assert np.all(np.abs(cur[0]) < np.abs(x))  # it did descend
 
 
+def _reference_step(arrays, grads, m, v, t, lr, cfg):
+    """Per-array update with the formula applied to each tensor alone."""
+    if cfg.optimizer == "sgd":
+        return [a - lr * g for a, g in zip(arrays, grads)]
+    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    out = []
+    for i, (a, g) in enumerate(zip(arrays, grads)):
+        m[i] = b1 * m[i] + (1 - b1) * g
+        v[i] = b2 * v[i] + (1 - b2) * g * g
+        m_hat = m[i] / (1 - b1 ** t)
+        v_hat = v[i] / (1 - b2 ** t)
+        out.append(a - lr * m_hat / (np.sqrt(v_hat) + eps))
+    return out
+
+
+@pytest.mark.parametrize("opt", ["adam", "sgd"])
+def test_flat_step_matches_per_array_loop_bitwise(opt):
+    cfg = tiny_cfg(optimizer=opt)
+    rng = rng_for(9003)
+    main = model.MainNetParams.init(16, 12, 64, 32, rng)
+    cur = main.arrays()
+    ref = [a.copy() for a in cur]
+    m = [np.zeros_like(a) for a in cur]
+    v = [np.zeros_like(a) for a in cur]
+    state = AdamState(cur)
+    for t in range(1, 11):
+        grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 2)
+                 for a in cur]
+        grads[t % len(grads)][0] = 0.0
+        cur = optimizer_step(cur, grads, state, 0.05, cfg)
+        ref = _reference_step(ref, grads, m, v, t, 0.05, cfg)
+        assert [a.shape for a in cur] == [a.shape for a in ref]
+        for got, want in zip(cur, ref):
+            assert got.tobytes() == want.tobytes()
+    assert state.t == (10 if opt == "adam" else 0)
+
+
+@pytest.mark.parametrize("opt", ["adam", "sgd"])
+def test_non_finite_gradient_names_its_tensor(opt):
+    cfg = tiny_cfg(optimizer=opt)
+    rng = rng_for(9004)
+    arrays = model.MainNetParams.init(16, 12, 64, 32, rng).arrays()
+    names = model.MainNetParams.FIELDS
+    for bad in (np.nan, np.inf):
+        grads = [np.zeros_like(a) for a in arrays]
+        grads[4][3, 2] = bad
+        state = AdamState(arrays)
+        with pytest.raises(NonFiniteGradientError,
+                           match=r"^ctx: non-finite gradient in txt_w1 "):
+            optimizer_step(arrays, grads, state, 0.1, cfg, names, "ctx")
+        with pytest.raises(NonFiniteGradientError, match="in array 4 "):
+            optimizer_step(arrays, grads, state, 0.1, cfg)
+        assert state.t == 0 and not state.m.any() and not state.v.any()
+
+
 def test_optimizer_identity_cases():
     rng = rng_for(9002)
     x = rng.normal(size=5)
@@ -392,9 +447,10 @@ def test_bilevel_rejects_non_finite():
     with pytest.raises((NonFiniteGradientError, ValueError)):
         bilevel_step(state, imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg)
     from mscn.meta_loop import _check_finite
-    with pytest.raises(NonFiniteGradientError):
-        _check_finite([np.array([1.0, np.inf])], ["w"], "test")
-    _check_finite([np.array([1.0, 2.0])], ["w"], "test")
+    bad, good = np.array([1.0, np.inf]), np.array([1.0, 2.0])
+    with pytest.raises(NonFiniteGradientError, match="in w "):
+        _check_finite(bad, [bad], ["w"], "test")
+    _check_finite(good, [good], ["w"], "test")
 
 
 @pytest.mark.parametrize("context, step, poisoned_call", [
