@@ -30,20 +30,9 @@ from pathlib import Path
 import numpy as np
 
 from mscn import autodiff as ad
-from mscn import cli, datagen, meta_loop, model
+from mscn import cli, datagen, meta_loop
 
 STEPS = ("warmup_step", "bilevel_step", "baseline_step")
-
-
-def _net(ds, cfg) -> meta_loop.NetState:
-    rng = np.random.default_rng(cfg.seed)
-    hidden = cfg.branch_hidden if cfg.branch_hidden is not None else cfg.d_emb
-    main = model.MainNetParams.init(ds.d_img, ds.d_txt, cfg.d_emb, cfg.d_sim,
-                                    rng, hidden=hidden)
-    meta = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
-    return meta_loop.NetState(main=main, meta=meta,
-                              opt_main=meta_loop.AdamState(main.arrays()),
-                              opt_meta=meta_loop.AdamState(meta.arrays()))
 
 
 def _stepper(kind: str, ds, cfg):
@@ -90,7 +79,8 @@ def _nodes_per_step(step, net) -> int:
 
 def measure(ds, cfg, kind: str, steps: int, warmup: int) -> dict:
     step = _stepper(kind, ds, cfg)
-    net = _net(ds, cfg)
+    net = meta_loop.NetState.init(ds.d_img, ds.d_txt, cfg,
+                                  np.random.default_rng(cfg.seed))
     for i in range(warmup):
         net = step(net, i)
     wall = []
@@ -113,11 +103,11 @@ def main(argv=None) -> int:
         p.error("--steps must be at least 1 and --warmup at least 0")
 
     raw = cli.load_config(args.config)
-    ds = datagen.generate(cli.build_gen_config(raw))
-    ratio, noise_seed = cli.noise_spec(raw)
-    if ratio > 0:
-        ds = datagen.inject_noise(ds, ratio, noise_seed)
-    cfg = cli.build_train_config(raw)
+    ds = datagen.generate(cli.build_config(raw, "data"))
+    noise = cli.build_config(raw, "noise")
+    if noise.ratio > 0:
+        ds = datagen.inject_noise(ds, noise.ratio, noise.seed)
+    cfg = cli.build_config(raw, "train")
     results = {}
     for kind in STEPS:
         mode = "fixed_margin_baseline" if kind == "baseline_step" else "mscn"

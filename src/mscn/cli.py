@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import ctypes
-import dataclasses
 import json
 import logging
 import sys
@@ -33,8 +32,9 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _M_ARENA_MAX = -8
 
-_SECTIONS = ("data", "noise", "train")
-_NOISE_TYPES = {"ratio": float, "seed": int}
+# every config section and the dataclass that declares its keys and types
+_SECTIONS = {"data": datagen.GenConfig, "noise": datagen.NoiseConfig,
+             "train": TrainConfig}
 
 
 def _is_int(value) -> bool:
@@ -118,10 +118,8 @@ def load_config(path) -> dict:
     if unknown:
         raise ConfigError(f"unknown config sections: {sorted(unknown)} "
                           f"(expected subset of {list(_SECTIONS)})")
-    declared = {"data": typing.get_type_hints(datagen.GenConfig),
-                "noise": _NOISE_TYPES,
-                "train": typing.get_type_hints(TrainConfig)}
-    for section, types in declared.items():
+    for section, cls in _SECTIONS.items():
+        types = typing.get_type_hints(cls)
         body = raw.get(section, {})
         if not isinstance(body, dict):
             raise ConfigError(f"config section {section!r} must be an object")
@@ -137,44 +135,21 @@ def load_config(path) -> dict:
     return raw
 
 
-def build_gen_config(cfg: dict, seed=None) -> datagen.GenConfig:
+def build_config(raw: dict, section: str, **overrides):
+    """The validated config of `section` from a loaded config: its keys,
+    then every override that is not None."""
+    cls = _SECTIONS[section]
+    types = typing.get_type_hints(cls)
+    body = dict(raw.get(section, {}))
+    body.update((k, v) for k, v in overrides.items() if v is not None)
     try:
-        gc = datagen.GenConfig(**cfg.get("data", {}))
-        if seed is not None:
-            gc = dataclasses.replace(gc, seed=int(seed))
-        gc.validate()
-    except ConfigError:
-        raise
+        # JSON has no tuples; a tuple field arrives as a list
+        cfg = cls(**{k: tuple(v) if types.get(k) is tuple else v
+                     for k, v in body.items()})
+        cfg.validate()
     except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad data config: {e}")
-    return gc
-
-
-def build_train_config(cfg: dict, seed=None, mode=None) -> TrainConfig:
-    try:
-        body = dict(cfg.get("train", {}))
-        if "eval_ks" in body:
-            body["eval_ks"] = tuple(body["eval_ks"])
-        tc = TrainConfig(**body)
-        if seed is not None:
-            tc = dataclasses.replace(tc, seed=int(seed))
-        if mode is not None:
-            tc = dataclasses.replace(tc, mode=mode)
-        tc.validate()
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad train config: {e}")
-    return tc
-
-
-def noise_spec(cfg: dict, ratio=None, seed=None):
-    body = cfg.get("noise", {})
-    out_ratio = float(body.get("ratio", 0.0) if ratio is None else ratio)
-    out_seed = int(body.get("seed", 1) if seed is None else seed)
-    if not 0.0 <= out_ratio < 1.0:
-        raise ConfigError(f"noise ratio must lie in [0, 1), got {out_ratio}")
-    return out_ratio, out_seed
+        raise ConfigError(f"bad {section} config: {e}")
+    return cfg
 
 
 def _load_maybe_config(args) -> dict:
@@ -183,11 +158,12 @@ def _load_maybe_config(args) -> dict:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_maybe_config(args)
-    gc = build_gen_config(cfg, seed=args.seed)
-    ratio, noise_seed = noise_spec(cfg, args.noise_ratio, args.noise_seed)
+    gc = build_config(cfg, "data", seed=args.seed)
+    noise = build_config(cfg, "noise", ratio=args.noise_ratio,
+                         seed=args.noise_seed)
     ds = datagen.generate(gc)
-    if ratio > 0:
-        ds = datagen.inject_noise(ds, ratio, noise_seed)
+    if noise.ratio > 0:
+        ds = datagen.inject_noise(ds, noise.ratio, noise.seed)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     path = out / "dataset.mscd"
@@ -196,13 +172,13 @@ def cmd_gen_data(args) -> int:
     print(f"wrote {path}")
     for name, split in ds.splits():
         print(f"  {name}: {len(split)} pairs")
-    print(f"  corrupted train pairs: {corrupted} (ratio {ratio})")
+    print(f"  corrupted train pairs: {corrupted} (ratio {float(noise.ratio)})")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
     cfg = _load_maybe_config(args)
-    tc = build_train_config(cfg, seed=args.seed, mode=args.mode)
+    tc = build_config(cfg, "train", seed=args.seed, mode=args.mode)
     ds = datagen.read_dataset(args.data)
     if len(ds.test) < max(tc.eval_ks):
         raise ValueError(f"test split ({len(ds.test)}) too small for "

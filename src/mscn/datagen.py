@@ -70,6 +70,16 @@ class GenConfig:
 
 
 @dataclass
+class NoiseConfig:
+    ratio: float = 0.0  # fraction of train pairs to corrupt
+    seed: int = 1
+
+    def validate(self):
+        if not 0.0 <= self.ratio < 1.0:
+            raise ValueError(f"noise ratio must lie in [0, 1), got {self.ratio}")
+
+
+@dataclass
 class Split:
     ids: np.ndarray               # (n,) int64, global pair ids
     images: np.ndarray            # (n, d_img) float64

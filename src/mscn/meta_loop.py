@@ -44,6 +44,11 @@ _TAG_SHUFFLE = 1
 _TAG_META_BATCH = 2
 _TAG_NEG_PAIRS = 3
 
+# Adam's decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 
 class NonFiniteGradientError(RuntimeError):
     """A gradient or loss left the finite range; training must not continue."""
@@ -65,16 +70,10 @@ class TrainConfig:
     epochs: int = 50
     lr_decay_epoch: int = 30  # global epoch index; both rates x factor from there on
     lr_decay_factor: float = 0.1
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
-    optimizer: str = "adam"
     d_emb: int = 64
     d_sim: int = 32
     branch_hidden: Optional[int] = None
     mscn_hidden: int = 32
-    warmup_meta: bool = True
-    meta_bce_negative_term: bool = True
     use_adaptive_margin: bool = True
     use_purification: bool = True
     eval_ks: tuple = (1, 5, 10)
@@ -90,10 +89,10 @@ class TrainConfig:
             raise ValueError("learning rates must be non-negative")
         if self.warmup_epochs < 0 or self.epochs < 0:
             raise ValueError("epoch counts must be non-negative")
+        if self.warmup_epochs + self.epochs < 1:
+            raise ValueError("warmup_epochs + epochs must be at least 1")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError("lr_decay_factor must lie in (0, 1]")
-        if self.optimizer not in ("adam", "sgd"):
-            raise ValueError(f"unknown optimizer: {self.optimizer!r}")
         if not self.d_sim < self.d_emb:
             raise ValueError("d_sim must be below d_emb")
         if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
@@ -117,23 +116,19 @@ class AdamState:
         self.t = 0
 
 
-def optimizer_step(arrays, grads, state: AdamState, lr: float,
-                   cfg: TrainConfig, names=None,
+def optimizer_step(arrays, grads, state: AdamState, lr: float, names=None,
                    context: str = "optimizer_step") -> list[np.ndarray]:
-    """One Adam or SGD update of the bundle `arrays` from the aligned
-    `grads`, taken as one update of their concatenation; returns arrays of
-    the input shapes.  Every operation is elementwise, so each entry gets
-    the bits a per-array update would give it.  A non-finite gradient entry
+    """One Adam update of the bundle `arrays` from the aligned `grads`,
+    taken as one update of their concatenation; returns arrays of the
+    input shapes.  Every operation is elementwise, so each entry gets the
+    bits a per-array update would give it.  A non-finite gradient entry
     raises NonFiniteGradientError naming its tensor (`names`, aligned with
     `arrays`, else its index) before anything changes."""
     g = np.concatenate(grads, axis=None)
     _check_finite(g, grads, names, context)
     new = np.concatenate(arrays, axis=None)
-    if cfg.optimizer == "sgd":
-        new -= lr * g
-        return _split(new, arrays)
     state.t += 1
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     # in place, operation for operation:
     #   m = b1 * m + (1 - b1) * g;  v = b2 * v + (1 - b2) * g * g
     #   new = a - lr * m_hat / (sqrt(v_hat) + eps)
@@ -168,6 +163,17 @@ class NetState:
     meta: model.MetaNetParams
     opt_main: AdamState
     opt_meta: AdamState
+
+    @classmethod
+    def init(cls, d_img: int, d_txt: int, cfg: TrainConfig,
+             rng: np.random.Generator) -> "NetState":
+        """A network pair at the shapes of `cfg`, drawn from `rng`, with
+        zeroed optimizer moments."""
+        main = model.MainNetParams.init(d_img, d_txt, cfg.d_emb, cfg.d_sim,
+                                        rng, hidden=cfg.branch_hidden)
+        meta = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
+        return cls(main=main, meta=meta, opt_main=AdamState(main.arrays()),
+                   opt_meta=AdamState(meta.arrays()))
 
 
 @dataclass
@@ -214,24 +220,22 @@ def _check_finite(flat: np.ndarray, grads, names, context: str):
                 f"(|max|={np.abs(g[finite]).max() if finite.any() else 'n/a'})")
 
 
-def _descend(params, lifted, grads, opt: AdamState, lr: float,
-             cfg: TrainConfig, context: str):
+def _descend(params, lifted, grads, opt: AdamState, lr: float, context: str):
     """Optimizer step on `params` from the gradients of `lifted`, its copy
     on a record, after checking that they are finite."""
     g = [grads[t].data for _, t in lifted.items()]
-    return params.with_arrays(optimizer_step(params.arrays(), g, opt, lr, cfg,
+    return params.with_arrays(optimizer_step(params.arrays(), g, opt, lr,
                                              lifted.FIELDS, context))
 
 
-def _descend_on(params, loss_of, opt: AdamState, lr: float, cfg: TrainConfig,
-                context: str):
+def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str):
     """Lift `params` onto a fresh record, differentiate loss_of(lifted) and
     descend.  Returns (new params, loss value)."""
     with ad.Tape() as tape:
         lifted = params.lift(tape)
         loss = loss_of(lifted)
         grads = ad.backward(tape, loss)
-    return _descend(params, lifted, grads, opt, lr, cfg, context), loss.item()
+    return _descend(params, lifted, grads, opt, lr, context), loss.item()
 
 
 def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
@@ -250,15 +254,14 @@ def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
 
 def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
                 meta_lifted: model.MetaNetParams, batch: MetaBatch,
-                state: NetState, lr_meta: float, cfg: TrainConfig):
+                state: NetState, lr_meta: float):
     """Stage 2: optimizer step on the meta loss taken through the virtual
     main params.  Returns (new meta params, meta loss value)."""
     mloss = objective.meta_loss(batch.images, batch.texts, batch.labels,
-                                virtual_main, meta_lifted,
-                                negative_term=cfg.meta_bce_negative_term)
+                                virtual_main, meta_lifted)
     grads = ad.backward(tape, mloss, wrt=[t for _, t in meta_lifted.items()])
     return _descend(state.meta, meta_lifted, grads, state.opt_meta, lr_meta,
-                    cfg, "meta_update"), mloss.item()
+                    "meta_update"), mloss.item()
 
 
 def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
@@ -271,7 +274,7 @@ def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
                                               meta_new.lift(None),
                                               cfg.gamma, cfg.tau,
                                               adaptive=cfg.use_adaptive_margin),
-        state.opt_main, lr_main, cfg, "actual_update")
+        state.opt_main, lr_main, "actual_update")
 
 
 def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
@@ -284,7 +287,7 @@ def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
         virtual_main, train_loss = virtual_update(
             tape, main_l, meta_l, images, texts, lr_main, cfg)
         meta_new, meta_loss_val = meta_update(
-            tape, virtual_main, meta_l, batch, state, lr_meta, cfg)
+            tape, virtual_main, meta_l, batch, state, lr_meta)
     return meta_new, train_loss.item(), meta_loss_val
 
 
@@ -298,24 +301,21 @@ def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
             {"train_loss": train_loss, "meta_loss": meta_loss_val})
 
 
-def warmup_step(state: NetState, images, texts, batch: Optional[MetaBatch],
+def warmup_step(state: NetState, images, texts, batch: MetaBatch,
                 lr_main: float, lr_meta: float, cfg: TrainConfig):
-    """Fixed-margin step on the main params, then (optionally) a supervised
-    step of the correction network at the updated main params."""
+    """Fixed-margin step on the main params, then a supervised step of the
+    correction network at the updated main params."""
     main_new, loss_val = _descend_on(
         state.main,
         lambda main_l: objective.triplet_loss(images, texts, main_l,
                                               state.meta.lift(None),
                                               cfg.gamma, cfg.tau, adaptive=False),
-        state.opt_main, lr_main, cfg, "warmup main")
-    meta_new, meta_loss_val = state.meta, None
-    if batch is not None:
-        meta_new, meta_loss_val = _descend_on(
-            state.meta,
-            lambda meta_l: objective.meta_loss(
-                batch.images, batch.texts, batch.labels, main_new.lift(None),
-                meta_l, negative_term=cfg.meta_bce_negative_term),
-            state.opt_meta, lr_meta, cfg, "warmup meta")
+        state.opt_main, lr_main, "warmup main")
+    meta_new, meta_loss_val = _descend_on(
+        state.meta,
+        lambda meta_l: objective.meta_loss(
+            batch.images, batch.texts, batch.labels, main_new.lift(None), meta_l),
+        state.opt_meta, lr_meta, "warmup meta")
     return (replace(state, main=main_new, meta=meta_new),
             {"train_loss": loss_val, "meta_loss": meta_loss_val})
 
@@ -329,7 +329,7 @@ def baseline_step(state: NetState, images, texts, lr_main: float,
             scores, cfg.gamma, cfg.tau, adaptive=False, clamp_scores=False)
 
     main_new, loss_val = _descend_on(state.main, loss_of, state.opt_main,
-                                     lr_main, cfg, "baseline")
+                                     lr_main, "baseline")
     return replace(state, main=main_new), {"train_loss": loss_val, "meta_loss": None}
 
 
@@ -425,13 +425,8 @@ def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
             mb = construct_meta_batch(
                 meta_split, train_split, cfg.meta_batch_size,
                 _rng(cfg.seed, _TAG_META_BATCH, epoch, k, step))
-            if warm:
-                net, diag = warmup_step(net, imgs, txts,
-                                        mb if cfg.warmup_meta else None,
-                                        lr_main, lr_meta, cfg)
-            else:
-                net, diag = bilevel_step(net, imgs, txts, mb, lr_main,
-                                         lr_meta, cfg)
+            step_fn = warmup_step if warm else bilevel_step
+            net, diag = step_fn(net, imgs, txts, mb, lr_main, lr_meta, cfg)
         if not np.isfinite(diag["train_loss"]):
             raise NonFiniteGradientError(
                 f"epoch {epoch} net {k + 1}: non-finite training loss")
@@ -465,16 +460,8 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
             f"validation split ({len(val_split)}) too small for "
             f"R@{max(cfg.eval_ks)}")
 
-    hidden = cfg.branch_hidden if cfg.branch_hidden is not None else cfg.d_emb
-    nets = []
-    for k in range(2):
-        rng = _rng(cfg.seed, _TAG_INIT, k)
-        main = model.MainNetParams.init(ds.d_img, ds.d_txt, cfg.d_emb, cfg.d_sim,
-                                        rng, hidden=hidden)
-        meta = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
-        nets.append(NetState(main=main, meta=meta,
-                             opt_main=AdamState(main.arrays()),
-                             opt_meta=AdamState(meta.arrays())))
+    nets = [NetState.init(ds.d_img, ds.d_txt, cfg, _rng(cfg.seed, _TAG_INIT, k))
+            for k in range(2)]
 
     out_path = Path(out_dir) if out_dir is not None else None
     columns = metrics_columns(cfg.eval_ks)

@@ -11,6 +11,7 @@ are (fan_in, fan_out), applied as x @ W + b.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -364,7 +365,7 @@ def load_checkpoint(path) -> tuple[MainNetParams, MetaNetParams]:
         if rank > 8:
             raise CheckpointFormatError(f"implausible rank {rank} for {name}")
         dims = struct.unpack(f"<{rank}I", take(4 * rank))
-        count = int(np.prod(dims, dtype=np.int64))
+        count = math.prod(dims)  # exact: a fixed-width product can wrap
         arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims).copy()
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor: {name}")

@@ -1,5 +1,6 @@
 """Exit codes, file outputs, and option handling of the command line."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ import pytest
 from conftest import fail_writes_halfway
 from mscn import datagen, evalkit, purifier
 from mscn.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
-                      build_gen_config, build_train_config, load_config, main)
+                      build_config, load_config, main)
+from mscn.meta_loop import TrainConfig
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 SMOKE = str(CONFIGS / "smoke.json")
@@ -34,12 +36,12 @@ def gen_small(tmp_path, extra=()):
 # config loading
 
 
-def test_load_config_strict(tmp_path):
+def test_load_config_strict(tmp_path, capsys):
     ok = write_json(tmp_path / "ok.json",
                     {"data": {"seed": 1}, "train": {"epochs": 2}})
     cfg = load_config(ok)
-    assert build_gen_config(cfg).seed == 1
-    assert build_train_config(cfg).epochs == 2
+    assert build_config(cfg, "data").seed == 1
+    assert build_config(cfg, "train").epochs == 2
     with pytest.raises(ConfigError):
         load_config(write_json(tmp_path / "a.json", {"nope": {}}))
     with pytest.raises(ConfigError):
@@ -54,6 +56,24 @@ def test_load_config_strict(tmp_path):
         load_config(bad)
     with pytest.raises(ConfigError):
         load_config(tmp_path / "missing.json")
+    # keys of removed options: a config still carrying one exits 1
+    for key, value in (("optimizer", "adam"), ("adam_beta1", 0.9),
+                       ("warmup_meta", True), ("meta_bce_negative_term", True)):
+        config = write_json(tmp_path / f"{key}.json", {"train": {key: value}})
+        with pytest.raises(ConfigError, match="unknown keys"):
+            load_config(config)
+        rc = main(["train", "--config", config, "--data",
+                   str(tmp_path / "absent.mscd"), "--out", str(tmp_path / key)])
+        assert rc == EXIT_CONFIG
+        assert "unknown keys" in capsys.readouterr().err
+        assert not (tmp_path / key).exists()
+
+
+def test_default_config_file_states_the_defaults():
+    raw = load_config(CONFIGS / "default.json")
+    assert raw["data"] == dataclasses.asdict(datagen.GenConfig())
+    assert raw["train"] == dict(dataclasses.asdict(TrainConfig()),
+                                eval_ks=list(TrainConfig().eval_ks))
 
 
 def test_config_value_types_checked_at_load(tmp_path, capsys):
@@ -87,12 +107,18 @@ def test_config_value_types_checked_at_load(tmp_path, capsys):
 
 def test_build_train_config_overrides():
     cfg = {"train": {"epochs": 3, "eval_ks": [1, 2]}}
-    tc = build_train_config(cfg, seed=99, mode="fixed_margin_baseline")
+    tc = build_config(cfg, "train", seed=99, mode="fixed_margin_baseline")
     assert tc.seed == 99
     assert tc.mode == "fixed_margin_baseline"
     assert tc.eval_ks == (1, 2)
-    with pytest.raises(ConfigError):
-        build_train_config({"train": {"batch_size": 1}})
+    assert build_config(cfg, "train", seed=None).seed == TrainConfig().seed
+    noise = build_config({"noise": {"ratio": 0.5}}, "noise", seed=4)
+    assert (noise.ratio, noise.seed) == (0.5, 4)
+    assert build_config({}, "noise") == datagen.NoiseConfig()
+    with pytest.raises(ConfigError, match="bad train config"):
+        build_config({"train": {"batch_size": 1}}, "train")
+    with pytest.raises(ConfigError, match="bad noise config"):
+        build_config({}, "noise", ratio=1.0)
 
 
 # ---------------------------------------------------------------------------

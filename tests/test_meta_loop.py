@@ -11,7 +11,8 @@ from conftest import (assert_close_grad, central_difference, meta_kink_margin,
                       rng_for, triplet_kink_margin)
 from mscn import autodiff as ad
 from mscn import datagen, meta_loop, model, objective, purifier
-from mscn.meta_loop import (AdamState, NetState, NonFiniteGradientError,
+from mscn.meta_loop import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
+                            NetState, NonFiniteGradientError,
                             TrainConfig, actual_update, baseline_step,
                             bilevel_step, construct_meta_batch, fit_purifier,
                             format_metrics_row, metrics_columns,
@@ -98,7 +99,7 @@ def test_default_config_is_valid_and_pinned():
 def test_config_validation_rejects_bad_values():
     bad = [dict(mode="other"), dict(batch_size=1), dict(meta_batch_size=7),
            dict(meta_batch_size=0), dict(lr_main=-1.0), dict(epochs=-1),
-           dict(lr_decay_factor=0.0), dict(optimizer="rmsprop"),
+           dict(lr_decay_factor=0.0), dict(warmup_epochs=0, epochs=0),
            dict(d_emb=4, d_sim=4),
            dict(eval_ks=(5, 1)), dict(eval_ks=()), dict(gamma=-0.1),
            dict(tau=0.0)]
@@ -107,31 +108,18 @@ def test_config_validation_rejects_bad_values():
             tiny_cfg(**kw).validate()
 
 
-def test_sgd_step_exact():
-    cfg = tiny_cfg(optimizer="sgd")
-    arrays = [np.array([1.0, -2.0]), np.array([[3.0]])]
-    grads = [np.array([0.5, 0.5]), np.array([[-1.0]])]
-    state = AdamState(arrays)
-    out = optimizer_step(arrays, grads, state, 0.1, cfg)
-    np.testing.assert_array_equal(out[0], np.array([0.95, -2.05]))
-    np.testing.assert_array_equal(out[1], np.array([[3.1]]))
-    assert state.t == 0  # sgd never touches the moment state
-
-
 def test_adam_first_step_closed_form():
     # with t=1 the bias corrections cancel: step = lr * g / (|g| + eps)
-    cfg = tiny_cfg()
     x = np.array([1.0, -1.0, 2.0])
     g = np.array([0.3, -0.7, 0.0])
     state = AdamState([x])
-    (out,) = optimizer_step([x], [g], state, 0.01, cfg)
-    expected = x - 0.01 * g / (np.abs(g) + cfg.adam_eps)
+    (out,) = optimizer_step([x], [g], state, 0.01)
+    expected = x - 0.01 * g / (np.abs(g) + ADAM_EPS)
     np.testing.assert_allclose(out, expected, rtol=1e-15)
     assert state.t == 1
 
 
 def test_adam_matches_reference_loop():
-    cfg = tiny_cfg()
     rng = rng_for(9001)
     x = rng.normal(size=7)
     state = AdamState([x])
@@ -141,22 +129,20 @@ def test_adam_matches_reference_loop():
     cur = [x.copy()]
     for t in range(1, 11):
         g = 2.0 * cur[0]  # gradient of sum(x^2)
-        cur = optimizer_step(cur, [g], state, 0.05, cfg)
+        cur = optimizer_step(cur, [g], state, 0.05)
         gr = 2.0 * ref
-        m = cfg.adam_beta1 * m + (1 - cfg.adam_beta1) * gr
-        v = cfg.adam_beta2 * v + (1 - cfg.adam_beta2) * gr * gr
-        m_hat = m / (1 - cfg.adam_beta1 ** t)
-        v_hat = v / (1 - cfg.adam_beta2 ** t)
-        ref = ref - 0.05 * m_hat / (np.sqrt(v_hat) + cfg.adam_eps)
+        m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * gr
+        v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * gr * gr
+        m_hat = m / (1 - ADAM_BETA1 ** t)
+        v_hat = v / (1 - ADAM_BETA2 ** t)
+        ref = ref - 0.05 * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     np.testing.assert_array_equal(cur[0], ref)
     assert np.all(np.abs(cur[0]) < np.abs(x))  # it did descend
 
 
-def _reference_step(arrays, grads, m, v, t, lr, cfg):
+def _reference_step(arrays, grads, m, v, t, lr):
     """Per-array update with the formula applied to each tensor alone."""
-    if cfg.optimizer == "sgd":
-        return [a - lr * g for a, g in zip(arrays, grads)]
-    b1, b2, eps = cfg.adam_beta1, cfg.adam_beta2, cfg.adam_eps
+    b1, b2, eps = ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     out = []
     for i, (a, g) in enumerate(zip(arrays, grads)):
         m[i] = b1 * m[i] + (1 - b1) * g
@@ -167,9 +153,7 @@ def _reference_step(arrays, grads, m, v, t, lr, cfg):
     return out
 
 
-@pytest.mark.parametrize("opt", ["adam", "sgd"])
-def test_flat_step_matches_per_array_loop_bitwise(opt):
-    cfg = tiny_cfg(optimizer=opt)
+def test_flat_step_matches_per_array_loop_bitwise():
     rng = rng_for(9003)
     main = model.MainNetParams.init(16, 12, 64, 32, rng)
     cur = main.arrays()
@@ -181,17 +165,15 @@ def test_flat_step_matches_per_array_loop_bitwise(opt):
         grads = [rng.normal(size=a.shape) * 10.0 ** rng.integers(-6, 2)
                  for a in cur]
         grads[t % len(grads)][0] = 0.0
-        cur = optimizer_step(cur, grads, state, 0.05, cfg)
-        ref = _reference_step(ref, grads, m, v, t, 0.05, cfg)
+        cur = optimizer_step(cur, grads, state, 0.05)
+        ref = _reference_step(ref, grads, m, v, t, 0.05)
         assert [a.shape for a in cur] == [a.shape for a in ref]
         for got, want in zip(cur, ref):
             assert got.tobytes() == want.tobytes()
-    assert state.t == (10 if opt == "adam" else 0)
+    assert state.t == 10
 
 
-@pytest.mark.parametrize("opt", ["adam", "sgd"])
-def test_non_finite_gradient_names_its_tensor(opt):
-    cfg = tiny_cfg(optimizer=opt)
+def test_non_finite_gradient_names_its_tensor():
     rng = rng_for(9004)
     arrays = model.MainNetParams.init(16, 12, 64, 32, rng).arrays()
     names = model.MainNetParams.FIELDS
@@ -201,9 +183,9 @@ def test_non_finite_gradient_names_its_tensor(opt):
         state = AdamState(arrays)
         with pytest.raises(NonFiniteGradientError,
                            match=r"^ctx: non-finite gradient in txt_w1 "):
-            optimizer_step(arrays, grads, state, 0.1, cfg, names, "ctx")
+            optimizer_step(arrays, grads, state, 0.1, names, "ctx")
         with pytest.raises(NonFiniteGradientError, match="in array 4 "):
-            optimizer_step(arrays, grads, state, 0.1, cfg)
+            optimizer_step(arrays, grads, state, 0.1)
         assert state.t == 0 and not state.m.any() and not state.v.any()
 
 
@@ -211,12 +193,10 @@ def test_optimizer_identity_cases():
     rng = rng_for(9002)
     x = rng.normal(size=5)
     g = rng.normal(size=5)
-    for opt in ("adam", "sgd"):
-        cfg = tiny_cfg(optimizer=opt)
-        (out,) = optimizer_step([x.copy()], [g], AdamState([x]), 0.0, cfg)
-        np.testing.assert_array_equal(out, x)
-        (out,) = optimizer_step([x.copy()], [np.zeros(5)], AdamState([x]), 0.3, cfg)
-        np.testing.assert_array_equal(out, x)
+    (out,) = optimizer_step([x.copy()], [g], AdamState([x]), 0.0)
+    np.testing.assert_array_equal(out, x)
+    (out,) = optimizer_step([x.copy()], [np.zeros(5)], AdamState([x]), 0.3)
+    np.testing.assert_array_equal(out, x)
 
 
 # ---------------------------------------------------------------------------
@@ -392,8 +372,7 @@ def test_bilevel_zero_main_lr_reduces_to_direct_meta_gradient():
                                     ref.main, meta_l)
         grads = ad.backward(tape, mloss)
     g = [grads[t].data for _, t in meta_l.items()]
-    expected = optimizer_step(ref.meta.arrays(), g, ref.opt_meta,
-                              cfg.lr_meta, cfg)
+    expected = optimizer_step(ref.meta.arrays(), g, ref.opt_meta, cfg.lr_meta)
     for (name, got), want in zip(new_state.meta.items(), expected):
         np.testing.assert_array_equal(np.asarray(got), want, err_msg=name)
     # main params did not move
@@ -497,26 +476,12 @@ def test_every_descent_checks_its_gradients(monkeypatch, context, step,
 # warmup and baseline steps
 
 
-def test_warmup_without_meta_batch_keeps_meta():
-    cfg = tiny_cfg()
-    imgs, txts = batch_data(9050)
-    state = tiny_state(9050)
-    new_state, diag = warmup_step(state, imgs, txts, None, cfg.lr_main,
-                                  cfg.lr_meta, cfg)
-    assert new_state.meta is state.meta
-    assert diag["meta_loss"] is None
-    changed = any(not np.array_equal(np.asarray(a), np.asarray(b))
-                  for (_, a), (_, b) in zip(state.main.items(),
-                                            new_state.main.items()))
-    assert changed
-
-
 def test_warmup_main_step_uses_fixed_margin():
     cfg = tiny_cfg()
     imgs, txts = batch_data(9051)
     state = tiny_state(9051)
-    new_state, _ = warmup_step(state, imgs, txts, None, cfg.lr_main,
-                               cfg.lr_meta, cfg)
+    new_state, _ = warmup_step(state, imgs, txts, meta_batch_for(9051),
+                               cfg.lr_main, cfg.lr_meta, cfg)
     ref = tiny_state(9051)
     with ad.Tape() as tape:
         main_l = ref.main.lift(tape)
@@ -524,8 +489,7 @@ def test_warmup_main_step_uses_fixed_margin():
                                       cfg.gamma, cfg.tau, adaptive=False)
         grads = ad.backward(tape, loss)
     g = [grads[t].data for _, t in main_l.items()]
-    expected = optimizer_step(ref.main.arrays(), g, ref.opt_main,
-                              cfg.lr_main, cfg)
+    expected = optimizer_step(ref.main.arrays(), g, ref.opt_main, cfg.lr_main)
     for (name, got), want in zip(new_state.main.items(), expected):
         np.testing.assert_array_equal(np.asarray(got), want, err_msg=name)
 
@@ -538,17 +502,17 @@ def test_warmup_meta_step_is_supervised_at_updated_main():
     new_state, diag = warmup_step(state, imgs, txts, mb, cfg.lr_main,
                                   cfg.lr_meta, cfg)
     assert diag["meta_loss"] is not None
-    ref = tiny_state(9052)
-    ref_after, _ = warmup_step(ref, imgs, txts, None, cfg.lr_main,
+    # the main step does not read the meta batch (see the test above)
+    ref_after, _ = warmup_step(tiny_state(9052), imgs, txts, mb, cfg.lr_main,
                                cfg.lr_meta, cfg)
+    ref = tiny_state(9052)
     with ad.Tape() as tape:
         meta_l = ref.meta.lift(tape)
         mloss = objective.meta_loss(mb.images, mb.texts, mb.labels,
                                     ref_after.main, meta_l)
         grads = ad.backward(tape, mloss)
     g = [grads[t].data for _, t in meta_l.items()]
-    expected = optimizer_step(ref.meta.arrays(), g, ref.opt_meta,
-                              cfg.lr_meta, cfg)
+    expected = optimizer_step(ref.meta.arrays(), g, ref.opt_meta, cfg.lr_meta)
     for (name, got), want in zip(new_state.meta.items(), expected):
         np.testing.assert_array_equal(np.asarray(got), want, err_msg=name)
 
@@ -771,20 +735,6 @@ def test_train_baseline_mode():
                     for (_, a), (_, b) in zip(result.nets[k].main.items(),
                                               main0.items()))
         assert moved
-
-
-def test_train_warmup_meta_switch():
-    ds = small_dataset(noise=0.0)
-    cfg = train_cfg(warmup_epochs=1, epochs=0, warmup_meta=False)
-    result = train(ds, cfg)
-    from mscn.meta_loop import _rng, _TAG_INIT
-    for k in range(2):
-        rng = _rng(cfg.seed, _TAG_INIT, k)
-        model.MainNetParams.init(ds.d_img, ds.d_txt, cfg.d_emb, cfg.d_sim,
-                                 rng, hidden=cfg.branch_hidden)
-        meta0 = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
-        for (_, a), (_, b) in zip(result.nets[k].meta.items(), meta0.items()):
-            np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
 def test_train_lr_decay_schedule():

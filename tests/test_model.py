@@ -241,6 +241,15 @@ class TestCheckpointFormat:
             p.write_bytes(blob[:cut])
             with pytest.raises(model.CheckpointFormatError):
                 model.load_checkpoint(p)
+        # headers whose element count wraps in 64 bits (to 0, and negative)
+        # must still read as truncated
+        name = b"main.img_w1"
+        for dims in ((65536,) * 4, (3, 2**32 - 1, 2**32 - 1, 3)):
+            p.write_bytes(blob[:8] + len(name).to_bytes(2, "little") + name
+                          + len(dims).to_bytes(4, "little")
+                          + b"".join(d.to_bytes(4, "little") for d in dims))
+            with pytest.raises(model.CheckpointFormatError, match="truncated"):
+                model.load_checkpoint(p)
 
     def test_tensor_name_not_utf8(self, tmp_path):
         main, meta = tiny_nets(6)
