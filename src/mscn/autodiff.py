@@ -204,9 +204,6 @@ class Tape:
         self._leaves.append(t)
         return t
 
-    def leaves(self) -> tuple[Tensor, ...]:
-        return tuple(self._leaves)
-
 
 def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
@@ -434,29 +431,25 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
-def reduce_sum(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_sum(x, axis=None) -> Tensor:
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
     in_shape = x.shape
-    data = x.data.sum(axis=axes if axes else None, keepdims=keepdims)
+    data = x.data.sum(axis=axes if axes else None)
 
     def vjp(g, *_):
-        if not keepdims:
-            g = reshape(g, tuple(1 if i in axes else d for i, d in enumerate(in_shape)))
+        g = reshape(g, tuple(1 if i in axes else d for i, d in enumerate(in_shape)))
         return (broadcast_to(g, in_shape),)
 
     return _record("sum", data, (x,), vjp)
 
 
-def reduce_mean(x, axis=None, keepdims: bool = False) -> Tensor:
+def reduce_mean(x) -> Tensor:
+    """Mean of every entry of `x`."""
     x = _lift(x)
-    axes = _norm_axes(axis, x.ndim)
-    count = 1
-    for a in axes:
-        count *= x.shape[a]
-    if count == 0:
+    if x.size == 0:
         raise ShapeMismatchError("mean", x.shape)
-    return scalar_mul(1.0 / count, reduce_sum(x, axis=axis, keepdims=keepdims))
+    return scalar_mul(1.0 / x.size, reduce_sum(x))
 
 
 def broadcast_to(x, shape) -> Tensor:
@@ -524,7 +517,7 @@ def _backprop(record: Tape, output: Tensor,
     # belong to future backward passes, not this one.
     nodes = record.nodes[:]
     if wrt is None:
-        leaves, live = record.leaves(), None  # every recorded node depends on a leaf
+        leaves, live = record._leaves, None  # every recorded node depends on a leaf
     else:
         leaves = tuple(wrt)
         for t in leaves:

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import datagen, evalkit, model, purifier
 from .fileio import write_atomic
-from .meta_loop import TrainConfig, fit_purifier, train
+from .meta_loop import SCORER_OF_MODE, TrainConfig, fit_purifier, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -68,6 +68,14 @@ def _positive_int(text: str) -> int:
     """argparse type: an integer of at least 1."""
     if not text.strip().isdigit() or int(text) < 1:
         raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return int(text)
+
+
+def _non_negative_int(text: str) -> int:
+    """argparse type: an integer of at least 0."""
+    if not text.strip().isdigit():
+        raise argparse.ArgumentTypeError(
+            f"expected a non-negative integer, got {text!r}")
     return int(text)
 
 
@@ -188,24 +196,20 @@ def cmd_train(args) -> int:
     print(f"trained {tc.warmup_epochs + tc.epochs} epochs "
           f"({tc.mode}); best val rsum {result.best_rsum:.17g} "
           f"at epoch {result.best_epoch}")
-    scorer = "mscn" if tc.mode == "mscn" else "cosine"
     # test numbers come from the best-validation checkpoint, not the last epoch
     report = evalkit.evaluate(result.best_nets, ds.test, ks=tc.eval_ks,
-                              scorer=scorer, threads=args.threads)
+                              scorer=SCORER_OF_MODE[tc.mode],
+                              threads=args.threads)
     write_atomic(out / "test_report.tsv", report.format_kv().encode("utf-8"))
     print(report.format_text())
     print(f"outputs in {out}")
     return EXIT_OK
 
 
-def _load_models(paths):
-    return [model.load_checkpoint(p) for p in paths]
-
-
 def cmd_eval(args) -> int:
     ds = datagen.read_dataset(args.data)
     split = dict(ds.splits())[args.split]
-    models = _load_models(args.checkpoint)
+    models = [model.load_checkpoint(p) for p in args.checkpoint]
     report = evalkit.evaluate(models, split, ks=args.ks, scorer=args.scorer,
                               threads=args.threads)
     print(report.format_text())
@@ -256,7 +260,7 @@ def build_parser() -> _Parser:
     p.add_argument("--data", required=True, help="dataset file (.mscd)")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--seed", type=int, help="override the training seed")
-    p.add_argument("--mode", choices=["mscn", "fixed_margin_baseline"],
+    p.add_argument("--mode", choices=list(SCORER_OF_MODE),
                    help="override the training mode")
     p.add_argument("--threads", type=_positive_int, default=None,
                    help="worker threads for evaluation; with more than one, "
@@ -282,7 +286,7 @@ def build_parser() -> _Parser:
     p.add_argument("--checkpoint", required=True, action="append",
                    help="checkpoint file; repeat for several networks")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0,
+    p.add_argument("--seed", type=_non_negative_int, default=0,
                    help="seed for constructed negative pairs")
     p.set_defaults(func=cmd_purify_report)
     return parser

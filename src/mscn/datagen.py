@@ -53,6 +53,8 @@ class GenConfig:
     meta_fraction: float = 0.02  # of the train split, approximately
 
     def validate(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.n_clusters < 2:
             raise ValueError("need at least 2 clusters for cross-cluster noise")
         if self.pairs_per_cluster < 1:
@@ -77,6 +79,8 @@ class NoiseConfig:
     def validate(self):
         if not 0.0 <= self.ratio < 1.0:
             raise ValueError(f"noise ratio must lie in [0, 1), got {self.ratio}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass
@@ -315,6 +319,11 @@ def read_dataset(path) -> Dataset:
             first = rec[bad[0]]
             raise DatasetFormatError(
                 f"bad clean flag {first['clean']} in record {first['id']}")
+        bad = np.flatnonzero(~(np.isfinite(rec["image"]).all(axis=1)
+                               & np.isfinite(rec["text"]).all(axis=1)))
+        if bad.size:
+            raise DatasetFormatError("non-finite image or text value in record "
+                                     f"{rec['id'][bad[0]]}")
         records.append(rec)
     (manifest_len,) = struct.unpack("<I", take(4))
     try:

@@ -36,7 +36,8 @@ from .datagen import Dataset, Split
 
 log = logging.getLogger(__name__)
 
-MODES = ("mscn", "fixed_margin_baseline")
+# every training mode, and the scorer its networks are evaluated with
+SCORER_OF_MODE = {"mscn": "mscn", "fixed_margin_baseline": "cosine"}
 
 # rng stream tags
 _TAG_INIT = 0
@@ -79,8 +80,11 @@ class TrainConfig:
     eval_ks: tuple = (1, 5, 10)
 
     def validate(self):
-        if self.mode not in MODES:
-            raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if self.mode not in SCORER_OF_MODE:
+            raise ValueError(f"mode must be one of {tuple(SCORER_OF_MODE)}, "
+                             f"got {self.mode!r}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.batch_size < 2:
             raise ValueError("batch_size must be at least 2")
         if self.meta_batch_size < 2 or self.meta_batch_size % 2:
@@ -270,8 +274,7 @@ def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
     correction network (held constant)."""
     return _descend_on(
         state.main,
-        lambda main_l: objective.triplet_loss(images, texts, main_l,
-                                              meta_new.lift(None),
+        lambda main_l: objective.triplet_loss(images, texts, main_l, meta_new,
                                               cfg.gamma, cfg.tau,
                                               adaptive=cfg.use_adaptive_margin),
         state.opt_main, lr_main, "actual_update")
@@ -307,14 +310,13 @@ def warmup_step(state: NetState, images, texts, batch: MetaBatch,
     correction network at the updated main params."""
     main_new, loss_val = _descend_on(
         state.main,
-        lambda main_l: objective.triplet_loss(images, texts, main_l,
-                                              state.meta.lift(None),
+        lambda main_l: objective.triplet_loss(images, texts, main_l, state.meta,
                                               cfg.gamma, cfg.tau, adaptive=False),
         state.opt_main, lr_main, "warmup main")
     meta_new, meta_loss_val = _descend_on(
         state.meta,
         lambda meta_l: objective.meta_loss(
-            batch.images, batch.texts, batch.labels, main_new.lift(None), meta_l),
+            batch.images, batch.texts, batch.labels, main_new, meta_l),
         state.opt_meta, lr_meta, "warmup meta")
     return (replace(state, main=main_new, meta=meta_new),
             {"train_loss": loss_val, "meta_loss": meta_loss_val})
@@ -472,7 +474,6 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
         metrics_fh.write("\t".join(columns) + "\n")
         metrics_fh.flush()
 
-    scorer = "mscn" if cfg.mode == "mscn" else "cosine"
     total_epochs = cfg.warmup_epochs + cfg.epochs
     metrics_rows: list[dict] = []
     audit: list[dict] = []
@@ -492,9 +493,10 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
             lr_main = cfg.lr_main * factor
             lr_meta = cfg.lr_meta * factor
 
+            row = dict.fromkeys(columns)
+            row.update(epoch=epoch, phase="warmup" if warm else "main",
+                       lr_main=lr_main, lr_meta=lr_meta)
             pools = [np.arange(len(train_split)), np.arange(len(train_split))]
-            purity = [(None, None), (None, None)]
-            purified_sizes = [None, None]
             if not warm and cfg.mode == "mscn" and cfg.use_purification:
                 # each net trains on the set the *other* net admitted
                 for k in range(2):
@@ -509,8 +511,10 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
                             epoch, k + 1, admitted.size, cfg.batch_size)
                     pool = np.arange(len(train_split)) if fallback else admitted
                     pools[1 - k] = pool
-                    purified_sizes[k] = int(admitted.size)
-                    purity[k] = _purity(admitted, train_split.clean)
+                    precision, recall = _purity(admitted, train_split.clean)
+                    row.update({f"net{k + 1}_purified": int(admitted.size),
+                                f"net{k + 1}_purity_precision": precision,
+                                f"net{k + 1}_purity_recall": recall})
                     audit.append({
                         "epoch": epoch, "scored_by": k, "trains": 1 - k,
                         "alpha": fit.mixture.alpha.copy(),
@@ -538,25 +542,15 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
 
             report = evalkit.evaluate(
                 [(net.main, net.meta) for net in nets], val_split,
-                ks=cfg.eval_ks, scorer=scorer, threads=threads)
-            row = {
-                "epoch": epoch,
-                "phase": "warmup" if warm else "main",
-                "lr_main": lr_main,
-                "lr_meta": lr_meta,
-                "net1_train_loss": float(np.mean(losses[0])) if losses[0] else None,
-                "net1_meta_loss": float(np.mean(mlosses[0])) if mlosses[0] else None,
-                "net2_train_loss": float(np.mean(losses[1])) if losses[1] else None,
-                "net2_meta_loss": float(np.mean(mlosses[1])) if mlosses[1] else None,
-                "net1_purified": purified_sizes[0],
-                "net2_purified": purified_sizes[1],
-                "net1_purity_precision": purity[0][0],
-                "net1_purity_recall": purity[0][1],
-                "net2_purity_precision": purity[1][0],
-                "net2_purity_recall": purity[1][1],
-                "val_rsum": report.rsum,
-                "degenerate_pairs": report.degenerate_pairs,
-            }
+                ks=cfg.eval_ks, scorer=SCORER_OF_MODE[cfg.mode],
+                threads=threads)
+            for k in range(2):
+                for col, values in (("train_loss", losses[k]),
+                                    ("meta_loss", mlosses[k])):
+                    if values:
+                        row[f"net{k + 1}_{col}"] = float(np.mean(values))
+            row.update(val_rsum=report.rsum,
+                       degenerate_pairs=report.degenerate_pairs)
             for k in cfg.eval_ks:
                 row[f"val_i2t_r{k}"] = report.image_to_text[k]
                 row[f"val_t2i_r{k}"] = report.text_to_image[k]

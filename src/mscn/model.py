@@ -23,6 +23,7 @@ from .autodiff import (
     Tape,
     Tensor,
     _active_tape,
+    _lift,
     add,
     div,
     l2norm,
@@ -68,11 +69,11 @@ class _Params:
     def with_arrays(self, arrays):
         return replace(self, **dict(zip(self.FIELDS, arrays)))
 
-    def lift(self, tape: Optional[Tape]):
-        """Copy with every field registered as a leaf of `tape`.
-
-        With tape=None fields become constant Tensors (no gradients)."""
-        return replace(self, **{f: _lift_field(getattr(self, f), tape)
+    def lift(self, tape: Tape):
+        """Copy with every field registered as a leaf of `tape`.  A bundle
+        that is not lifted holds plain arrays, which every op takes as
+        constants."""
+        return replace(self, **{f: tape.leaf(getattr(self, f))
                                 for f in self.FIELDS})
 
 
@@ -115,11 +116,11 @@ class MainNetParams(_Params):
 
     @property
     def d_img(self) -> int:
-        return _shape(self.img_w1)[0]
+        return self.img_w1.shape[0]
 
     @property
     def d_txt(self) -> int:
-        return _shape(self.txt_w1)[0]
+        return self.txt_w1.shape[0]
 
 
 @dataclass
@@ -144,24 +145,11 @@ class MetaNetParams(_Params):
 
     @property
     def d_sim(self) -> int:
-        return _shape(self.w1)[0]
-
-
-def _shape(x):
-    return x.shape if isinstance(x, (np.ndarray, Tensor)) else np.asarray(x).shape
+        return self.w1.shape[0]
 
 
 def _as_array(x) -> np.ndarray:
     return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-
-
-def _lift_field(x, tape: Optional[Tape]):
-    arr = _as_array(x)
-    return tape.leaf(arr) if tape is not None else Tensor(arr)
-
-
-def _tensorish(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _check_input(x: Tensor, d: int, op: str):
@@ -175,14 +163,14 @@ def _mlp(x, w1, b1, w2, b2) -> Tensor:
 
 def embed_image(images, params: MainNetParams) -> Tensor:
     """(k, d_img) -> (k, d_emb)."""
-    x = _tensorish(images)
+    x = _lift(images)
     _check_input(x, params.d_img, "embed_image")
     return _mlp(x, params.img_w1, params.img_b1, params.img_w2, params.img_b2)
 
 
 def embed_text(texts, params: MainNetParams) -> Tensor:
     """(k, d_txt) -> (k, d_emb)."""
-    x = _tensorish(texts)
+    x = _lift(texts)
     _check_input(x, params.d_txt, "embed_text")
     return _mlp(x, params.txt_w1, params.txt_b1, params.txt_w2, params.txt_b2)
 
@@ -195,11 +183,18 @@ def similarity_feature(u, v, sim_w) -> Tensor:
     happens iff u ~ v to machine precision or the projection annihilates
     the difference.
     """
-    u, v = _tensorish(u), _tensorish(v)
+    u, v = _lift(u), _lift(v)
     if u.ndim != 2 or u.shape != v.shape:
         raise ShapeMismatchError("similarity_feature", u.shape, v.shape)
-    unit, _ = _unit_rows(matmul(square(sub(u, v)), sim_w))
+    unit, _ = _unit_feature(sub(u, v), sim_w)
     return unit
+
+
+def _unit_feature(diff: Tensor, sim_w,
+                  degenerate: str = "error") -> tuple[Tensor, np.ndarray]:
+    """The similarity feature of embedding differences `diff` (k, d_emb),
+    and the mask of its degenerate rows; see `_unit_rows`."""
+    return _unit_rows(matmul(square(diff), sim_w), degenerate)
 
 
 def _unit_rows(x: Tensor, degenerate: str = "error",
@@ -230,7 +225,7 @@ def _unit_rows(x: Tensor, degenerate: str = "error",
 
 def mscn_score(features, params: MetaNetParams) -> Tensor:
     """Correction-network match score; (k, d_sim) -> (k,)."""
-    f = _tensorish(features)
+    f = _lift(features)
     _check_input(f, params.d_sim, "mscn_score")
     logits = _mlp(f, params.w1, params.b1, params.w2, params.b2)
     return sigmoid(reshape(logits, (f.shape[0],)))
@@ -265,11 +260,10 @@ def block_scores(u, v, sim_w, meta: MetaNetParams,
     reports the count (evaluation only, never under an active record).
     See `_unit_rows`.
     """
-    u, v = _tensorish(u), _tensorish(v)
+    u, v = _lift(u), _lift(v)
     ni, nt, d = u.shape[0], v.shape[0], u.shape[1]
-    diff2 = square(sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d))))
-    proj = matmul(reshape(diff2, (ni * nt, d)), _tensorish(sim_w))
-    unit, mask = _unit_rows(proj, degenerate)
+    diff = sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d)))
+    unit, mask = _unit_feature(reshape(diff, (ni * nt, d)), sim_w, degenerate)
     scores = reshape(mscn_score(unit, meta), (ni, nt))
     n_bad = int(mask.sum())
     if n_bad:
@@ -297,8 +291,8 @@ def block_cosine(u, v, degenerate: str = "error") -> tuple[Tensor, int]:
     degenerate="zero" scores every cell whose image or text has one as 0
     and reports the number of such cells (evaluation only).  See
     `_unit_rows`."""
-    uu, bad_u = _unit_rows(_tensorish(u), degenerate, neutral="zero")
-    vv, bad_v = _unit_rows(_tensorish(v), degenerate, neutral="zero")
+    uu, bad_u = _unit_rows(_lift(u), degenerate, neutral="zero")
+    vv, bad_v = _unit_rows(_lift(v), degenerate, neutral="zero")
     scores = matmul(uu, transpose(vv))
     mask = bad_u[:, None] | bad_v[None, :]
     n_bad = int(mask.sum())
@@ -369,6 +363,8 @@ def load_checkpoint(path) -> tuple[MainNetParams, MetaNetParams]:
         arr = np.frombuffer(take(8 * count), dtype="<f8").reshape(dims).copy()
         if name in tensors:
             raise CheckpointFormatError(f"duplicate tensor: {name}")
+        if not np.isfinite(arr).all():
+            raise CheckpointFormatError(f"non-finite value in tensor {name}")
         tensors[name] = arr
 
     expected = ({"main." + f for f in MainNetParams.FIELDS}

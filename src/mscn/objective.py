@@ -15,6 +15,7 @@ import numpy as np
 from .autodiff import (
     ShapeMismatchError,
     Tensor,
+    _lift,
     add,
     clamp,
     log,
@@ -95,8 +96,7 @@ def triplet_loss_from_scores(scores: Tensor, gamma: float, tau: float,
 def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
                  gamma: float, tau: float, adaptive: bool = True) -> Tensor:
     """Ranking loss of a batch of aligned pairs under one network pair."""
-    imgs = images if isinstance(images, Tensor) else Tensor(images)
-    txts = texts if isinstance(texts, Tensor) else Tensor(texts)
+    imgs, txts = _lift(images), _lift(texts)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("triplet_loss", imgs.shape, txts.shape)
     scores, _ = all_pairs_scores(imgs, txts, main, meta)
@@ -111,8 +111,7 @@ def meta_loss(images, texts, labels, main: MainNetParams, meta: MetaNetParams,
     negative_term=False only the positive half -y*log(s) is kept (the
     ablated form); default is the full BCE.
     """
-    imgs = images if isinstance(images, Tensor) else Tensor(images)
-    txts = texts if isinstance(texts, Tensor) else Tensor(texts)
+    imgs, txts = _lift(images), _lift(texts)
     y = np.asarray(labels, dtype=np.float64)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("meta_loss", imgs.shape, txts.shape)

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import fail_writes_halfway
-from mscn import datagen, evalkit, purifier
+from mscn import datagen, evalkit, model, purifier
 from mscn.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
                       build_config, load_config, main)
 from mscn.meta_loop import TrainConfig
@@ -162,6 +162,23 @@ def test_gen_data_bad_ratio_exits_config(tmp_path, capsys):
                "--noise-ratio", "1.5"])
     assert rc == EXIT_CONFIG
     assert "error" in capsys.readouterr().err
+
+
+def test_negative_seeds_exit_config(tmp_path, capsys):
+    """A negative seed is rejected by name before any file is read or
+    written (the data file does not exist, which would otherwise exit 2)."""
+    out, absent = tmp_path / "out", str(tmp_path / "absent.mscd")
+    for argv, message in (
+            (["gen-data", "--seed", "-3"], "bad data config: seed must be"),
+            (["gen-data", "--noise-ratio", "0.5", "--noise-seed", "-1"],
+             "bad noise config: seed must be"),
+            (["train", "--data", absent, "--seed", "-1"],
+             "bad train config: seed must be"),
+            (["purify-report", "--data", absent, "--checkpoint", "y",
+              "--seed", "-1"], "--seed: expected a non-negative integer")):
+        assert main([*argv, "--out", str(out)]) == EXIT_CONFIG, argv
+        assert message in capsys.readouterr().err, argv
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -372,6 +389,23 @@ def test_corrupt_checkpoint_exits_runtime(pipeline, tmp_path):
     bad.write_bytes(b"\x00" * 32)
     rc = main(["eval", "--data", str(data), "--checkpoint", str(bad)])
     assert rc == EXIT_RUNTIME
+
+
+def test_non_finite_inputs_exit_runtime(pipeline, tmp_path, capsys):
+    """A NaN in a checkpoint or a dataset exits 2 instead of reporting the
+    recall that NaN scores would give."""
+    data, run = pipeline
+    main_p, meta_p = model.load_checkpoint(run / "net1_best.mscp")
+    meta_p.b2[0] = np.nan
+    model.save_checkpoint(tmp_path / "nan.mscp", main_p, meta_p)
+    ds = datagen.read_dataset(data)
+    ds.test.images[0, 0] = np.nan
+    datagen.write_dataset(tmp_path / "nan.mscd", ds)
+    for data_path, ckpt in ((data, tmp_path / "nan.mscp"),
+                            (tmp_path / "nan.mscd", run / "net1_best.mscp")):
+        rc = main(["eval", "--data", str(data_path), "--checkpoint", str(ckpt)])
+        assert rc == EXIT_RUNTIME
+        assert "non-finite" in capsys.readouterr().err
 
 
 def _env_without_blas_threads(**extra):

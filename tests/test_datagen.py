@@ -286,6 +286,20 @@ class TestBinaryFormat:
         with pytest.raises(dg.DatasetFormatError, match="record id"):
             dg.read_dataset(p)
 
+    def test_non_finite_value_rejected(self, tmp_path):
+        p = tmp_path / "x.mscd"
+        for split, field, bad in (("test", "images", np.nan),
+                                  ("train", "texts", np.inf),
+                                  ("meta", "images", -np.inf)):
+            ds = dg.generate(small_cfg(19))
+            records = getattr(ds, split)
+            getattr(records, field)[0, 1] = bad
+            dg.write_dataset(p, ds)
+            with pytest.raises(dg.DatasetFormatError,
+                               match=f"non-finite image or text value in "
+                                     f"record {records.ids[0]}$"):
+                dg.read_dataset(p)
+
     def test_read_arrays_are_contiguous_and_typed(self, tmp_path):
         ds = dg.inject_noise(dg.generate(small_cfg(18)), 0.3, noise_seed=2)
         p = tmp_path / "data.mscd"

@@ -102,7 +102,7 @@ def test_config_validation_rejects_bad_values():
            dict(lr_decay_factor=0.0), dict(warmup_epochs=0, epochs=0),
            dict(d_emb=4, d_sim=4),
            dict(eval_ks=(5, 1)), dict(eval_ks=()), dict(gamma=-0.1),
-           dict(tau=0.0)]
+           dict(tau=0.0), dict(seed=-1)]
     for kw in bad:
         with pytest.raises(ValueError):
             tiny_cfg(**kw).validate()

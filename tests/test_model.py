@@ -271,6 +271,18 @@ class TestCheckpointFormat:
         with pytest.raises(model.CheckpointFormatError, match="missing"):
             model.load_checkpoint(p)
 
+    def test_non_finite_tensor_rejected(self, tmp_path):
+        """A NaN true score would rank first and inflate recall, so a
+        non-finite parameter is a format error, named by its tensor."""
+        main, meta = tiny_nets(6)
+        p = tmp_path / "x.mscp"
+        for bad in (np.nan, np.inf, -np.inf):
+            model.save_checkpoint(p, main, meta.with_arrays(
+                meta.arrays()[:-1] + [np.array([bad])]))
+            with pytest.raises(model.CheckpointFormatError,
+                               match="non-finite value in tensor meta.b2"):
+                model.load_checkpoint(p)
+
     def test_failed_save_leaves_previous_checkpoint_intact(self, tmp_path, monkeypatch):
         """A write that dies partway (here: the disk fills up) must not tear
         the checkpoint it was replacing, nor leave its temporary file."""
