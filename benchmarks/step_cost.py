@@ -27,10 +27,12 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
-
+# mscn first: importing it sets one BLAS thread, as in `mscn train`, and
+# that takes effect only before numpy loads
 from mscn import autodiff as ad
 from mscn import cli, datagen, meta_loop
+
+import numpy as np  # noqa: E402
 
 STEPS = ("warmup_step", "bilevel_step", "baseline_step")
 

@@ -47,6 +47,13 @@ masks of ``relu``, ``clamp`` and ``row_max`` are built at sweep time from
 the output, the input and the argmax indices, so a forward pass with no
 record (all of evaluation) builds none.
 
+``take_rows`` gathers rows by index, repeats allowed; its gradient is the
+adjoint scatter-add (``np.add.at``, in index order), whose own gradient
+is a gather again, so gathers differentiate to any order.  The triplet
+loss uses it to record only the cells its hinges read.  ``row_max`` is
+no longer called by the pipeline; it stays because the benchmark's
+tracer wraps it by name.
+
 An op costs little besides its numpy call.  Shape errors are numpy's
 own: a binary op, ``reshape`` and ``broadcast_to`` turn the ValueError
 numpy raises into a ShapeMismatchError instead of checking first.
@@ -421,6 +428,30 @@ def row_max(x) -> tuple[Tensor, np.ndarray]:
         return (mul(Tensor(onehot), reshape(g, (g.shape[0], 1))),)
 
     return _record("row_max", x.data[rows, idx], (x,), vjp), idx
+
+
+def take_rows(x, idx) -> Tensor:
+    """Rows `idx` of `x`, x[idx] along axis 0; an index may repeat.
+
+    The indices are plain ints, not part of the record.  The gradient is
+    the adjoint scatter-add, which adds each gradient row into its source
+    row in index order."""
+    x = _lift(x)
+    idx = np.asarray(idx)
+    if x.ndim == 0 or idx.ndim != 1 or idx.dtype.kind not in "iu":
+        raise ShapeMismatchError("take_rows", x.shape, idx.shape)
+    n = x.shape[0]
+    return _record("take_rows", x.data[idx], (x,),
+                   lambda g, *_: (_scatter_rows(g, idx, n),))
+
+
+def _scatter_rows(g: Tensor, idx: np.ndarray, n: int) -> Tensor:
+    """The adjoint of `take_rows`: n rows of zeros with row k of `g` added
+    into row idx[k], in index order.  Its own adjoint is `take_rows`."""
+    out = np.zeros((n,) + g.shape[1:])
+    np.add.at(out, idx, g.data)
+    return _record("scatter_rows", out, (g,),
+                   lambda gg, *_: (take_rows(gg, idx),))
 
 
 def _norm_axes(axis, ndim: int) -> tuple[int, ...]:

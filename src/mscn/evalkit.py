@@ -93,7 +93,8 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
 def ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
     """1-based rank of each query's true candidate (row q, column truth[q]).
 
-    rank = 1 + #(strictly higher) + #(equal with a lower index)."""
+    rank = 1 + #(strictly higher) + #(equal with a lower index).  A NaN
+    score has no rank, so any NaN cell raises ValueError."""
     s = np.asarray(scores, dtype=np.float64)
     if s.ndim != 2:
         raise ValueError(f"ranks: score matrix must be 2D, got {s.shape}")
@@ -103,6 +104,9 @@ def ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
         raise ValueError("ranks: truth indices out of range")
     if nq == 0:
         raise ValueError("ranks: no queries")
+    n_nan = np.count_nonzero(np.isnan(s))
+    if n_nan:
+        raise ValueError(f"ranks: {n_nan} NaN score(s) cannot be ranked")
     true_scores = s[np.arange(nq), t]
     higher = (s > true_scores[:, None]).sum(axis=1)
     cols = np.arange(nc)

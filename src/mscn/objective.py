@@ -16,6 +16,7 @@ from .autodiff import (
     ShapeMismatchError,
     Tensor,
     _lift,
+    _using_tape,
     add,
     clamp,
     log,
@@ -24,13 +25,22 @@ from .autodiff import (
     reduce_mean,
     reduce_sum,
     relu,
-    row_max,
+    reshape,
     scalar_mul,
     sigmoid,
     sub,
-    transpose,
+    take_rows,
 )
-from .model import MainNetParams, MetaNetParams, all_pairs_scores, pair_score
+from .model import (
+    MainNetParams,
+    MetaNetParams,
+    _unit_feature,
+    block_scores,
+    embed_image,
+    embed_text,
+    mscn_score,
+    pair_score,
+)
 from .purifier import SCORE_CLAMP_HI, SCORE_CLAMP_LO
 
 
@@ -57,32 +67,48 @@ def adaptive_margin(score, gamma: float, tau: float):
     return out if isinstance(score, Tensor) else out.item()
 
 
+def _hardest_negatives(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Column of each row's and row of each column's highest off-diagonal
+    cell of the square matrix `s`; ties resolve to the lowest index."""
+    if s.shape[0] < 2:
+        raise ValueError("triplet loss: need at least 2 pairs for negatives")
+    off = s.copy()
+    np.fill_diagonal(off, -np.inf)
+    return off.argmax(axis=1), off.argmax(axis=0)
+
+
+def _hinges(cells: Tensor, diag, text, img, gamma: float, tau: float,
+            adaptive: bool) -> Tensor:
+    """Two-sided hinge loss per true pair from the 1-D score vector `cells`:
+    cells[diag] are the true pairs, cells[text] each image's hardest text
+    and cells[img] each text's hardest image."""
+    _check_margin_params(gamma, tau)
+    pos = take_rows(cells, diag)
+    if adaptive:
+        margin = adaptive_margin(pos, gamma, tau)
+    else:
+        margin = Tensor(np.full(len(diag), gamma))
+    gap = sub(margin, pos)
+    return add(relu(add(gap, take_rows(cells, text))),
+               relu(add(gap, take_rows(cells, img))))
+
+
 def per_pair_hinges(scores: Tensor, gamma: float, tau: float,
                     adaptive: bool = True, clamp_scores: bool = True) -> Tensor:
     """Two-sided hinge loss per true pair, given the full score matrix.
 
     scores: (n, n) with true pairs on the diagonal.  Scores are clamped to
     the shared rails first (probability scorers only; disable for scorers
-    with other ranges, e.g. cosine)."""
-    _check_margin_params(gamma, tau)
+    with other ranges, e.g. cosine).  The hinges read 3n cells, gathered
+    from the flattened matrix."""
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
         raise ShapeMismatchError("per_pair_hinges", scores.shape)
     n = scores.shape[0]
-    if n < 2:
-        raise ValueError("per_pair_hinges: need at least 2 pairs for negatives")
     s = clamp(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI) if clamp_scores else scores
-    eye = np.eye(n)
-    diag = reduce_sum(mul(s, Tensor(eye)), axis=1)
-    if adaptive:
-        margin = adaptive_margin(diag, gamma, tau)
-    else:
-        margin = Tensor(np.full(n, gamma))
-    # push the diagonal far below any real score so argmax never picks it
-    off = add(s, Tensor(eye * (-2.0 - float(np.abs(s.data).max()))))
-    text_neg, _ = row_max(off)
-    img_neg, _ = row_max(transpose(off))
-    gap = sub(margin, diag)
-    return add(relu(add(gap, text_neg)), relu(add(gap, img_neg)))
+    text_neg, img_neg = _hardest_negatives(s.data)
+    rows = np.arange(n)
+    return _hinges(reshape(s, (n * n,)), rows * (n + 1), rows * n + text_neg,
+                   img_neg * n + rows, gamma, tau, adaptive)
 
 
 def triplet_loss_from_scores(scores: Tensor, gamma: float, tau: float,
@@ -95,12 +121,29 @@ def triplet_loss_from_scores(scores: Tensor, gamma: float, tau: float,
 
 def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
                  gamma: float, tau: float, adaptive: bool = True) -> Tensor:
-    """Ranking loss of a batch of aligned pairs under one network pair."""
+    """Ranking loss of a batch of aligned pairs under one network pair.
+
+    The hardest negatives are picked from the clamped scores of every
+    image against every text, computed off the record.  Only the 3n cells
+    the hinges read are scored on it: the true pairs, each image's hardest
+    text and each text's hardest image."""
     imgs, txts = _lift(images), _lift(texts)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("triplet_loss", imgs.shape, txts.shape)
-    scores, _ = all_pairs_scores(imgs, txts, main, meta)
-    return triplet_loss_from_scores(scores, gamma, tau, adaptive=adaptive)
+    n = imgs.shape[0]
+    u, v = embed_image(imgs, main), embed_text(txts, main)
+    with _using_tape(None):
+        scores, _ = block_scores(u, v, main.sim_w, meta, degenerate="error")
+        text_neg, img_neg = _hardest_negatives(
+            clamp(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI).data)
+    rows = np.arange(n)
+    unit, _ = _unit_feature(
+        sub(take_rows(u, np.concatenate([rows, rows, img_neg])),
+            take_rows(v, np.concatenate([rows, text_neg, rows]))),
+        main.sim_w)
+    cells = clamp(mscn_score(unit, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
+    return reduce_sum(_hinges(cells, rows, rows + n, rows + 2 * n,
+                              gamma, tau, adaptive))
 
 
 def meta_loss(images, texts, labels, main: MainNetParams, meta: MetaNetParams,

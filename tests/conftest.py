@@ -111,6 +111,31 @@ def triplet_oracle(scores: np.ndarray, gamma: float, tau: float,
     return float(per.sum()), per
 
 
+def full_matrix_triplet_loss(scores, gamma: float, tau: float,
+                             adaptive: bool = True, clamp: bool = True):
+    """The summed triplet hinges with every cell of the score matrix on the
+    record: the diagonal read through an identity mask, and the hardest
+    negatives taken by `row_max` after the diagonal is pushed 2 + max|s|
+    below every other cell."""
+    from mscn import autodiff as ad
+    from mscn import objective
+
+    s = ad.clamp(scores, 1e-4, 1 - 1e-4) if clamp else scores
+    n = s.shape[0]
+    eye = np.eye(n)
+    diag = ad.reduce_sum(ad.mul(s, ad.Tensor(eye)), axis=1)
+    if adaptive:
+        margin = objective.adaptive_margin(diag, gamma, tau)
+    else:
+        margin = ad.Tensor(np.full(n, gamma))
+    off = ad.add(s, ad.Tensor(eye * (-2.0 - float(np.abs(s.data).max()))))
+    text_neg, _ = ad.row_max(off)
+    img_neg, _ = ad.row_max(ad.transpose(off))
+    gap = ad.sub(margin, diag)
+    return ad.reduce_sum(ad.add(ad.relu(ad.add(gap, text_neg)),
+                                ad.relu(ad.add(gap, img_neg))))
+
+
 def bce_oracle(scores: np.ndarray, labels: np.ndarray,
                negative_term: bool = True) -> float:
     s = np.clip(scores, 1e-4, 1 - 1e-4)

@@ -68,6 +68,13 @@ class TestForwardValues:
         np.testing.assert_array_equal(vals.data, [7.0, 2.0])
         np.testing.assert_array_equal(idx, [1, 0])
 
+    def test_take_rows_gathers_with_repeats(self):
+        x = np.arange(6.0).reshape(3, 2)
+        np.testing.assert_array_equal(ad.take_rows(x, np.array([2, 0, 2])).data,
+                                      [[4.0, 5.0], [0.0, 1.0], [4.0, 5.0]])
+        np.testing.assert_array_equal(ad.take_rows(np.arange(3.0), [1, 1]).data,
+                                      [1.0, 1.0])
+
     def test_matmul_shapes(self):
         rng = rng_for(11)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))
@@ -164,6 +171,14 @@ class TestShapeAndDomainErrors:
             ad.clamp(ad.Tensor([np.nan]), 0.0, 1.0)
         with pytest.raises(ValueError, match="interval"):
             ad.clamp(ad.Tensor([0.5]), 1.0, 0.0)
+
+    def test_take_rows_needs_a_1d_integer_index(self):
+        x = ad.Tensor(np.zeros((3, 2)))
+        for idx in (np.array([0.0, 1.0]), np.array([[0, 1]])):
+            with pytest.raises(ad.ShapeMismatchError, match="take_rows"):
+                ad.take_rows(x, idx)
+        with pytest.raises(ad.ShapeMismatchError, match="take_rows"):
+            ad.take_rows(ad.Tensor(1.0), np.array([0]))
 
     def test_reshape_size_mismatch(self):
         with pytest.raises(ad.ShapeMismatchError, match="reshape"):
@@ -369,6 +384,24 @@ class TestPrimitiveGradients:
             check_all_grads(lambda ls: ad.reduce_sum(ad.row_max(ad.transpose(ls[0]))[0]),
                             [y], label="column max")
 
+    def test_take_rows_and_its_scatter_adjoint(self):
+        """A gather with repeated indices, and the scatter-add that is its
+        gradient, each against central differences."""
+        idx = np.array([3, 0, 3, 1, 3])
+        for trial in range(8):
+            rng = rng_for(108, trial)
+            x, w = rng.normal(size=(4, 3)), rng.normal(size=(5, 3))
+            check_all_grads(
+                lambda ls: ad.reduce_sum(ad.mul(ad.square(ad.take_rows(ls[0], idx)), ls[1])),
+                [x, w], label="take_rows")
+            check_all_grads(
+                lambda ls: ad.reduce_sum(ad.square(ad.take_rows(ls[0], idx))),
+                [rng.normal(size=4)], label="take_rows1d")
+            check_all_grads(
+                lambda ls: ad.reduce_sum(ad.mul(ad.square(ad._scatter_rows(ls[0], idx, 4)),
+                                                ls[1])),
+                [w, x], label="scatter_rows")
+
     def test_reductions_and_shape_ops(self):
         for trial in range(10):
             rng = rng_for(106, trial)
@@ -423,7 +456,7 @@ def _build_random_program(rng: np.random.Generator):
     steps = int(rng.integers(5, 13))
     for _ in range(steps):
         n = len(program)
-        choice = rng.integers(0, 9)
+        choice = rng.integers(0, 10)
         i = int(rng.integers(n))
         si = shape_of(i)
         if choice == 0:  # broadcastable binary
@@ -470,6 +503,11 @@ def _build_random_program(rng: np.random.Generator):
             program.append(("safe_l2norm", (i,), {}, si[:-1] if si else None))
             if program[-1][3] is None:
                 program.pop()
+        elif choice == 9:  # a gather of rows, indices may repeat
+            if len(si) == 0:
+                continue
+            idx = rng.integers(si[0], size=int(rng.integers(1, 5)))
+            program.append(("take_rows", (i,), {"idx": idx}, (len(idx),) + si[1:]))
     return program
 
 
@@ -477,6 +515,7 @@ _PROGRAM_OPS = {
     "add": ad.add, "sub": ad.sub, "mul": ad.mul, "square": ad.square,
     "sigmoid": ad.sigmoid, "matmul": ad.matmul, "sum": ad.reduce_sum,
     "mean": ad.reduce_mean, "transpose": ad.transpose, "reshape": ad.reshape,
+    "take_rows": ad.take_rows,
 }
 
 
@@ -698,6 +737,34 @@ class TestRetainedRecords:
 
         assert_close_grad(hvp, central_difference(g_dot_probe, x0), rel=1e-4,
                           label="hvp")
+
+    def test_take_rows_second_order_matches_fd(self):
+        """Gradients of gradients through a gather with repeated indices:
+        the first sweep records the scatter-add, the second differentiates
+        it back through a gather.  Checked as a Hessian-vector product
+        against FD of the analytic first gradient."""
+        idx = np.array([2, 0, 2, 2, 1])
+        for trial in range(6):
+            rng = rng_for(301, trial)
+            x0, w = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+            probe = rng.normal(size=(3, 2))
+
+            def loss(x):
+                return ad.reduce_sum(ad.mul(ad.sigmoid(ad.take_rows(x, idx)), ad.Tensor(w)))
+
+            with ad.Tape(retain=True) as tape:
+                x = tape.leaf(x0)
+                g = ad.backward_retaining(tape, loss(x))[x]
+                hvp = ad.backward(tape, ad.reduce_sum(ad.mul(g, ad.Tensor(probe))))[x].data
+
+            def g_dot_probe(xv):
+                with ad.Tape() as tape2:
+                    xx = tape2.leaf(xv)
+                    gg = ad.backward(tape2, loss(xx))[xx].data
+                return float(np.sum(gg * probe))
+
+            assert_close_grad(hvp, central_difference(g_dot_probe, x0), rel=1e-5,
+                              label="take_rows hvp")
 
     def test_retained_record_keeps_only_what_a_vjp_reads(self):
         """Outputs that no VJP reads (here of matmul and add) are freed while

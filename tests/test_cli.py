@@ -408,6 +408,21 @@ def test_non_finite_inputs_exit_runtime(pipeline, tmp_path, capsys):
         assert "non-finite" in capsys.readouterr().err
 
 
+def test_nan_scores_exit_runtime(pipeline, tmp_path, capsys):
+    """Finite weights whose embeddings overflow score NaN; eval exits 2
+    instead of ranking them."""
+    data, run = pipeline
+    main_p, meta_p = model.load_checkpoint(run / "net1_best.mscp")
+    main_p.img_w2 *= 1e308
+    main_p.txt_w2 *= 1e308
+    model.save_checkpoint(tmp_path / "overflow.mscp", main_p, meta_p)
+    with np.errstate(all="ignore"):
+        rc = main(["eval", "--data", str(data), "--checkpoint",
+                   str(tmp_path / "overflow.mscp")])
+    assert rc == EXIT_RUNTIME
+    assert "NaN score" in capsys.readouterr().err
+
+
 def _env_without_blas_threads(**extra):
     env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     env.update(extra)

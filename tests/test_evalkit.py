@@ -78,6 +78,21 @@ class TestRecallAtK:
         with pytest.raises(ValueError, match="truth"):
             ek.recall_at_k(s, np.array([0, 1, 4]), 2)
 
+    def test_nan_true_scores_rejected(self):
+        """A NaN true score compares neither above nor equal to anything,
+        so it would rank first at every cutoff."""
+        s = np.full((5, 5), 0.5)
+        np.fill_diagonal(s, np.nan)
+        with pytest.raises(ValueError, match="5 NaN score"):
+            ek.recall_at_k(s, np.arange(5), 1)
+
+    def test_nan_candidate_rejected(self):
+        """A NaN candidate would never rank ahead of the true one."""
+        s = np.eye(4) * 0.5
+        s[2, 0] = np.nan
+        with pytest.raises(ValueError, match="1 NaN score"):
+            ek.ranks(s, np.array([1, 1, 1, 1]))
+
 
 class TestScoreMatrix:
     def test_two_model_average(self):

@@ -7,8 +7,9 @@ import weakref
 import numpy as np
 import pytest
 
-from conftest import (assert_close_grad, central_difference, meta_kink_margin,
-                      rng_for, triplet_kink_margin)
+from conftest import (assert_close_grad, central_difference,
+                      full_matrix_triplet_loss, meta_kink_margin, rng_for,
+                      triplet_kink_margin)
 from mscn import autodiff as ad
 from mscn import datagen, meta_loop, model, objective, purifier
 from mscn.meta_loop import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
@@ -338,6 +339,41 @@ def test_meta_gradient_matches_finite_differences():
         if checked >= 4:
             break
     assert checked >= 4
+
+
+def test_meta_gradient_matches_full_matrix_form(monkeypatch):
+    """The meta gradient of the retained stages, taken through the virtual
+    step (second order), is the same when the triplet loss records every
+    cell of the score matrix: within 1e-12 of its largest entry."""
+    def full_matrix(images, texts, main, meta, gamma, tau, adaptive=True):
+        scores, _ = model.all_pairs_scores(images, texts, main, meta)
+        return full_matrix_triplet_loss(scores, gamma, tau, adaptive=adaptive)
+
+    def meta_grads(loss, state, imgs, txts, mb, cfg):
+        grads = []
+
+        def capture(params, lifted, g, opt, lr, context):
+            grads.append([g[t].data for _, t in lifted.items()])
+            return params
+
+        with monkeypatch.context() as m:
+            m.setattr(meta_loop, "_descend", capture)
+            m.setattr(objective, "triplet_loss", loss)
+            meta_loop._retained_stages(state, imgs, txts, mb, cfg.lr_main,
+                                       cfg.lr_meta, cfg)
+        return grads[0]
+
+    for seed in range(20):
+        imgs, txts = batch_data(9035 + seed, n=6)
+        mb = meta_batch_for(9035 + seed)
+        state = tiny_state(9035 + seed)
+        for adaptive in (True, False):
+            cfg = tiny_cfg(lr_main=0.05, use_adaptive_margin=adaptive)
+            got = meta_grads(objective.triplet_loss, state, imgs, txts, mb, cfg)
+            want = meta_grads(full_matrix, state, imgs, txts, mb, cfg)
+            tol = 1e-12 * max(np.abs(w).max() for w in want)
+            for g, w in zip(got, want):
+                assert np.abs(g - w).max() <= tol, (seed, adaptive)
 
 
 def test_bilevel_zero_meta_lr_keeps_meta_and_steps_main():

@@ -1,6 +1,7 @@
 """Objective checks: the adaptive margin against its odds-ratio form and
-frozen hand values, the triplet loss against a loop-written oracle, the
-meta loss against a literal BCE, and FD gradients through both losses."""
+frozen hand values, the triplet loss against a loop-written oracle and
+against its full-matrix form, the meta loss against a literal BCE, and FD
+gradients through both losses."""
 
 from __future__ import annotations
 
@@ -13,6 +14,7 @@ from conftest import (
     assert_close_grad,
     bce_oracle,
     central_difference,
+    full_matrix_triplet_loss,
     margin_oracle,
     meta_kink_margin,
     rng_for,
@@ -247,6 +249,94 @@ class TestTripletLoss:
             if found >= 3:
                 break
         assert found >= 3
+
+
+def loss_and_grads(loss_of, main, meta):
+    """loss_of(lifted main, lifted meta) and its gradients, per bundle."""
+    with ad.Tape() as tape:
+        main_l, meta_l = main.lift(tape), meta.lift(tape)
+        loss = loss_of(main_l, meta_l)
+        grads = ad.backward(tape, loss)
+    return loss.item(), [[grads[t].data for _, t in b.items()]
+                         for b in (main_l, meta_l)]
+
+
+def assert_bundle_close(got, want, label):
+    """Each array of a bundle's gradient within 1e-12 of the bundle's
+    largest entry.  The floor of 1e-15 covers a bundle whose gradient
+    cancels to rounding noise, as on a constant score matrix."""
+    tol = 1e-12 * max(np.abs(w).max() for w in want) + 1e-15
+    for g, w in zip(got, want):
+        assert np.abs(g - w).max() <= tol, label
+
+
+def random_batches(tag: int, count: int = 24):
+    """(imgs, txts, main, meta) on random nets and batch sizes.  Every
+    third case repeats an image and a text, so scores tie; every third
+    scales the correction head, so many scores sit on the clamp rails."""
+    for trial in range(count):
+        rng = rng_for(tag, trial)
+        main, meta = tiny_nets(trial + 120)
+        n = int(rng.integers(3, 9))
+        imgs, txts = rng.normal(size=(n, 5)), rng.normal(size=(n, 4))
+        if trial % 3 == 1:
+            imgs[2], txts[2] = imgs[0], txts[1]
+        elif trial % 3 == 2:
+            meta = meta.with_arrays([meta.w1, meta.b1 + 1.0, meta.w2 * 15.0, meta.b2])
+        yield trial, imgs, txts, main, meta
+
+
+class TestFullMatrixForm:
+    """The loss scores every cell off the record and records only the 3n
+    cells its hinges read; the full-matrix form records them all."""
+
+    def test_mscn_route_matches(self):
+        on_rails = 0
+        for trial, imgs, txts, main, meta in random_batches(711):
+            scores = model.all_pairs_scores(imgs, txts, main, meta)[0].data
+            on_rails += int(np.sum((scores <= 1e-4) | (scores >= 1 - 1e-4)))
+            for adaptive in (True, False):
+                got = loss_and_grads(
+                    lambda m, h: objective.triplet_loss(imgs, txts, m, h, 0.2, 2.0,
+                                                        adaptive=adaptive),
+                    main, meta)
+                want = loss_and_grads(
+                    lambda m, h: full_matrix_triplet_loss(
+                        model.all_pairs_scores(imgs, txts, m, h)[0], 0.2, 2.0,
+                        adaptive=adaptive),
+                    main, meta)
+                assert got[0] == want[0], (trial, adaptive)
+                for bundle_got, bundle_want in zip(got[1], want[1]):
+                    assert_bundle_close(bundle_got, bundle_want, (trial, adaptive))
+        assert on_rails > 100  # of 669 cells
+
+    def test_cosine_route_gradients_are_bitwise(self):
+        """With a fixed margin each gradient cell of the score matrix is a
+        sum of +-1, exact in any order."""
+        for trial, imgs, txts, main, _ in random_batches(712):
+            def via(loss_of):
+                with ad.Tape() as tape:
+                    main_l = main.lift(tape)
+                    scores, _ = model.cosine_scores(imgs, txts, main_l)
+                    loss = loss_of(scores)
+                    grads = ad.backward(tape, loss)
+                return loss.item(), [grads[t].data for _, t in main_l.items()]
+
+            got = via(lambda s: objective.triplet_loss_from_scores(
+                s, 0.2, 2.0, adaptive=False, clamp_scores=False))
+            want = via(lambda s: full_matrix_triplet_loss(
+                s, 0.2, 2.0, adaptive=False, clamp=False))
+            assert got[0] == want[0], trial
+            for g, w in zip(got[1], want[1]):
+                np.testing.assert_array_equal(g, w)
+
+    def test_nan_score_raises_like_clamp(self):
+        main, meta = tiny_nets(121)
+        meta = meta.with_arrays([meta.w1, meta.b1, meta.w2, np.array([np.nan])])
+        rng = rng_for(713)
+        with pytest.raises(ValueError, match="clamp: NaN"):
+            objective.triplet_loss(rng.normal(size=(4, 5)), rng.normal(size=(4, 4)),
+                                   main, meta, 0.2, 2.0)
 
 
 class TestMetaLoss:
