@@ -11,8 +11,9 @@ by `--steps` timed ones on one network pair, each on the next batch of
 the training split.  It prints the median wall milliseconds of a step and
 the number of nodes one step records on its computation records, and
 writes the same numbers, with the inputs that produced them, to `--out`.
-Nothing is asserted: the numbers are for before/after comparisons on one
-host, run alternately.
+It runs with the package's one BLAS thread unless OPENBLAS_NUM_THREADS
+is set, and records the setting.  Nothing is asserted: the numbers are
+for before/after comparisons on one host, run alternately.
 """
 
 from __future__ import annotations
@@ -122,6 +123,7 @@ def main(argv=None) -> int:
         "steps": args.steps,
         "warmup": args.warmup,
         "batch_size": cfg.batch_size,
+        "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
         "host": {"cpus": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(),
                  "python": platform.python_version(),

@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/trend.py [--config configs/default.json]
-        [--seeds 3] [--noise 0,0.2,0.5,0.7] [--workers 2]
+        [--seeds 3] [--noise 0,0.2,0.5,0.7]
         [--against PARENT.json] [--out BENCH_trend.json]
 
 For each noise ratio it builds the config's dataset in memory and
@@ -14,8 +14,8 @@ each dataset it trains three arms: `mscn` (the config as it is),
 seeds: the config's own, then 1, 2, ....  A run evaluates the
 best-validation checkpoints on the test split with the arm's scorer.
 
-Runs go to `--workers` processes with one BLAS thread each, and each
-run trains its two network pairs on one thread.  A run's numbers are
+Runs go to two processes with one BLAS thread each, and each run
+trains its two network pairs on one thread.  A run's numbers are
 those of the same config through `mscn train`.
 
 The output has every run and, per noise ratio and arm, the mean, range
@@ -44,6 +44,8 @@ from pathlib import Path
 from mscn import cli, datagen, evalkit, meta_loop
 
 import numpy as np  # noqa: E402
+
+WORKERS = 2
 
 # arm name -> overrides of the config's train section
 ARMS = {
@@ -131,13 +133,12 @@ def main(argv=None) -> int:
     p.add_argument("--seeds", type=int, default=3)
     p.add_argument("--noise", default="0,0.2,0.5,0.7",
                    help="comma-separated noise ratios")
-    p.add_argument("--workers", type=int, default=2)
     p.add_argument("--against", help="an earlier output to compare with")
     p.add_argument("--out", default="BENCH_trend.json")
     args = p.parse_args(argv)
     noise = [float(x) for x in args.noise.split(",")]
-    if args.seeds < 1 or args.workers < 1:
-        p.error("--seeds and --workers must be at least 1")
+    if args.seeds < 1:
+        p.error("--seeds must be at least 1")
 
     raw = cli.load_config(args.config)
     first = cli.build_config(raw, "train").seed
@@ -145,7 +146,7 @@ def main(argv=None) -> int:
     # the mscn arms take longest; start them first
     jobs = [(args.config, r, arm, s) for arm in ARMS for r in noise for s in seeds]
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=args.workers) as pool:
+    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
         runs = list(pool.map(run_one, jobs))
     summary = summarize(runs, noise, seeds)
     for ratio, cell in summary.items():
@@ -158,7 +159,6 @@ def main(argv=None) -> int:
         "config": args.config,
         "seeds": seeds,
         "noise": noise,
-        "workers": args.workers,
         "host": {"cpus": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(),
                  "python": platform.python_version(),
