@@ -12,8 +12,9 @@ the training split.  It prints the median wall milliseconds of a step and
 the number of nodes one step records on its computation records, and
 writes the same numbers, with the inputs that produced them, to `--out`.
 It runs with the package's one BLAS thread unless OPENBLAS_NUM_THREADS
-is set, and records the setting.  Nothing is asserted: the numbers are
-for before/after comparisons on one host, run alternately.
+is set, and with the malloc settings of `mscn train`
+(`cli._keep_freed_memory`), and records both.  Nothing is asserted: the
+numbers are for before/after comparisons on one host, run alternately.
 """
 
 from __future__ import annotations
@@ -105,6 +106,7 @@ def main(argv=None) -> int:
     if args.steps < 1 or args.warmup < 0:
         p.error("--steps must be at least 1 and --warmup at least 0")
 
+    keep_freed_memory = cli._keep_freed_memory()
     raw = cli.load_config(args.config)
     ds = datagen.generate(cli.build_config(raw, "data"))
     noise = cli.build_config(raw, "noise")
@@ -124,6 +126,7 @@ def main(argv=None) -> int:
         "warmup": args.warmup,
         "batch_size": cfg.batch_size,
         "blas_threads": os.environ["OPENBLAS_NUM_THREADS"],
+        "keep_freed_memory": keep_freed_memory,
         "host": {"cpus": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(),
                  "python": platform.python_version(),

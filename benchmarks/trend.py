@@ -14,9 +14,10 @@ each dataset it trains three arms: `mscn` (the config as it is),
 seeds: the config's own, then 1, 2, ....  A run evaluates the
 best-validation checkpoints on the test split with the arm's scorer.
 
-Runs go to two processes with one BLAS thread each, and each run
-trains its two network pairs on one thread.  A run's numbers are
-those of the same config through `mscn train`.
+Runs go to two processes with one BLAS thread and the malloc settings
+of `mscn train` (`cli._keep_freed_memory`) each, and each run trains
+its two network pairs on one thread.  A run's numbers are those of the
+same config through `mscn train`.
 
 The output has every run and, per noise ratio and arm, the mean, range
 and sample standard deviation of the test rsum and of the R@1 sum
@@ -145,8 +146,10 @@ def main(argv=None) -> int:
     seeds = list(dict.fromkeys([first, *range(1, args.seeds + 1)]))[:args.seeds]
     # the mscn arms take longest; start them first
     jobs = [(args.config, r, arm, s) for arm in ARMS for r in noise for s in seeds]
+    keep_freed_memory = cli._keep_freed_memory()
     t0 = time.perf_counter()
-    with ProcessPoolExecutor(max_workers=WORKERS) as pool:
+    with ProcessPoolExecutor(max_workers=WORKERS,
+                             initializer=cli._keep_freed_memory) as pool:
         runs = list(pool.map(run_one, jobs))
     summary = summarize(runs, noise, seeds)
     for ratio, cell in summary.items():
@@ -159,6 +162,7 @@ def main(argv=None) -> int:
         "config": args.config,
         "seeds": seeds,
         "noise": noise,
+        "keep_freed_memory": keep_freed_memory,
         "host": {"cpus": len(os.sched_getaffinity(0)),
                  "machine": platform.machine(),
                  "python": platform.python_version(),

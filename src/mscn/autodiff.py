@@ -48,7 +48,7 @@ the output, the input and the argmax indices, so a forward pass with no
 record (all of evaluation) builds none.
 
 ``take_rows`` gathers rows by index, repeats allowed; its gradient is the
-adjoint scatter-add (``np.add.at``, in index order), whose own gradient
+adjoint scatter-add (``np.bincount``, in index order), whose own gradient
 is a gather again, so gathers differentiate to any order.  The triplet
 loss uses it to record only the cells its hinges read.  ``row_max`` is
 no longer called by the pipeline; it stays because the benchmark's
@@ -72,7 +72,6 @@ import weakref
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
-from scipy.special import expit
 
 
 class ShapeMismatchError(ValueError):
@@ -250,6 +249,19 @@ def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable,
 # primitives
 
 
+def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x @ y of 2-D arrays, on the kernel that contiguous operands get."""
+    if x.shape[1] == 1:
+        # an outer product: each cell is one product added to a zero
+        # accumulator, which turns a -0.0 product into +0.0
+        out = x * y
+        out += 0.0
+        return out
+    if x.shape[0] == 1 or y.shape[1] == 1 or np.may_share_memory(x, y):
+        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
+    return x @ y
+
+
 def matmul(a, b) -> Tensor:
     a, b = _lift(a), _lift(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
@@ -259,16 +271,7 @@ def matmul(a, b) -> Tensor:
         return (matmul(g, transpose(b)) if needs[0] else None,
                 matmul(transpose(a), g) if needs[1] else None)
 
-    x, y = a.data, b.data
-    if x.shape[1] == 1:
-        # an outer product: each cell is one product added to a zero
-        # accumulator, which turns a -0.0 product into +0.0
-        out = x * y
-        out += 0.0
-        return _record("matmul", out, (a, b), vjp)
-    if x.shape[0] == 1 or y.shape[1] == 1 or np.may_share_memory(x, y):
-        x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    return _record("matmul", x @ y, (a, b), vjp)
+    return _record("matmul", _gemm(a.data, b.data), (a, b), vjp)
 
 
 def _unbroadcast(g: Tensor, shape) -> Tensor:
@@ -370,9 +373,17 @@ def relu(x) -> Tensor:
                    keep_out=True)
 
 
+def _expit(x, out=None):
+    """scipy.special.expit.  Importing scipy.special takes about 0.24 s, so
+    the first call does it and rebinds this name to that function."""
+    global _expit
+    from scipy.special import expit as _expit
+    return _expit(x, out=out)
+
+
 def sigmoid(x) -> Tensor:
     x = _lift(x)
-    return _record("sigmoid", expit(x.data), (x,),
+    return _record("sigmoid", _expit(x.data), (x,),
                    lambda g, out, needs: (mul(g, mul(out, sub(1.0, out))),),
                    keep_out=True)
 
@@ -441,15 +452,27 @@ def take_rows(x, idx) -> Tensor:
     if x.ndim == 0 or idx.ndim != 1 or idx.dtype.kind not in "iu":
         raise ShapeMismatchError("take_rows", x.shape, idx.shape)
     n = x.shape[0]
-    return _record("take_rows", x.data[idx], (x,),
+    out = x.data[idx]
+    idx = idx.astype(np.intp, copy=False)  # the bins of the adjoint's bincount
+    return _record("take_rows", out, (x,),
                    lambda g, *_: (_scatter_rows(g, idx, n),))
 
 
 def _scatter_rows(g: Tensor, idx: np.ndarray, n: int) -> Tensor:
     """The adjoint of `take_rows`: n rows of zeros with row k of `g` added
     into row idx[k], in index order.  Its own adjoint is `take_rows`."""
-    out = np.zeros((n,) + g.shape[1:])
-    np.add.at(out, idx, g.data)
+    try:
+        if g.ndim == 1:
+            out = np.bincount(idx, g.data, n)
+        else:  # one bin per cell of the n output rows
+            width = math.prod(g.shape[1:])
+            cells = (idx[:, None] * width + np.arange(width)).ravel()
+            out = np.bincount(cells, g.data.ravel(), n * width)
+            out = out.reshape((n,) + g.shape[1:])
+    except ValueError:  # bincount's bins are non-negative; x[idx]'s need not be
+        if idx.min() >= 0:
+            raise
+        return _scatter_rows(g, idx % n, n)
     return _record("scatter_rows", out, (g,),
                    lambda gg, *_: (take_rows(gg, idx),))
 

@@ -98,16 +98,18 @@ def _keep_freed_memory():
     trimming only above 64 MiB of free top space removes that churn.  Two
     arenas, one per training thread, keep the memory held that way from
     growing with every evaluation worker that gets an arena of its own.  A
-    C library without mallopt is left as it is."""
+    C library without mallopt is left as it is.  Returns whether the
+    settings were made."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
-        return
+        return False
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 4 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
     mallopt(_M_ARENA_MAX, 2)
+    return True
 
 
 def load_config(path) -> dict:

@@ -3,8 +3,10 @@
 Both scorers embed images and texts once per model, then run one block
 loop; they differ only in the block's shape and the function that scores
 it.  The mscn scorer scores fixed tiles of at most TILE images x TILE
-texts, the training batch's block, through `model.block_scores`.  A
-tile's (TILE * TILE, d_emb) intermediates are 2 MiB at d_emb=64 whatever
+texts, the training batch's block, through `model.block_feature` and
+`model.block_scores`, the plain-numpy scorer that picks the training
+negatives, with every cell the bits of `model.all_pairs_scores`.  A
+tile's (TILE * TILE, d_emb) intermediate is 2 MiB at d_emb=64 whatever
 the split size, so peak memory follows the tile, not the number of texts.
 The cosine scorer scores fixed CHUNK_ROWS-row chunks that span all texts
 through `model.block_cosine`.  The worker count (`threads`, or the CPUs
@@ -63,14 +65,16 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
                   for r in range(0, ni, TILE) for c in range(0, nt, TILE)]
 
         def score(u, v, main, meta):
-            return model.block_scores(u, v, main.sim_w, meta, degenerate="half")
+            return model.block_scores(
+                model.block_feature(u, v, main.sim_w, degenerate="half"), meta)
     else:
         # splitting the columns of a cosine block would change gemm bits
         blocks = [(slice(r, r + CHUNK_ROWS), slice(None))
                   for r in range(0, ni, CHUNK_ROWS)]
 
         def score(u, v, main, meta):
-            return model.block_cosine(u, v, degenerate="zero")
+            scores, n_bad = model.block_cosine(u, v, degenerate="zero")
+            return scores.data, n_bad
 
     def run_block(block) -> int:
         rows, cols = block
@@ -79,7 +83,7 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
         for (main, meta), (u, v) in zip(models, sides):
             scores, n_bad = score(u[rows], v[cols], main, meta)
             bad += n_bad
-            acc = scores.data if acc is None else acc + scores.data
+            acc = scores if acc is None else acc + scores
         out[rows, cols] = acc / len(models)
         return bad
 

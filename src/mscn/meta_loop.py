@@ -244,12 +244,14 @@ def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str):
 
 def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
                    meta_lifted: model.MetaNetParams, images, texts,
-                   alpha: float, cfg: TrainConfig):
+                   alpha: float, cfg: TrainConfig, feature=None):
     """Stage 1: record loss, gradients, and the descent step W - alpha*g as
-    functions of the correction params.  Returns (virtual params, loss)."""
+    functions of the correction params.  Returns (virtual params, loss).
+    `feature`: see `objective.triplet_loss`."""
     loss = objective.triplet_loss(images, texts, main_lifted, meta_lifted,
                                   cfg.gamma, cfg.tau,
-                                  adaptive=cfg.use_adaptive_margin)
+                                  adaptive=cfg.use_adaptive_margin,
+                                  feature=feature)
     leaves = [t for _, t in main_lifted.items()]
     grads = ad.backward_retaining(tape, loss, wrt=leaves)
     stepped = [ad.sub(t, ad.scalar_mul(alpha, grads[t])) for t in leaves]
@@ -269,26 +271,29 @@ def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
 
 
 def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
-                  lr_main: float, cfg: TrainConfig):
+                  lr_main: float, cfg: TrainConfig, feature=None):
     """Stage 3: step the main params on the same batch under the updated
-    correction network (held constant)."""
+    correction network (held constant).  `feature`: see
+    `objective.triplet_loss`."""
     return _descend_on(
         state.main,
         lambda main_l: objective.triplet_loss(images, texts, main_l, meta_new,
                                               cfg.gamma, cfg.tau,
-                                              adaptive=cfg.use_adaptive_margin),
+                                              adaptive=cfg.use_adaptive_margin,
+                                              feature=feature),
         state.opt_main, lr_main, "actual_update")
 
 
 def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
-                     lr_main: float, lr_meta: float, cfg: TrainConfig):
+                     lr_main: float, lr_meta: float, cfg: TrainConfig,
+                     feature=None):
     """Stages 1 and 2 on one retained record, which is freed on return.
     Returns (new meta params, train loss value, meta loss value)."""
     with ad.Tape(retain=True) as tape:
         main_l = state.main.lift(tape)
         meta_l = state.meta.lift(tape)
         virtual_main, train_loss = virtual_update(
-            tape, main_l, meta_l, images, texts, lr_main, cfg)
+            tape, main_l, meta_l, images, texts, lr_main, cfg, feature)
         meta_new, meta_loss_val = meta_update(
             tape, virtual_main, meta_l, batch, state, lr_meta)
     return meta_new, train_loss.item(), meta_loss_val
@@ -297,9 +302,15 @@ def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
 def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
                  lr_main: float, lr_meta: float, cfg: TrainConfig):
     """One full three-stage step; returns (new state, diagnostics)."""
+    # stages 1 and 3 pick negatives under the same main params, so from one
+    # similarity feature, which the correction network does not enter
+    main = state.main
+    feature = model.block_feature(model.embed_image(images, main).data,
+                                  model.embed_text(texts, main).data, main.sim_w)
     meta_new, train_loss, meta_loss_val = _retained_stages(
-        state, images, texts, batch, lr_main, lr_meta, cfg)
-    main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg)
+        state, images, texts, batch, lr_main, lr_meta, cfg, feature)
+    main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg,
+                                feature)
     return (replace(state, main=main_new, meta=meta_new),
             {"train_loss": train_loss, "meta_loss": meta_loss_val})
 

@@ -18,11 +18,13 @@ from typing import Optional
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (
     ShapeMismatchError,
     Tape,
     Tensor,
     _active_tape,
+    _gemm,
     _lift,
     add,
     div,
@@ -243,32 +245,67 @@ def all_pairs_scores(images, texts, main: MainNetParams, meta: MetaNetParams,
                      degenerate: str = "error") -> tuple[Tensor, int]:
     """Score matrix of every image against every text: (n_img, n_txt).
 
-    Embeds both sides, then scores them in one `block_scores` call; see
-    there for the degenerate policies.
-    """
-    return block_scores(embed_image(images, main), embed_text(texts, main),
-                        main.sim_w, meta, degenerate)
-
-
-def block_scores(u, v, sim_w, meta: MetaNetParams,
-                 degenerate: str = "error") -> tuple[Tensor, int]:
-    """Scores of every image embedding in `u` against every text embedding
-    in `v`: (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v).
-
+    The differentiable form of `block_scores`, recorded op by op.
     degenerate="error" raises on unrepresentable similarity norms (the
     training contract); degenerate="half" scores those cells 0.5 and
     reports the count (evaluation only, never under an active record).
     See `_unit_rows`.
     """
-    u, v = _lift(u), _lift(v)
+    u, v = embed_image(images, main), embed_text(texts, main)
     ni, nt, d = u.shape[0], v.shape[0], u.shape[1]
     diff = sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d)))
-    unit, mask = _unit_feature(reshape(diff, (ni * nt, d)), sim_w, degenerate)
+    unit, mask = _unit_feature(reshape(diff, (ni * nt, d)), main.sim_w,
+                               degenerate)
     scores = reshape(mscn_score(unit, meta), (ni, nt))
     n_bad = int(mask.sum())
     if n_bad:
         scores = Tensor(np.where(mask.reshape(ni, nt), 0.5, scores.data))
     return scores, n_bad
+
+
+def block_feature(u, v, sim_w,
+                  degenerate: str = "error") -> tuple[np.ndarray, np.ndarray]:
+    """Off the record, the similarity feature of every row of `u` against
+    every row of `v` as (n_u * n_v, d_sim) unit rows, and the (n_u, n_v)
+    mask of degenerate cells.  It runs the ops of `all_pairs_scores` in
+    their order and gemm shapes, so every cell keeps their bits.  Under
+    degenerate="error" a non-finite norm raises ValueError too; "half"
+    leaves degenerate rows for `block_scores` to score 0.5."""
+    u, v = _as_array(u), _as_array(v)
+    x = np.subtract(u[:, None], v[None]).reshape(-1, u.shape[1])
+    np.multiply(x, x, out=x)
+    x = _gemm(x, _as_array(sim_w))
+    norms = np.sqrt((x * x).sum(axis=-1))
+    mask = norms <= NORM_EPSILON
+    if degenerate == "error":
+        if mask.any():
+            raise DegenerateSimilarityError(
+                f"{int(np.sum(mask))} row(s) with norm <= {NORM_EPSILON:g}")
+        if not np.isfinite(norms).all():
+            raise ValueError("block_feature: non-finite similarity norm")
+    elif degenerate == "half":
+        norms[mask] = 1.0
+    else:
+        raise ValueError(f"unknown degenerate policy: {degenerate!r}")
+    x /= norms[:, None]
+    return x, mask.reshape(len(u), len(v))
+
+
+def block_scores(feature: tuple[np.ndarray, np.ndarray],
+                 meta: MetaNetParams) -> tuple[np.ndarray, int]:
+    """Off the record, the correction network's (n_u, n_v) scores of a
+    `block_feature`, degenerate cells 0.5, and their count: bit for bit
+    those of `all_pairs_scores`."""
+    unit, mask = feature
+    w1, b1, w2, b2 = meta.arrays()
+    h = _gemm(unit, w1)
+    h += b1
+    np.maximum(h, 0.0, out=h)
+    scores = _gemm(h, w2).reshape(mask.shape)
+    scores += b2
+    autodiff._expit(scores, out=scores)  # the name rebinds on first use
+    scores[mask] = 0.5
+    return scores, int(mask.sum())
 
 
 def cosine_scores(images, texts, main: MainNetParams,

@@ -16,7 +16,6 @@ from .autodiff import (
     ShapeMismatchError,
     Tensor,
     _lift,
-    _using_tape,
     add,
     clamp,
     log,
@@ -35,6 +34,7 @@ from .model import (
     MainNetParams,
     MetaNetParams,
     _unit_feature,
+    block_feature,
     block_scores,
     embed_image,
     embed_text,
@@ -120,22 +120,25 @@ def triplet_loss_from_scores(scores: Tensor, gamma: float, tau: float,
 
 
 def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
-                 gamma: float, tau: float, adaptive: bool = True) -> Tensor:
+                 gamma: float, tau: float, adaptive: bool = True,
+                 feature=None) -> Tensor:
     """Ranking loss of a batch of aligned pairs under one network pair.
 
     The hardest negatives are picked from the clamped scores of every
-    image against every text, computed off the record.  Only the 3n cells
-    the hinges read are scored on it: the true pairs, each image's hardest
-    text and each text's hardest image."""
+    image against every text, computed off the record from `feature`, the
+    batch's `block_feature` under `main` (built here if None).  Only the
+    3n cells the hinges read are scored on it: the true pairs, each
+    image's hardest text and each text's hardest image."""
     imgs, txts = _lift(images), _lift(texts)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("triplet_loss", imgs.shape, txts.shape)
     n = imgs.shape[0]
     u, v = embed_image(imgs, main), embed_text(txts, main)
-    with _using_tape(None):
-        scores, _ = block_scores(u, v, main.sim_w, meta, degenerate="error")
-        text_neg, img_neg = _hardest_negatives(
-            clamp(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI).data)
+    if feature is None:
+        feature = block_feature(u.data, v.data, main.sim_w)
+    scores, _ = block_scores(feature, meta)
+    text_neg, img_neg = _hardest_negatives(
+        np.clip(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI, out=scores))
     rows = np.arange(n)
     unit, _ = _unit_feature(
         sub(take_rows(u, np.concatenate([rows, rows, img_neg])),

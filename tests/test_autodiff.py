@@ -75,6 +75,22 @@ class TestForwardValues:
         np.testing.assert_array_equal(ad.take_rows(np.arange(3.0), [1, 1]).data,
                                       [1.0, 1.0])
 
+    def test_scatter_rows_adds_as_add_at(self):
+        """The adjoint of a gather sums repeated rows in index order, bit for
+        bit as np.add.at does, -0.0 included, at either rank; a negative
+        index counts from the end."""
+        rng = rng_for(12)
+        idx = np.array([3, 0, 3, 1, 3, 3])
+        for shape in ((6,), (6, 5), (6, 2, 3)):
+            g = rng.normal(size=shape) * 10.0 ** rng.integers(-8, 8, size=shape)
+            g[1] = -0.0
+            want = np.zeros((5,) + shape[1:])
+            np.add.at(want, idx, g)
+            for i in (idx, idx - 5):
+                got = ad._scatter_rows(ad.Tensor(g), i, 5).data
+                assert got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), (shape, i)
+
     def test_matmul_shapes(self):
         rng = rng_for(11)
         a, b = rng.normal(size=(3, 4)), rng.normal(size=(4, 2))

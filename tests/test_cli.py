@@ -439,6 +439,17 @@ def test_import_sets_blas_threads_unless_preset():
         assert proc.stdout.strip() == want
 
 
+def test_import_loads_no_scipy():
+    """scipy.special loads on first use, so a command that fits and scores
+    nothing does not pay for it; the first sigmoid loads it."""
+    probe = ("import sys, mscn.cli; print('scipy' in sys.modules); "
+             "mscn.autodiff.sigmoid([0.0]); print('scipy' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False", "True"]
+
+
 def test_train_outputs_do_not_depend_on_blas_threads(pipeline, tmp_path):
     """The BLAS thread default cannot change results: a train with one BLAS
     thread writes the same bytes as one with two."""

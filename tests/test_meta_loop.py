@@ -345,7 +345,8 @@ def test_meta_gradient_matches_full_matrix_form(monkeypatch):
     """The meta gradient of the retained stages, taken through the virtual
     step (second order), is the same when the triplet loss records every
     cell of the score matrix: within 1e-12 of its largest entry."""
-    def full_matrix(images, texts, main, meta, gamma, tau, adaptive=True):
+    def full_matrix(images, texts, main, meta, gamma, tau, adaptive=True,
+                    feature=None):
         scores, _ = model.all_pairs_scores(images, texts, main, meta)
         return full_matrix_triplet_loss(scores, gamma, tau, adaptive=adaptive)
 
@@ -446,6 +447,38 @@ def test_bilevel_deterministic():
     for (_, a), (_, b) in zip(outs[0][0].meta.items(), outs[1][0].meta.items()):
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
     assert outs[0][1] == outs[1][1]
+
+
+def test_bilevel_builds_the_pick_feature_once(monkeypatch):
+    """Stages 1 and 3 pick from one similarity feature of the batch's n^2
+    cells, built once per step, and a step that builds it in each stage
+    gives the same bytes.  A warmup step builds it once too."""
+    cfg = tiny_cfg()
+    imgs, txts = batch_data(9045, n=8)
+    mb = meta_batch_for(9045)
+    state = tiny_state(9045)
+    meta_new, _, _ = meta_loop._retained_stages(
+        tiny_state(9045), imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg)
+    want, _ = actual_update(tiny_state(9045), meta_new, imgs, txts,
+                            cfg.lr_main, cfg)
+    shapes = []
+    real = model.block_feature
+
+    def spy(u, v, *args, **kwargs):
+        shapes.append((len(u), len(v)))
+        return real(u, v, *args, **kwargs)
+
+    monkeypatch.setattr(model, "block_feature", spy)
+    monkeypatch.setattr(objective, "block_feature", spy)
+    got, _ = bilevel_step(state, imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg)
+    assert shapes == [(8, 8)]
+    for (name, a), (_, b) in zip(got.main.items(), want.items()):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    for (name, a), (_, b) in zip(got.meta.items(), meta_new.items()):
+        assert np.asarray(a).tobytes() == np.asarray(b).tobytes(), name
+    warmup_step(tiny_state(9045), imgs, txts, mb, cfg.lr_main, cfg.lr_meta,
+                cfg)
+    assert shapes == [(8, 8)] * 2
 
 
 def test_bilevel_rejects_non_finite():

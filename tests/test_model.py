@@ -137,6 +137,61 @@ class TestScores:
                                        main, meta, degenerate="half")
 
 
+class TestBlockScores:
+    """The off-record block scorer against the recorded composition of
+    `all_pairs_scores`: every cell bit for bit."""
+
+    @staticmethod
+    def _block(imgs, txts, main, meta, degenerate="error"):
+        u = model.embed_image(imgs, main).data
+        v = model.embed_text(txts, main).data
+        return model.block_scores(
+            model.block_feature(u, v, main.sim_w, degenerate), meta)
+
+    @pytest.mark.parametrize("ni, nt", [(1, 1), (1, 7), (7, 1), (3, 5),
+                                        (13, 64), (64, 64)])
+    def test_bitwise_equal_to_recorded_composition(self, ni, nt):
+        for tag in range(4):
+            main, meta = tiny_nets(tag, d_emb=64, d_sim=32, hidden=64,
+                                   mscn_hidden=32)
+            rng = rng_for(511, ni, nt, tag)
+            imgs, txts = rng.normal(size=(ni, 5)), rng.normal(size=(nt, 4))
+            want, want_bad = model.all_pairs_scores(imgs, txts, main, meta)
+            got, n_bad = self._block(imgs, txts, main, meta)
+            assert got.shape == (ni, nt) and n_bad == want_bad == 0
+            assert got.tobytes() == want.data.tobytes(), (ni, nt, tag)
+
+    def test_half_policy_scores_degenerate_cells_and_counts_them(self):
+        """Image 0 and text 2 embed to the same point, so cell (0, 2) has
+        no similarity direction: 0.5 and counted, every other cell as
+        recorded."""
+        main, meta = tiny_nets(12, d_txt=5)
+        main = main.with_arrays(main.arrays()[:4] * 2 + main.arrays()[8:])
+        rng = rng_for(512)
+        imgs, txts = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
+        txts[2] = imgs[0]
+        want, want_bad = model.all_pairs_scores(imgs, txts, main, meta,
+                                                degenerate="half")
+        got, n_bad = self._block(imgs, txts, main, meta, degenerate="half")
+        assert n_bad == want_bad == 1 and got[0, 2] == 0.5
+        assert got.tobytes() == want.data.tobytes()
+        with pytest.raises(model.DegenerateSimilarityError):
+            self._block(imgs, txts, main, meta)
+        with pytest.raises(ValueError, match="unknown degenerate policy"):
+            self._block(imgs, txts, main, meta, degenerate="zero")
+
+    def test_non_finite_feature_rejected(self):
+        """A NaN embedding has no score to pick a negative by."""
+        main, meta = tiny_nets(13)
+        rng = rng_for(513)
+        u, v = rng.normal(size=(3, 6)), rng.normal(size=(4, 6))
+        for bad in (np.nan, np.inf):
+            u[1, 2] = bad
+            with np.errstate(invalid="ignore"), \
+                    pytest.raises(ValueError, match="non-finite similarity norm"):
+                model.block_feature(u, v, main.sim_w)
+
+
 class TestBatchContract:
     """Every scorer and matmul take (n, d) batches; a 1-D operand is refused."""
 
