@@ -15,9 +15,9 @@ seeds: the config's own, then 1, 2, ....  A run evaluates the
 best-validation checkpoints on the test split with the arm's scorer.
 
 Runs go to two processes with one BLAS thread and the malloc settings
-of `mscn train` (`cli._keep_freed_memory`) each, and each run trains
-its two network pairs on one thread.  A run's numbers are those of the
-same config through `mscn train`.
+of `mscn train` (`cli._keep_freed_memory`) each, and each run evaluates
+on one worker.  A run's numbers are those of the same config through
+`mscn train`, which trains the two network pairs on one thread too.
 
 The output has every run and, per noise ratio and arm, the mean, range
 and sample standard deviation of the test rsum and of the R@1 sum

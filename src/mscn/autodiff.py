@@ -23,7 +23,7 @@ output only when its own VJP reads it (leaves, ``relu``, ``sigmoid``,
 gradient reads it: both for ``mul`` and ``matmul``, the divisor for
 ``div``, none for ``add`` and ``sub``.  Any other intermediate is freed as
 soon as the forward pass no longer uses it, even while its record lives,
-which is what lets two training steps run side by side in little memory.
+so a retained step record stays small.
 
 A sweep does only the work its caller asks for.  ``backward(..., wrt=)``
 marks the nodes that depend on the requested leaves and runs VJPs only
@@ -47,12 +47,12 @@ masks of ``relu``, ``clamp`` and ``row_max`` are built at sweep time from
 the output, the input and the argmax indices, so a forward pass with no
 record (all of evaluation) builds none.
 
-``take_rows`` gathers rows by index, repeats allowed; its gradient is the
-adjoint scatter-add (``np.bincount``, in index order), whose own gradient
-is a gather again, so gathers differentiate to any order.  The triplet
-loss uses it to record only the cells its hinges read.  ``row_max`` is
-no longer called by the pipeline; it stays because the benchmark's
-tracer wraps it by name.
+``take_rows`` gathers rows by index, each in [0, n) and repeats allowed;
+its gradient is the adjoint scatter-add (``np.bincount``, in index
+order), whose own gradient is a gather again, so gathers differentiate
+to any order.  The triplet loss uses it to record only the cells its
+hinges read.  ``row_max`` is no longer called by the pipeline; it
+stays because the benchmark's tracer wraps it by name.
 
 An op costs little besides its numpy call.  Shape errors are numpy's
 own: a binary op, ``reshape`` and ``broadcast_to`` turn the ValueError
@@ -442,14 +442,16 @@ def row_max(x) -> tuple[Tensor, np.ndarray]:
 
 
 def take_rows(x, idx) -> Tensor:
-    """Rows `idx` of `x`, x[idx] along axis 0; an index may repeat.
+    """Rows `idx` of `x`, x[idx] along axis 0; an index may repeat, and
+    each must lie in [0, n) for the n rows of `x`.
 
     The indices are plain ints, not part of the record.  The gradient is
     the adjoint scatter-add, which adds each gradient row into its source
     row in index order."""
     x = _lift(x)
     idx = np.asarray(idx)
-    if x.ndim == 0 or idx.ndim != 1 or idx.dtype.kind not in "iu":
+    if (x.ndim == 0 or idx.ndim != 1 or idx.dtype.kind not in "iu"
+            or idx.size and not 0 <= idx.min() <= idx.max() < x.shape[0]):
         raise ShapeMismatchError("take_rows", x.shape, idx.shape)
     n = x.shape[0]
     out = x.data[idx]
@@ -461,18 +463,13 @@ def take_rows(x, idx) -> Tensor:
 def _scatter_rows(g: Tensor, idx: np.ndarray, n: int) -> Tensor:
     """The adjoint of `take_rows`: n rows of zeros with row k of `g` added
     into row idx[k], in index order.  Its own adjoint is `take_rows`."""
-    try:
-        if g.ndim == 1:
-            out = np.bincount(idx, g.data, n)
-        else:  # one bin per cell of the n output rows
-            width = math.prod(g.shape[1:])
-            cells = (idx[:, None] * width + np.arange(width)).ravel()
-            out = np.bincount(cells, g.data.ravel(), n * width)
-            out = out.reshape((n,) + g.shape[1:])
-    except ValueError:  # bincount's bins are non-negative; x[idx]'s need not be
-        if idx.min() >= 0:
-            raise
-        return _scatter_rows(g, idx % n, n)
+    if g.ndim == 1:
+        out = np.bincount(idx, g.data, n)
+    else:  # one bin per cell of the n output rows
+        width = math.prod(g.shape[1:])
+        cells = (idx[:, None] * width + np.arange(width)).ravel()
+        out = np.bincount(cells, g.data.ravel(), n * width)
+        out = out.reshape((n,) + g.shape[1:])
     return _record("scatter_rows", out, (g,),
                    lambda gg, *_: (take_rows(gg, idx),))
 

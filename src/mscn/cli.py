@@ -95,11 +95,11 @@ def _keep_freed_memory():
     A training step allocates and frees arrays of 1-2 MB.  By default glibc
     maps each one fresh and unmaps it on free, or trims the heap, so every
     step faults its pages in again.  Serving up to 4 MiB from the heap and
-    trimming only above 64 MiB of free top space removes that churn.  Two
-    arenas, one per training thread, keep the memory held that way from
-    growing with every evaluation worker that gets an arena of its own.  A
-    C library without mallopt is left as it is.  Returns whether the
-    settings were made."""
+    trimming only above 64 MiB of free top space removes that churn.  At
+    most two arenas keep the memory held that way from growing with every
+    evaluation worker that would get an arena of its own: a 2000 x 2000
+    eval peaks lower with the cap.  A C library without mallopt is left as
+    it is.  Returns whether the settings were made."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -265,9 +265,8 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=list(SCORER_OF_MODE),
                    help="override the training mode")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker threads for evaluation; with more than one, "
-                        "mscn mode also trains its two network pairs on two "
-                        "threads (outputs do not depend on it)")
+                   help="worker threads for evaluation (outputs do not "
+                        "depend on it)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on a split")

@@ -13,8 +13,8 @@ Each epoch both network pairs score every training pair, a Beta mixture
 splits the scores into clean/noisy, and each pair trains on the set the
 *other* pair admitted.  A warmup phase precedes this: fixed-margin
 training plus per-iteration supervised updates of the correction network.
-The sets are fixed before an epoch's steps start, so within an epoch the
-two pairs' step loops share nothing and can run on two threads.
+The sets are fixed before an epoch's steps start, and the two pairs' step
+loops run one after the other on the calling thread.
 
 Everything stochastic draws from SeedSequence([seed, *tags]) streams, so
 a run is a pure function of (dataset bytes, config).
@@ -23,7 +23,6 @@ a run is a pure function of (dataset bytes, config).
 from __future__ import annotations
 
 import logging
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Optional
@@ -453,13 +452,12 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
     """Run the full schedule (warmup then main epochs) on two network pairs.
 
     With out_dir set, writes metrics.tsv (one row per epoch, flushed as it
-    goes), best-validation checkpoints, and final checkpoints.  `threads`
-    is the worker count of every validation eval (see
-    `evalkit.worker_count`).  In mscn mode with more than one worker, each
-    epoch runs net 2's step loop on a second thread while net 1's runs on
-    the calling thread; the outputs do not depend on it.  The baseline's
-    many small ops would only contend for the interpreter lock, so its
-    loops run one after the other."""
+    goes), best-validation checkpoints, and final checkpoints.  Each epoch
+    trains net 1 and then net 2 on the calling thread: their steps are
+    engine ops of a few microseconds that hold the interpreter lock, so a
+    second thread would mostly wait for it.  `threads` is the worker
+    count of every validation eval (see `evalkit.worker_count`); the
+    outputs do not depend on it."""
     cfg.validate()
     train_split, meta_split, val_split = ds.train, ds.meta, ds.val
     if len(train_split) < cfg.batch_size:
@@ -492,10 +490,6 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
     best_epoch = -1
     best_nets = [(net.main, net.meta) for net in nets]
     report = None
-    executor = None
-    if cfg.mode == "mscn" and evalkit.worker_count(threads) > 1:
-        executor = ThreadPoolExecutor(max_workers=1,
-                                      thread_name_prefix="mscn-net")
 
     try:
         for epoch in range(total_epochs):
@@ -539,17 +533,11 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
                         "pool": pool,
                     })
 
-            def run_net(k):
-                return _train_net_epoch(nets[k], k, pools[k], epoch, warm,
-                                        lr_main, lr_meta, train_split,
-                                        meta_split, cfg)
-
-            if executor is None:
-                done = [run_net(k) for k in range(2)]
-            else:
-                second = executor.submit(run_net, 1)
-                done = [run_net(0), second.result()]
-            nets, losses, mlosses = (list(col) for col in zip(*done))
+            losses, mlosses = [None] * 2, [None] * 2
+            for k in range(2):
+                nets[k], losses[k], mlosses[k] = _train_net_epoch(
+                    nets[k], k, pools[k], epoch, warm, lr_main, lr_meta,
+                    train_split, meta_split, cfg)
 
             report = evalkit.evaluate(
                 [(net.main, net.meta) for net in nets], val_split,
@@ -581,8 +569,6 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
                         model.save_checkpoint(
                             out_path / f"net{k + 1}_best.mscp", net.main, net.meta)
     finally:
-        if executor is not None:
-            executor.shutdown()
         if metrics_fh is not None:
             metrics_fh.close()
 

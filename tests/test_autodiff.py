@@ -77,8 +77,7 @@ class TestForwardValues:
 
     def test_scatter_rows_adds_as_add_at(self):
         """The adjoint of a gather sums repeated rows in index order, bit for
-        bit as np.add.at does, -0.0 included, at either rank; a negative
-        index counts from the end."""
+        bit as np.add.at does, -0.0 included, at either rank."""
         rng = rng_for(12)
         idx = np.array([3, 0, 3, 1, 3, 3])
         for shape in ((6,), (6, 5), (6, 2, 3)):
@@ -86,10 +85,9 @@ class TestForwardValues:
             g[1] = -0.0
             want = np.zeros((5,) + shape[1:])
             np.add.at(want, idx, g)
-            for i in (idx, idx - 5):
-                got = ad._scatter_rows(ad.Tensor(g), i, 5).data
-                assert got.shape == want.shape
-                assert got.tobytes() == want.tobytes(), (shape, i)
+            got = ad._scatter_rows(ad.Tensor(g), idx, 5).data
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes(), shape
 
     def test_matmul_shapes(self):
         rng = rng_for(11)
@@ -190,7 +188,8 @@ class TestShapeAndDomainErrors:
 
     def test_take_rows_needs_a_1d_integer_index(self):
         x = ad.Tensor(np.zeros((3, 2)))
-        for idx in (np.array([0.0, 1.0]), np.array([[0, 1]])):
+        for idx in (np.array([0.0, 1.0]), np.array([[0, 1]]),
+                    np.array([0, -1]), np.array([3, 0])):
             with pytest.raises(ad.ShapeMismatchError, match="take_rows"):
                 ad.take_rows(x, idx)
         with pytest.raises(ad.ShapeMismatchError, match="take_rows"):

@@ -468,9 +468,9 @@ def test_train_outputs_do_not_depend_on_blas_threads(pipeline, tmp_path):
     assert outputs["1"] == outputs["2"]
 
 
-def test_train_outputs_do_not_depend_on_training_threads(pipeline, tmp_path):
-    """Training the two network pairs on two threads writes the same bytes
-    as training them one after the other."""
+def test_train_outputs_do_not_depend_on_threads(pipeline, tmp_path):
+    """Training with two evaluation workers writes the same bytes as
+    training with one."""
     data, _ = pipeline
     outputs = {}
     for n in ("1", "2"):

@@ -4,18 +4,22 @@
 functions of the `mscn` modules, and its self-check compares the
 program's scorers and recall with an independent reference before every
 benchmark run.  Renaming or deleting any of those functions breaks every
-benchmark run, so the names are checked here.
+benchmark run, so the names are checked here, as is the span nesting
+the benchmark's per-layer self times rely on.
 """
 
 from __future__ import annotations
 
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
 import mscn
+from mscn.cli import EXIT_OK, main
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -39,3 +43,28 @@ def test_every_traced_name_exists(perfbench):
 
 def test_benchmark_self_check_passes(perfbench):
     assert perfbench["selfcheck"].run(ROOT, perfbench["run"].END_TO_END) == []
+
+
+def test_training_steps_nest_under_train(perfbench, tmp_path):
+    """In a traced train with two evaluation workers, every warmup and
+    bilevel step span has the `meta_loop.train` span as its parent: no
+    training step runs on a thread of its own."""
+    smoke = str(ROOT / "configs" / "smoke.json")
+    data = tmp_path / "data"
+    assert main(["gen-data", "--config", smoke, "--out", str(data)]) == EXIT_OK
+    trace = tmp_path / "trace.npz"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "traced_cli.py"), str(trace),
+         "train", "--config", smoke, "--data", str(data / "dataset.mscd"),
+         "--out", str(tmp_path / "run"), "--threads", "2"],
+        env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == EXIT_OK, proc.stderr
+    spans = perfbench["tracer"].load(trace)
+    names = [spans["names"][i] for i in spans["name"]]
+    steps = [i for i, name in enumerate(names)
+             if name in ("meta_loop.warmup_step", "meta_loop.bilevel_step")]
+    assert steps
+    parents = {names[spans["parent"][i]] for i in steps}
+    assert parents == {"meta_loop.train"}
