@@ -52,7 +52,8 @@ its gradient is the adjoint scatter-add (``np.bincount``, in index
 order), whose own gradient is a gather again, so gathers differentiate
 to any order.  The triplet loss uses it to record only the cells its
 hinges read.  ``row_max`` is no longer called by the pipeline; it
-stays because the benchmark's tracer wraps it by name.
+stays as the op of the tests' full-matrix reference loss, and the
+benchmark's tracer wraps it by name.
 
 An op costs little besides its numpy call.  Shape errors are numpy's
 own: a binary op, ``reshape`` and ``broadcast_to`` turn the ValueError

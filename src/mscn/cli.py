@@ -95,11 +95,12 @@ def _keep_freed_memory():
     A training step allocates and frees arrays of 1-2 MB.  By default glibc
     maps each one fresh and unmaps it on free, or trims the heap, so every
     step faults its pages in again.  Serving up to 4 MiB from the heap and
-    trimming only above 64 MiB of free top space removes that churn.  At
-    most two arenas keep the memory held that way from growing with every
-    evaluation worker that would get an arena of its own: a 2000 x 2000
-    eval peaks lower with the cap.  A C library without mallopt is left as
-    it is.  Returns whether the settings were made."""
+    trimming only above 64 MiB of free top space removes that churn.  One
+    arena, shared by the evaluation workers, keeps the memory held that way
+    from growing with every worker that would get an arena of its own: a
+    default `train --threads 2` peaks about 4 MB lower than with two.  A C
+    library without mallopt is left as it is.  Returns whether the
+    settings were made."""
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
@@ -108,7 +109,7 @@ def _keep_freed_memory():
     mallopt.restype = ctypes.c_int
     mallopt(_M_MMAP_THRESHOLD, 4 << 20)
     mallopt(_M_TRIM_THRESHOLD, 64 << 20)
-    mallopt(_M_ARENA_MAX, 2)
+    mallopt(_M_ARENA_MAX, 1)
     return True
 
 

@@ -96,6 +96,10 @@ class TrainConfig:
             raise ValueError("warmup_epochs + epochs must be at least 1")
         if not 0 < self.lr_decay_factor <= 1:
             raise ValueError("lr_decay_factor must lie in (0, 1]")
+        if min(self.d_emb, self.d_sim, self.mscn_hidden) < 1:
+            raise ValueError("d_emb, d_sim and mscn_hidden must be at least 1")
+        if self.branch_hidden is not None and self.branch_hidden < 1:
+            raise ValueError("branch_hidden must be at least 1 when set")
         if not self.d_sim < self.d_emb:
             raise ValueError("d_sim must be below d_emb")
         if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
@@ -337,8 +341,7 @@ def baseline_step(state: NetState, images, texts, lr_main: float,
     """Fixed-margin triplet step on cosine scores; no correction network."""
     def loss_of(main_l):
         scores, _ = model.cosine_scores(images, texts, main_l)
-        return objective.triplet_loss_from_scores(
-            scores, cfg.gamma, cfg.tau, adaptive=False, clamp_scores=False)
+        return objective.triplet_loss_from_scores(scores, cfg.gamma)
 
     main_new, loss_val = _descend_on(state.main, loss_of, state.opt_main,
                                      lr_main, "baseline")

@@ -308,16 +308,14 @@ def block_scores(feature: tuple[np.ndarray, np.ndarray],
     return scores, int(mask.sum())
 
 
-def cosine_scores(images, texts, main: MainNetParams,
-                  degenerate: str = "error") -> tuple[Tensor, int]:
+def cosine_scores(images, texts, main: MainNetParams) -> tuple[Tensor, int]:
     """Cosine similarity of every image embedding against every text
     embedding: (n_img, n_txt) in [-1, 1].
 
     Used by the fixed-margin ablation, which has no correction network.
-    Embeds both sides, then scores them in one `block_cosine` call; see
-    there for the degenerate policies."""
-    return block_cosine(embed_image(images, main), embed_text(texts, main),
-                        degenerate)
+    Embeds both sides, then scores them in one `block_cosine` call, which
+    raises on an unrepresentable embedding norm."""
+    return block_cosine(embed_image(images, main), embed_text(texts, main))
 
 
 def block_cosine(u, v, degenerate: str = "error") -> tuple[Tensor, int]:

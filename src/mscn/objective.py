@@ -3,9 +3,10 @@
 The triplet loss ranks each true pair above its hardest in-batch
 negatives under a margin that adapts to the pair's own match score: pairs
 the correction network trusts get the full margin, distrusted pairs get a
-vanishing one.  The meta loss is plain binary cross-entropy on trusted
-positive / constructed negative pairs and is what trains the correction
-network.
+vanishing one.  The fixed-margin baseline, which has no correction
+network, ranks the cosines of its embeddings under the fixed margin
+instead.  The meta loss is the binary cross-entropy on trusted positive /
+constructed negative pairs and is what trains the correction network.
 """
 
 from __future__ import annotations
@@ -44,9 +45,13 @@ from .model import (
 from .purifier import SCORE_CLAMP_HI, SCORE_CLAMP_LO
 
 
-def _check_margin_params(gamma: float, tau: float):
+def _check_margin_base(gamma: float):
     if not gamma > 0:
         raise ValueError(f"margin base must be positive, got {gamma}")
+
+
+def _check_margin_params(gamma: float, tau: float):
+    _check_margin_base(gamma)
     if not tau > 0:
         raise ValueError(f"margin sharpness must be positive, got {tau}")
 
@@ -77,14 +82,13 @@ def _hardest_negatives(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return off.argmax(axis=1), off.argmax(axis=0)
 
 
-def _hinges(cells: Tensor, diag, text, img, gamma: float, tau: float,
-            adaptive: bool) -> Tensor:
+def _hinges(cells: Tensor, diag, text, img, gamma: float, tau=None) -> Tensor:
     """Two-sided hinge loss per true pair from the 1-D score vector `cells`:
     cells[diag] are the true pairs, cells[text] each image's hardest text
-    and cells[img] each text's hardest image."""
-    _check_margin_params(gamma, tau)
+    and cells[img] each text's hardest image.  The margin adapts to the
+    true pair's score when `tau` is given, else it is the fixed `gamma`."""
     pos = take_rows(cells, diag)
-    if adaptive:
+    if tau is not None:
         margin = adaptive_margin(pos, gamma, tau)
     else:
         margin = Tensor(np.full(len(diag), gamma))
@@ -93,30 +97,21 @@ def _hinges(cells: Tensor, diag, text, img, gamma: float, tau: float,
                relu(add(gap, take_rows(cells, img))))
 
 
-def per_pair_hinges(scores: Tensor, gamma: float, tau: float,
-                    adaptive: bool = True, clamp_scores: bool = True) -> Tensor:
-    """Two-sided hinge loss per true pair, given the full score matrix.
+def triplet_loss_from_scores(scores: Tensor, gamma: float) -> Tensor:
+    """The fixed-margin baseline's loss: the max-violation hinges of VSE++
+    (Faghri et al., BMVC 2018) summed over the batch.
 
-    scores: (n, n) with true pairs on the diagonal.  Scores are clamped to
-    the shared rails first (probability scorers only; disable for scorers
-    with other ranges, e.g. cosine).  The hinges read 3n cells, gathered
-    from the flattened matrix."""
+    scores: the full (n, n) score matrix, true pairs on the diagonal, in
+    any range (the baseline ranks cosines).  The hinges read 3n cells,
+    gathered from the flattened matrix."""
     if scores.ndim != 2 or scores.shape[0] != scores.shape[1]:
-        raise ShapeMismatchError("per_pair_hinges", scores.shape)
+        raise ShapeMismatchError("triplet_loss_from_scores", scores.shape)
+    _check_margin_base(gamma)
     n = scores.shape[0]
-    s = clamp(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI) if clamp_scores else scores
-    text_neg, img_neg = _hardest_negatives(s.data)
+    text_neg, img_neg = _hardest_negatives(scores.data)
     rows = np.arange(n)
-    return _hinges(reshape(s, (n * n,)), rows * (n + 1), rows * n + text_neg,
-                   img_neg * n + rows, gamma, tau, adaptive)
-
-
-def triplet_loss_from_scores(scores: Tensor, gamma: float, tau: float,
-                             adaptive: bool = True,
-                             clamp_scores: bool = True) -> Tensor:
-    """Sum of the per-pair hinges over the batch."""
-    return reduce_sum(per_pair_hinges(scores, gamma, tau, adaptive=adaptive,
-                                      clamp_scores=clamp_scores))
+    return reduce_sum(_hinges(reshape(scores, (n * n,)), rows * (n + 1),
+                              rows * n + text_neg, img_neg * n + rows, gamma))
 
 
 def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
@@ -129,6 +124,7 @@ def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
     batch's `block_feature` under `main` (built here if None).  Only the
     3n cells the hinges read are scored on it: the true pairs, each
     image's hardest text and each text's hardest image."""
+    _check_margin_params(gamma, tau)
     imgs, txts = _lift(images), _lift(texts)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("triplet_loss", imgs.shape, txts.shape)
@@ -145,18 +141,15 @@ def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
             take_rows(v, np.concatenate([rows, text_neg, rows]))),
         main.sim_w)
     cells = clamp(mscn_score(unit, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
-    return reduce_sum(_hinges(cells, rows, rows + n, rows + 2 * n,
-                              gamma, tau, adaptive))
+    return reduce_sum(_hinges(cells, rows, rows + n, rows + 2 * n, gamma,
+                              tau if adaptive else None))
 
 
-def meta_loss(images, texts, labels, main: MainNetParams, meta: MetaNetParams,
-              negative_term: bool = True) -> Tensor:
+def meta_loss(images, texts, labels, main: MainNetParams,
+              meta: MetaNetParams) -> Tensor:
     """Mean binary cross-entropy of correction scores on labeled pairs.
 
-    labels: 1 for trusted positives, 0 for constructed negatives.  With
-    negative_term=False only the positive half -y*log(s) is kept (the
-    ablated form); default is the full BCE.
-    """
+    labels: 1 for trusted positives, 0 for constructed negatives."""
     imgs, txts = _lift(images), _lift(texts)
     y = np.asarray(labels, dtype=np.float64)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
@@ -168,7 +161,5 @@ def meta_loss(images, texts, labels, main: MainNetParams, meta: MetaNetParams,
     if not ((y == 0.0) | (y == 1.0)).all():
         raise ValueError("meta_loss: labels must be 0 or 1")
     s = clamp(pair_score(imgs, txts, main, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
-    ll = mul(Tensor(y), log(s))
-    if negative_term:
-        ll = add(ll, mul(Tensor(1.0 - y), log(sub(1.0, s))))
-    return neg(reduce_mean(ll))
+    return neg(reduce_mean(add(mul(Tensor(y), log(s)),
+                               mul(Tensor(1.0 - y), log(sub(1.0, s))))))

@@ -139,14 +139,14 @@ def posterior_clean(mixture: BetaMixture, scores) -> np.ndarray:
     return np.exp(lj[0] - logsumexp(lj, axis=0))
 
 
-def em_fit(scores, init: BetaMixture, max_iters: int = EM_MAX_ITERS,
-           tol: float = EM_TOL) -> MixtureFit:
+def em_fit(scores, init: BetaMixture) -> MixtureFit:
     """EM with a moment-matching M-step and a likelihood guard.
 
     Moment matching is not a true maximizer, so each iteration is accepted
     only if the mean log-likelihood does not drop; a dropping update is
-    reverted and fitting stops.  Stops early once the improvement falls
-    below `tol` or a component weight collapses below 1e-6.
+    reverted and fitting stops.  Runs at most EM_MAX_ITERS iterations and
+    stops early once the improvement falls below EM_TOL or a component
+    weight collapses below 1e-6.
     """
     from scipy.special import logsumexp
     s = clamp_score(scores)
@@ -157,7 +157,7 @@ def em_fit(scores, init: BetaMixture, max_iters: int = EM_MAX_ITERS,
     trajectory = [ll]
     iterations = 0
     collapsed = False
-    for _ in range(max_iters):
+    for _ in range(EM_MAX_ITERS):
         lj = _component_log_joint(current, s)
         resp = np.exp(lj - logsumexp(lj, axis=0, keepdims=True))  # (2, n)
         new_weight = resp.mean(axis=1)
@@ -180,7 +180,7 @@ def em_fit(scores, init: BetaMixture, max_iters: int = EM_MAX_ITERS,
         trajectory.append(new_ll)
         improvement = new_ll - ll
         ll = new_ll
-        if improvement < tol:
+        if improvement < EM_TOL:
             break
     if current.means()[0] < current.means()[1]:
         current = BetaMixture(current.alpha[::-1].copy(),

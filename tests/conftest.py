@@ -136,14 +136,10 @@ def full_matrix_triplet_loss(scores, gamma: float, tau: float,
                                 ad.relu(ad.add(gap, img_neg))))
 
 
-def bce_oracle(scores: np.ndarray, labels: np.ndarray,
-               negative_term: bool = True) -> float:
+def bce_oracle(scores: np.ndarray, labels: np.ndarray) -> float:
     s = np.clip(scores, 1e-4, 1 - 1e-4)
     y = np.asarray(labels, dtype=np.float64)
-    terms = y * np.log(s)
-    if negative_term:
-        terms = terms + (1.0 - y) * np.log(1.0 - s)
-    return float(-np.mean(terms))
+    return float(-np.mean(y * np.log(s) + (1.0 - y) * np.log(1.0 - s)))
 
 
 # ---------------------------------------------------------------------------

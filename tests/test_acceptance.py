@@ -49,6 +49,19 @@ def _projected(out: ad.Tensor, proj: np.ndarray) -> ad.Tensor:
     return ad.reduce_sum(ad.mul(out, ad.Tensor(proj)))
 
 
+def _fixed_hinge_margin(s: np.ndarray, gamma: float) -> float:
+    """Distance of a fixed-margin hinge loss on the score matrix `s` from
+    its switches: a tie for some hardest negative, or a hinge at zero."""
+    off = s + np.where(np.eye(len(s), dtype=bool), -np.inf, 0.0)
+    diag = np.diag(s)
+    margins = []
+    for mat in (off, off.T):
+        top2 = np.sort(mat, axis=1)[:, -2:]
+        margins.append(float((top2[:, 1] - top2[:, 0]).min()))
+        margins.append(float(np.abs(gamma - diag + mat.max(axis=1)).min()))
+    return min(margins)
+
+
 def _unit_feature_margins(imgs, txts, main, meta):
     """Distance from the relu and normalization switches along pair scoring."""
     u = model.embed_image(imgs, main).data
@@ -130,12 +143,15 @@ def _gradient_case(kind: str, rng):
                 model.pair_score(leafs["imgs"], leafs["txts"], m, h), proj)
 
         margin = min(_unit_feature_margins(imgs, txts, main, meta))
-    elif kind == "cosine_scores":
+    elif kind in ("cosine_scores", "triplet_cosine"):
         proj = rng.normal(size=(n, n))
+        gamma = 0.2
 
         def forward(leafs):
             m, _ = nets_from(leafs)
             scores, _ = model.cosine_scores(leafs["imgs"], leafs["txts"], m)
+            if kind == "triplet_cosine":
+                return objective.triplet_loss_from_scores(scores, gamma)
             return _projected(scores, proj)
 
         u = model.embed_image(imgs, main).data
@@ -146,6 +162,9 @@ def _gradient_case(kind: str, rng):
             float(np.linalg.norm(u, axis=-1).min()),
             float(np.linalg.norm(v, axis=-1).min()),
         )
+        if kind == "triplet_cosine":
+            margin = min(margin, _fixed_hinge_margin(
+                model.cosine_scores(imgs, txts, main)[0].data, gamma))
     elif kind == "all_pairs_scores":
         proj = rng.normal(size=(n, n))
 
@@ -177,13 +196,13 @@ def _gradient_case(kind: str, rng):
                                           gamma, tau, adaptive=adaptive)
 
         margin = triplet_kink_margin(imgs, txts, main, meta, gamma, tau)
-    elif kind in ("meta_bce_full", "meta_bce_positive"):
+    elif kind == "meta_bce":
         labels = (rng.uniform(size=n) < 0.5).astype(np.float64)
 
-        def forward(leafs, neg=(kind == "meta_bce_full")):
+        def forward(leafs):
             m, h = nets_from(leafs)
             return objective.meta_loss(leafs["imgs"], leafs["txts"], labels,
-                                       m, h, negative_term=neg)
+                                       m, h)
 
         margin = meta_kink_margin(imgs, txts, main, meta)
     else:
@@ -194,7 +213,7 @@ def _gradient_case(kind: str, rng):
 GRADIENT_KINDS = (
     "embed_image", "embed_text", "similarity_feature", "mscn_score",
     "pair_score", "cosine_scores", "all_pairs_scores", "adaptive_margin",
-    "triplet_adaptive", "triplet_fixed", "meta_bce_full", "meta_bce_positive",
+    "triplet_adaptive", "triplet_fixed", "triplet_cosine", "meta_bce",
 )
 
 

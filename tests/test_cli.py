@@ -181,6 +181,29 @@ def test_negative_seeds_exit_config(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_network_sizes_exit_config(tmp_path, capsys):
+    """A layer width below 1 is rejected by name before the data file is
+    read (it does not exist, which would otherwise exit 2), rather than
+    failing inside parameter init."""
+    smoke = json.loads(Path(SMOKE).read_text())
+    absent, out = str(tmp_path / "absent.mscd"), tmp_path / "out"
+    for key, value, message in (
+            ("mscn_hidden", 0, "mscn_hidden must be at least 1"),
+            ("mscn_hidden", -1, "mscn_hidden must be at least 1"),
+            ("d_sim", 0, "d_sim and mscn_hidden must be at least 1"),
+            ("d_emb", 0, "d_emb, d_sim and mscn_hidden must be at least 1"),
+            ("branch_hidden", 0, "branch_hidden must be at least 1"),
+            ("branch_hidden", -2, "branch_hidden must be at least 1")):
+        cfg = json.loads(json.dumps(smoke))
+        cfg["train"][key] = value
+        path = write_json(tmp_path / "c.json", cfg)
+        assert main(["train", "--config", path, "--data", absent,
+                     "--out", str(out)]) == EXIT_CONFIG, (key, value)
+        err = capsys.readouterr().err
+        assert "bad train config:" in err and message in err, (key, value)
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # usage errors
 

@@ -1,7 +1,7 @@
 """Objective checks: the adaptive margin against its odds-ratio form and
-frozen hand values, the triplet loss against a loop-written oracle and
-against its full-matrix form, the meta loss against a literal BCE, and FD
-gradients through both losses."""
+frozen hand values, the baseline's fixed-margin loss against a
+loop-written oracle, the triplet loss against its full-matrix form, the
+meta loss against a literal BCE, and FD gradients through both losses."""
 
 from __future__ import annotations
 
@@ -86,8 +86,7 @@ def hinge_grad(s: np.ndarray, gamma: float) -> np.ndarray:
     """Gradient of the summed fixed-margin hinges w.r.t. raw scores."""
     with ad.Tape() as tape:
         x = tape.leaf(s)
-        loss = objective.triplet_loss_from_scores(x, gamma, 2.0, adaptive=False,
-                                                  clamp_scores=False)
+        loss = objective.triplet_loss_from_scores(x, gamma)
         return ad.backward(tape, loss)[x].data
 
 
@@ -123,8 +122,8 @@ def routed(text_neg, img_neg) -> np.ndarray:
 
 
 class TestHardestNegatives:
-    """The hinges pick their negatives inside per_pair_hinges; the picks
-    show in where the gradient goes."""
+    """The hinges pick their negatives inside triplet_loss_from_scores; the
+    picks show in where the gradient goes."""
 
     def test_hand_matrix(self):
         s = np.array([[0.9, 0.2, 0.8],
@@ -149,61 +148,77 @@ class TestHardestNegatives:
             s = rng.uniform(size=(n, n))
             s[np.arange(n), np.arange(n)] = 5.0  # even an absurdly high true score
             gamma = float(rng.uniform(0.1, 8.0))
-            got = objective.per_pair_hinges(ad.Tensor(s), gamma, 2.0, adaptive=False,
-                                            clamp_scores=False).data
-            _, want = triplet_oracle(s, gamma, 2.0, adaptive=False, clamp=False)
-            np.testing.assert_allclose(got, want, rtol=1e-12, atol=0)
+            got = objective.triplet_loss_from_scores(ad.Tensor(s), gamma).item()
+            want, _ = triplet_oracle(s, gamma, 2.0, adaptive=False, clamp=False)
+            assert got == pytest.approx(want, rel=1e-12)
             np.testing.assert_array_equal(hinge_grad(s, gamma),
                                           hinge_grad_oracle(s, gamma))
 
 
 class TestTripletLoss:
     def test_matches_loop_oracle_on_random_matrices(self):
+        """The baseline's loss on cosine-range matrices, and the full-matrix
+        form the mscn route is held to, against the loop oracle."""
         for trial in range(40):
             rng = rng_for(703, trial)
             n = int(rng.integers(2, 8))
-            s = rng.uniform(0.02, 0.98, size=(n, n))
+            s = rng.uniform(-1.0, 1.0, size=(n, n))
+            got = objective.triplet_loss_from_scores(ad.Tensor(s), 0.2).item()
+            want, _ = triplet_oracle(s, 0.2, 2.0, adaptive=False, clamp=False)
+            assert got == pytest.approx(want, rel=1e-12), trial
+            p = (s + 1.0) / 2.0
             for adaptive in (True, False):
-                got = objective.triplet_loss_from_scores(
-                    ad.Tensor(s), 0.2, 2.0, adaptive=adaptive).item()
-                want, _ = triplet_oracle(s, 0.2, 2.0, adaptive=adaptive)
+                got = full_matrix_triplet_loss(ad.Tensor(p), 0.2, 2.0,
+                                               adaptive=adaptive).item()
+                want, _ = triplet_oracle(p, 0.2, 2.0, adaptive=adaptive)
                 assert got == pytest.approx(want, rel=1e-12), (trial, adaptive)
 
-    def test_clamping_applied_before_margins(self):
-        s = np.array([[1.5, -0.2], [0.3, 2.0]])
-        got = objective.triplet_loss_from_scores(ad.Tensor(s), 0.2, 2.0).item()
-        want, _ = triplet_oracle(s, 0.2, 2.0)
+    def test_scores_enter_unclamped(self):
+        """Cells outside [0, 1] count at their own value: nothing clips the
+        baseline's scores to the probability rails."""
+        s = np.array([[1.5, 1.6], [-0.3, -0.2]])
+        got = objective.triplet_loss_from_scores(ad.Tensor(s), 0.2).item()
+        want, _ = triplet_oracle(s, 0.2, 2.0, adaptive=False, clamp=False)
         assert got == pytest.approx(want, rel=1e-12)
+        # row 0: 0.2 - 1.5 + 1.6 and an inactive hinge; row 1: 0.2 + 0.2 - 0.3
+        # and 0.2 + 0.2 + 1.6.  Clipped to the rails the sum would be 1.5998.
+        assert got == pytest.approx(0.3 + 0.1 + 2.0, rel=1e-12)
 
     def test_zero_when_positives_dominate(self):
         """Diagonal far above everything else: every hinge is inactive."""
         n = 4
         s = np.full((n, n), 0.05)
         np.fill_diagonal(s, 0.95)
-        # margin(0.95) < 0.2 < 0.95 - 0.05, so gap + negative < 0
-        got = objective.triplet_loss_from_scores(ad.Tensor(s), 0.2, 2.0).item()
+        # 0.2 < 0.95 - 0.05, so gap + negative < 0
+        got = objective.triplet_loss_from_scores(ad.Tensor(s), 0.2).item()
         assert got == 0.0
 
     def test_positive_when_any_negative_wins(self):
         s = np.full((3, 3), 0.5)
         s[0, 1] = 0.9  # a negative scores above the true pair
-        assert objective.triplet_loss_from_scores(ad.Tensor(s), 0.2, 2.0).item() > 0
-
-    def test_batch_wrapper_equals_score_route(self):
-        main, meta = tiny_nets(20)
-        rng = rng_for(704)
-        imgs = rng.normal(size=(5, 5))
-        txts = rng.normal(size=(5, 4))
-        via_batch = objective.triplet_loss(imgs, txts, main, meta, 0.2, 2.0).item()
-        scores, _ = model.all_pairs_scores(imgs, txts, main, meta)
-        via_scores = objective.triplet_loss_from_scores(scores, 0.2, 2.0).item()
-        assert via_batch == via_scores
+        assert objective.triplet_loss_from_scores(ad.Tensor(s), 0.2).item() > 0
 
     def test_shape_validation(self):
         with pytest.raises(ValueError, match="at least 2"):
-            objective.triplet_loss_from_scores(ad.Tensor([[0.5]]), 0.2, 2.0)
+            objective.triplet_loss_from_scores(ad.Tensor([[0.5]]), 0.2)
         with pytest.raises(ad.ShapeMismatchError):
-            objective.triplet_loss_from_scores(ad.Tensor(np.zeros((2, 3))), 0.2, 2.0)
+            objective.triplet_loss_from_scores(ad.Tensor(np.zeros((2, 3))), 0.2)
+
+    def test_margin_validation(self):
+        s = ad.Tensor(np.eye(3))
+        for gamma in (0.0, -0.1, float("nan")):
+            with pytest.raises(ValueError, match="margin base must be positive"):
+                objective.triplet_loss_from_scores(s, gamma)
+        main, meta = tiny_nets(20)
+        rng = rng_for(704)
+        imgs, txts = rng.normal(size=(3, 5)), rng.normal(size=(3, 4))
+        for adaptive in (True, False):
+            with pytest.raises(ValueError, match="margin base must be positive"):
+                objective.triplet_loss(imgs, txts, main, meta, 0.0, 2.0,
+                                       adaptive=adaptive)
+            with pytest.raises(ValueError, match="margin sharpness must be positive"):
+                objective.triplet_loss(imgs, txts, main, meta, 0.2, 0.0,
+                                       adaptive=adaptive)
 
     def test_fd_gradients_through_full_loss(self):
         found = 0
@@ -322,8 +337,7 @@ class TestFullMatrixForm:
                     grads = ad.backward(tape, loss)
                 return loss.item(), [grads[t].data for _, t in main_l.items()]
 
-            got = via(lambda s: objective.triplet_loss_from_scores(
-                s, 0.2, 2.0, adaptive=False, clamp_scores=False))
+            got = via(lambda s: objective.triplet_loss_from_scores(s, 0.2))
             want = via(lambda s: full_matrix_triplet_loss(
                 s, 0.2, 2.0, adaptive=False, clamp=False))
             assert got[0] == want[0], trial
@@ -348,13 +362,11 @@ class TestMetaLoss:
             imgs = rng.normal(size=(m, 5))
             txts = rng.normal(size=(m, 4))
             labels = rng.integers(0, 2, size=m).astype(float)
-            for negative_term in (True, False):
-                got = objective.meta_loss(imgs, txts, labels, main, meta,
-                                          negative_term=negative_term).item()
-                scores = model.pair_score(
-                    ad.Tensor(imgs), ad.Tensor(txts), main, meta).data
-                want = bce_oracle(scores, labels, negative_term=negative_term)
-                assert got == pytest.approx(want, rel=1e-12)
+            got = objective.meta_loss(imgs, txts, labels, main, meta).item()
+            scores = model.pair_score(
+                ad.Tensor(imgs), ad.Tensor(txts), main, meta).data
+            want = bce_oracle(scores, labels)
+            assert got == pytest.approx(want, rel=1e-12)
 
     def test_near_zero_on_confident_correct_scores(self):
         """If the scorer were perfect the loss is bounded by the clamp."""
@@ -437,7 +449,6 @@ class TestCosineScores:
         imgs = rng.normal(size=(4, 5))
         txts = rng.normal(size=(4, 4))
         scores, _ = model.cosine_scores(imgs, txts, main)
-        got = objective.triplet_loss_from_scores(
-            scores, 0.2, 2.0, adaptive=False, clamp_scores=False).item()
+        got = objective.triplet_loss_from_scores(scores, 0.2).item()
         want, _ = triplet_oracle(scores.data, 0.2, 2.0, adaptive=False, clamp=False)
         assert got == pytest.approx(want, rel=1e-12)
