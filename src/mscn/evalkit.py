@@ -1,18 +1,25 @@
-"""Retrieval evaluation: averaged score matrices and recall@K.
+"""Retrieval evaluation: averaged score blocks and recall@K.
 
-Both scorers embed images and texts once per model, then run one block
-loop; they differ only in the block's shape and the function that scores
-it.  The mscn scorer scores fixed tiles of at most TILE images x TILE
-texts, the training batch's block, through `model.block_feature` and
-`model.block_scores`, the plain-numpy scorer that picks the training
-negatives, with every cell the bits of `model.all_pairs_scores`.  A
-tile's (TILE * TILE, d_emb) intermediate is 2 MiB at d_emb=64 whatever
-the split size, so peak memory follows the tile, not the number of texts.
-The cosine scorer scores fixed CHUNK_ROWS-row chunks that span all texts
-through `model.block_cosine`.  The worker count (`threads`, or the CPUs
-this process may run on) only decides how many blocks run concurrently,
-never how the matrix is partitioned, so outputs are bitwise invariant to
-it.
+Both scorers embed images and texts once per model, then score the
+(n_img, n_txt) matrix block by block; they differ only in the block's
+shape and the function that scores it.  The mscn scorer scores fixed
+tiles of at most TILE images x TILE texts, the training batch's block,
+through `model.block_feature` and `model.block_scores`, the plain-numpy
+scorer that picks the training negatives, with every cell the bits of
+`model.all_pairs_scores`.  A tile's (TILE * TILE, d_emb) intermediate is
+2 MiB at d_emb=64 whatever the split size.  The cosine scorer scores
+fixed CHUNK_ROWS-row strips that span all texts through
+`model.block_cosine`.  The worker count (`threads`, or the CPUs this
+process may run on) only decides how many blocks run concurrently, never
+how the matrix is partitioned, so outputs are bitwise invariant to it.
+
+`score_matrix` fills the whole matrix from the blocks.  `evaluate` builds
+no matrix: it first scores the blocks that hold a true pair and reads the
+true scores from them, then each worker counts, for its block, the
+candidates that rank ahead of each row's and each column's true one.  On
+1:1 splits the kept blocks are the diagonal tiles, so the mscn scorer's
+memory follows the tile, not the number of texts.  Every cosine strip
+holds true pairs, so that scorer keeps all of them, as much as the matrix.
 
 Ranking is deterministic: a candidate ranks ahead of the true one if its
 score is strictly higher, or equal with a lower index.
@@ -22,6 +29,7 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -44,13 +52,13 @@ def worker_count(threads=None) -> int:
     return os.cpu_count() or 1
 
 
-def score_matrix(models, images, texts, scorer: str = "mscn",
-                 threads=None) -> tuple[np.ndarray, int]:
-    """(n_img, n_txt) score matrix averaged over the given network pairs.
+def _block_scorer(models, images, texts, scorer: str):
+    """Embed both sides once per model and tile the (n_img, n_txt) matrix.
 
-    models: list of (MainNetParams, MetaNetParams) tuples; the meta slot
-    is ignored by the cosine scorer.  Degenerate cells score 0.5 (mscn) or
-    0 (cosine) and are counted, not fatal."""
+    Returns the blocks, (rows, cols) slice pairs in row-major order; a
+    function block_of(i, j) giving the index of the block that holds cell
+    (i, j) (it takes arrays too); and a function scoring one block
+    averaged over `models` -> (scores, count of degenerate cells)."""
     if not models:
         raise ValueError("score_matrix: need at least one model")
     if scorer not in ("mscn", "cosine"):
@@ -58,25 +66,29 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
     sides = [(model.embed_image(images, main).data,
               model.embed_text(texts, main).data) for main, _ in models]
     ni, nt = len(images), len(texts)
-    out = np.empty((ni, nt), dtype=np.float64)
 
     if scorer == "mscn":
-        blocks = [(slice(r, r + TILE), slice(c, c + TILE))
-                  for r in range(0, ni, TILE) for c in range(0, nt, TILE)]
+        height, width = TILE, TILE
 
         def score(u, v, main, meta):
             return model.block_scores(
                 model.block_feature(u, v, main.sim_w, degenerate="half"), meta)
     else:
         # splitting the columns of a cosine block would change gemm bits
-        blocks = [(slice(r, r + CHUNK_ROWS), slice(None))
-                  for r in range(0, ni, CHUNK_ROWS)]
+        height, width = CHUNK_ROWS, max(nt, 1)
 
         def score(u, v, main, meta):
             scores, n_bad = model.block_cosine(u, v, degenerate="zero")
             return scores.data, n_bad
 
-    def run_block(block) -> int:
+    col_starts = range(0, nt, width)
+    blocks = [(slice(r, r + height), slice(c, c + width))
+              for r in range(0, ni, height) for c in col_starts]
+
+    def block_of(i, j):
+        return i // height * len(col_starts) + j // width
+
+    def averaged(block) -> tuple[np.ndarray, int]:
         rows, cols = block
         acc = None
         bad = 0
@@ -84,14 +96,38 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
             scores, n_bad = score(u[rows], v[cols], main, meta)
             bad += n_bad
             acc = scores if acc is None else acc + scores
-        out[rows, cols] = acc / len(models)
-        return bad
+        return acc / len(models), bad
 
+    return blocks, block_of, averaged
+
+
+@contextmanager
+def _block_map(threads, n_blocks: int):
+    """A `map` that runs its calls on the evaluation workers, in order."""
     workers = worker_count(threads)
-    if workers == 1 or len(blocks) <= 1:
-        return out, sum(map(run_block, blocks))
+    if workers == 1 or n_blocks <= 1:
+        yield map
+        return
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return out, sum(pool.map(run_block, blocks))
+        yield pool.map
+
+
+def score_matrix(models, images, texts, scorer: str = "mscn",
+                 threads=None) -> tuple[np.ndarray, int]:
+    """(n_img, n_txt) score matrix averaged over the given network pairs.
+
+    models: list of (MainNetParams, MetaNetParams) tuples; the meta slot
+    is ignored by the cosine scorer.  Degenerate cells score 0.5 (mscn) or
+    0 (cosine) and are counted, not fatal."""
+    blocks, _, score = _block_scorer(models, images, texts, scorer)
+    out = np.empty((len(images), len(texts)), dtype=np.float64)
+
+    def fill(block) -> int:
+        out[block], n_bad = score(block)
+        return n_bad
+
+    with _block_map(threads, len(blocks)) as each:
+        return out, sum(each(fill, blocks))
 
 
 def ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -108,19 +144,36 @@ def ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
         raise ValueError("ranks: truth indices out of range")
     if nq == 0:
         raise ValueError("ranks: no queries")
-    n_nan = np.count_nonzero(np.isnan(s))
+    _check_no_nan(np.count_nonzero(np.isnan(s)))
+    return 1 + _ahead(s, s[np.arange(nq), t], t, 0)
+
+
+def _check_no_nan(n_nan: int) -> None:
     if n_nan:
         raise ValueError(f"ranks: {n_nan} NaN score(s) cannot be ranked")
-    true_scores = s[np.arange(nq), t]
-    higher = (s > true_scores[:, None]).sum(axis=1)
-    cols = np.arange(nc)
-    earlier_tie = ((s == true_scores[:, None]) & (cols[None, :] < t[:, None])).sum(axis=1)
-    return 1 + higher + earlier_tie
+
+
+def _check_cutoff(k: int, n_candidates: int) -> None:
+    if not 1 <= k <= n_candidates:
+        raise ValueError(f"recall_at_k: k={k} outside [1, {n_candidates}]")
+
+
+def _ahead(scores: np.ndarray, true_scores: np.ndarray, truth: np.ndarray,
+           first: int) -> np.ndarray:
+    """Per row of a block, the candidates that rank ahead of the row's true
+    one: a strictly higher score, or an equal one at a lower index.  The
+    block's columns are candidates first, first + 1, ..."""
+    t = true_scores[:, None]
+    ahead = np.count_nonzero(scores > t, axis=1)
+    tied = scores == t
+    if tied.any():
+        lower = np.arange(first, first + scores.shape[1]) < truth[:, None]
+        ahead += np.count_nonzero(tied & lower, axis=1)
+    return ahead
 
 
 def _recall(rank: np.ndarray, k: int, n_candidates: int) -> float:
-    if not 1 <= k <= n_candidates:
-        raise ValueError(f"recall_at_k: k={k} outside [1, {n_candidates}]")
+    _check_cutoff(k, n_candidates)
     return 100.0 * int(np.count_nonzero(rank <= k)) / len(rank)
 
 
@@ -195,16 +248,51 @@ def _truth_maps(split: Split) -> tuple[np.ndarray, np.ndarray]:
 
 def evaluate(models, split: Split, ks=(1, 5, 10), scorer: str = "mscn",
              threads=None) -> RecallReport:
-    """Recall@K in both directions with scores averaged over `models`."""
+    """Recall@K in both directions with scores averaged over `models`.
+
+    The ranks equal those of `ranks` on `score_matrix`'s output, but no
+    (n_img, n_txt) matrix is built; see the module docstring."""
     ks = tuple(int(k) for k in ks)
-    scores, n_bad = score_matrix(models, split.images, split.texts,
-                                 scorer=scorer, threads=threads)
     i2t_truth, t2i_truth = _truth_maps(split)
-    i2t_rank = ranks(scores, i2t_truth)
-    t2i_rank = ranks(scores.T, t2i_truth)
-    i2t = {k: _recall(i2t_rank, k, scores.shape[1]) for k in ks}
-    t2i = {k: _recall(t2i_rank, k, scores.shape[0]) for k in ks}
+    n = len(split)
+    if n == 0:
+        raise ValueError("ranks: no queries")
+    for k in ks:
+        _check_cutoff(k, n)
+    blocks, block_of, score = _block_scorer(models, split.images, split.texts,
+                                            scorer)
+    truth_block = block_of(np.arange(n), i2t_truth)
+    true_score = np.empty(n, dtype=np.float64)
+    i2t_ahead = np.zeros(n, dtype=np.int64)
+    t2i_ahead = np.zeros(n, dtype=np.int64)
+    n_nan = n_bad = 0
+    with _block_map(threads, len(blocks)) as each:
+        held = np.unique(truth_block).tolist()
+        kept = dict(zip(held, each(score, [blocks[b] for b in held])))
+        for b, (scores, _) in kept.items():
+            rows, cols = blocks[b]
+            q = np.flatnonzero(truth_block == b)
+            true_score[q] = scores[q - rows.start, i2t_truth[q] - cols.start]
+        text_true_score = true_score[t2i_truth]
+
+        def count(b):
+            rows, cols = blocks[b]
+            scores, bad = kept.pop(b) if b in kept else score(blocks[b])
+            return (_ahead(scores, true_score[rows], i2t_truth[rows], cols.start),
+                    _ahead(scores.T, text_true_score[cols], t2i_truth[cols],
+                           rows.start),
+                    np.count_nonzero(np.isnan(scores)), bad)
+
+        for (rows, cols), (rows_ahead, cols_ahead, nan, bad) in zip(
+                blocks, each(count, range(len(blocks)))):
+            i2t_ahead[rows] += rows_ahead
+            t2i_ahead[cols] += cols_ahead
+            n_nan += nan
+            n_bad += bad
+    _check_no_nan(n_nan)
+    i2t = {k: _recall(1 + i2t_ahead, k, n) for k in ks}
+    t2i = {k: _recall(1 + t2i_ahead, k, n) for k in ks}
     rsum = float(sum(i2t.values()) + sum(t2i.values()))
     return RecallReport(ks=ks, image_to_text=i2t, text_to_image=t2i, rsum=rsum,
-                        n_images=len(split), n_texts=len(split),
-                        degenerate_pairs=n_bad, scorer=scorer)
+                        n_images=n, n_texts=n, degenerate_pairs=n_bad,
+                        scorer=scorer)

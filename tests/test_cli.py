@@ -282,6 +282,24 @@ def test_eval_cosine_scorer(pipeline, capsys):
     assert "cosine" in capsys.readouterr().out
 
 
+def test_eval_cutoff_above_split_fails_before_scoring(pipeline, monkeypatch,
+                                                      capsys):
+    data, run = pipeline
+    scored = []
+    real_block_feature = model.block_feature
+
+    def spy(*args, **kwargs):
+        scored.append(1)
+        return real_block_feature(*args, **kwargs)
+
+    monkeypatch.setattr(model, "block_feature", spy)
+    rc = main(["eval", "--data", str(data),
+               "--checkpoint", str(run / "net1_best.mscp"), "--ks", "1,13"])
+    assert rc == EXIT_RUNTIME
+    assert "recall_at_k: k=13 outside [1, 12]" in capsys.readouterr().err
+    assert scored == []
+
+
 def test_purify_report_command(pipeline, tmp_path, capsys):
     data, run = pipeline
     rc = main(["purify-report", "--data", str(data),
@@ -313,13 +331,13 @@ def test_train_threads_reach_every_eval(pipeline, tmp_path, monkeypatch):
     of the final test eval."""
     data, _ = pipeline
     seen = []
-    real_score_matrix = evalkit.score_matrix
+    real_worker_count = evalkit.worker_count
 
-    def spy(*args, **kwargs):
-        seen.append(kwargs.get("threads"))
-        return real_score_matrix(*args, **kwargs)
+    def spy(threads=None):
+        seen.append(threads)
+        return real_worker_count(threads)
 
-    monkeypatch.setattr(evalkit, "score_matrix", spy)
+    monkeypatch.setattr(evalkit, "worker_count", spy)
     rc = main(["train", "--config", SMOKE, "--data", str(data),
                "--out", str(tmp_path / "t"), "--threads", "1"])
     assert rc == EXIT_OK

@@ -1,6 +1,7 @@
 """Evaluation checks: recall@K against a stable-sort oracle (with deliberate
 score ties), deterministic tiled fan-out and its memory bound, truth-map
-inversion, and the report round trip."""
+inversion, block-wise ranking against ranks of the whole score matrix,
+and the report round trip."""
 
 from __future__ import annotations
 
@@ -269,3 +270,138 @@ class TestEvaluate:
         assert float(parsed["rsum"]) == report.rsum
         assert parsed["scorer"] == "mscn"
         assert int(parsed["n_images"]) == len(ds.test)
+
+
+def make_split(n, tag, permuted=False, d_img=5, d_txt=4):
+    """n random pairs; `permuted` moves the texts as `original_partner`
+    allows, so the truth maps are a permutation and its inverse."""
+    rng = rng_for(810, n, tag)
+    ids = np.arange(100, 100 + n)
+    partner = rng.permutation(ids) if permuted else ids
+    return dg.Split(ids=ids, images=rng.normal(size=(n, d_img)),
+                    texts=rng.normal(size=(n, d_txt)), original_partner=partner,
+                    clean=partner == ids, cluster=np.zeros(n, dtype=np.int64))
+
+
+def oracle_report(models, split, ks, scorer="mscn"):
+    """The report of `ranks` on the whole averaged score matrix."""
+    scores, n_bad = ek.score_matrix(models, split.images, split.texts,
+                                    scorer=scorer, threads=1)
+    i2t_truth, t2i_truth = ek._truth_maps(split)
+    i2t_rank, t2i_rank = ek.ranks(scores, i2t_truth), ek.ranks(scores.T, t2i_truth)
+    i2t = {k: ek._recall(i2t_rank, k, len(split)) for k in ks}
+    t2i = {k: ek._recall(t2i_rank, k, len(split)) for k in ks}
+    return ek.RecallReport(ks=ks, image_to_text=i2t, text_to_image=t2i,
+                           rsum=float(sum(i2t.values()) + sum(t2i.values())),
+                           n_images=len(split), n_texts=len(split),
+                           degenerate_pairs=n_bad, scorer=scorer)
+
+
+def assert_matches_oracle(models, split, scorer):
+    """Every cutoff from 1 to n, so the reports pin each direction's whole
+    rank histogram; bitwise equal for 1, 2 and 3 workers."""
+    ks = tuple(range(1, len(split) + 1))
+    expected = oracle_report(models, split, ks, scorer).format_kv()
+    for workers in (1, 2, 3):
+        got = ek.evaluate(models, split, ks=ks, scorer=scorer, threads=workers)
+        assert got.format_kv() == expected
+
+
+class TestBlockwiseRanks:
+    """`evaluate` counts ranks block by block; its reports must equal those
+    of `ranks` on the materialized matrix."""
+
+    @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
+    @pytest.mark.parametrize("permuted", [False, True])
+    @pytest.mark.parametrize("n", [1, 65, 129, 130])
+    def test_matches_whole_matrix_ranks(self, n, permuted, scorer):
+        split = make_split(n, 0, permuted)
+        nets = [tiny_nets(t) for t in (71, 72)]
+        assert_matches_oracle(nets, split, scorer)
+
+    @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
+    def test_exact_ties_in_other_blocks(self, scorer):
+        """Records 3, 100 and 129 are copies, in three different tiles and
+        strips: each true score ties with two cells of other blocks, one at
+        a lower and one at a higher index (except at the ends)."""
+        split = make_split(130, 1)
+        for r in (100, 129):
+            split.images[r], split.texts[r] = split.images[3], split.texts[3]
+        nets = [tiny_nets(t) for t in (73, 74)]
+        scores, _ = ek.score_matrix(nets, split.images, split.texts,
+                                    scorer=scorer)
+        group = [3, 100, 129]
+        for i in group:
+            assert np.all(scores[i, group] == scores[i, i])
+            assert np.all(scores[group, i] == scores[i, i])
+        assert_matches_oracle(nets, split, scorer)
+
+    @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
+    def test_degenerate_pairs(self, scorer):
+        """All-zero main weights make every cell degenerate and every score
+        equal, so each true candidate ranks behind every lower index."""
+        main, meta = tiny_nets(75)
+        main = main.with_arrays([np.zeros_like(a) for a in main.arrays()])
+        split = make_split(130, 2)
+        assert_matches_oracle([(main, meta)], split, scorer)
+        report = ek.evaluate([(main, meta)], split, ks=(1,), scorer=scorer,
+                             threads=2)
+        assert report.degenerate_pairs == 130 * 130
+        assert report.image_to_text[1] == 100.0 / 130
+
+    @pytest.mark.parametrize("cells", [
+        [(70, 100)],                       # in the truth tile of rows 64-127
+        [(5, 129)],                        # in a tile that holds no true pair
+        [(70, 70), (5, 129), (129, 0)],    # a true cell and two others
+    ])
+    def test_nan_cells_counted_in_every_block(self, monkeypatch, cells):
+        split = make_split(130, 3)
+        main, meta = tiny_nets(76)
+        u_all = model.embed_image(split.images, main).data
+        v_all = model.embed_text(split.texts, main).data
+        real = model.block_feature
+
+        def poisoned(u, v, sim_w, degenerate="error"):
+            unit, mask = real(u, v, sim_w, degenerate)
+            r0 = int(np.flatnonzero((u_all == u[0]).all(axis=1))[0])
+            c0 = int(np.flatnonzero((v_all == v[0]).all(axis=1))[0])
+            for i, j in cells:
+                if r0 <= i < r0 + len(u) and c0 <= j < c0 + len(v):
+                    unit[(i - r0) * len(v) + j - c0] = np.nan
+            return unit, mask
+
+        monkeypatch.setattr(model, "block_feature", poisoned)
+        message = rf"ranks: {len(cells)} NaN score\(s\) cannot be ranked"
+        scores, _ = ek.score_matrix([(main, meta)], split.images, split.texts)
+        with pytest.raises(ValueError, match=message):
+            ek.ranks(scores, np.arange(130))
+        for workers in (1, 2, 3):
+            with pytest.raises(ValueError, match=message):
+                ek.evaluate([(main, meta)], split, ks=(1,), threads=workers)
+
+    def test_cutoffs_checked_before_any_block(self, monkeypatch):
+        def no_scoring(*args, **kwargs):
+            raise AssertionError("a block was scored")
+
+        monkeypatch.setattr(model, "block_feature", no_scoring)
+        monkeypatch.setattr(model, "block_cosine", no_scoring)
+        split = make_split(65, 4)
+        for scorer in ("mscn", "cosine"):
+            with pytest.raises(ValueError, match=r"k=66 outside \[1, 65\]"):
+                ek.evaluate([tiny_nets(77)], split, ks=(1, 66), scorer=scorer)
+
+    def test_memory_holds_no_score_matrix(self):
+        """1024 pairs, two d_emb=64 networks: one (1024, 1024) float64
+        matrix is 8 MiB, and `ranks` of one adds as much again.  Block-wise
+        ranking holds the embeddings (2 MiB), one tile's feature (3 MiB at
+        its peak) and the 16 diagonal tiles (0.5 MiB)."""
+        split = make_split(1024, 5)
+        nets = [tiny_nets(t, d_emb=64, d_sim=32, hidden=64, mscn_hidden=32)
+                for t in (78, 79)]
+        tracemalloc.start()
+        try:
+            ek.evaluate(nets, split, ks=(1, 5, 10), threads=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1024 * 1024 * 8
