@@ -287,9 +287,10 @@ def write_dataset(path, ds: Dataset) -> None:
 
 def read_dataset(path) -> Dataset:
     with open(path, "rb") as fh:
-        blob = fh.read()
+        # a view, so each split's records are read in place, not copied out
+        blob = memoryview(fh.read())
     if blob[:4] != DATASET_MAGIC:
-        raise DatasetFormatError(f"bad magic: {blob[:4]!r}")
+        raise DatasetFormatError(f"bad magic: {bytes(blob[:4])!r}")
     if len(blob) < 8:
         raise DatasetFormatError("truncated header")
     (version,) = struct.unpack_from("<I", blob, 4)
@@ -297,7 +298,7 @@ def read_dataset(path) -> Dataset:
         raise DatasetFormatError(f"unsupported version: {version}")
     pos = 8
 
-    def take(count: int) -> bytes:
+    def take(count: int) -> memoryview:
         nonlocal pos
         if pos + count > len(blob):
             raise DatasetFormatError(f"truncated at byte {pos}: needed {count} more")
@@ -327,7 +328,7 @@ def read_dataset(path) -> Dataset:
         records.append(rec)
     (manifest_len,) = struct.unpack("<I", take(4))
     try:
-        manifest = json.loads(take(manifest_len).decode("utf-8"))
+        manifest = json.loads(str(take(manifest_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"bad manifest: {exc}") from None
     if pos != len(blob):

@@ -60,7 +60,7 @@ def _block_scorer(models, images, texts, scorer: str):
     (i, j) (it takes arrays too); and a function scoring one block
     averaged over `models` -> (scores, count of degenerate cells)."""
     if not models:
-        raise ValueError("score_matrix: need at least one model")
+        raise ValueError("need at least one model")
     if scorer not in ("mscn", "cosine"):
         raise ValueError(f"unknown scorer: {scorer!r}")
     sides = [(model.embed_image(images, main).data,
@@ -72,13 +72,13 @@ def _block_scorer(models, images, texts, scorer: str):
 
         def score(u, v, main, meta):
             return model.block_scores(
-                model.block_feature(u, v, main.sim_w, degenerate="half"), meta)
+                model.block_feature(u, v, main.sim_w), meta)
     else:
         # splitting the columns of a cosine block would change gemm bits
         height, width = CHUNK_ROWS, max(nt, 1)
 
         def score(u, v, main, meta):
-            scores, n_bad = model.block_cosine(u, v, degenerate="zero")
+            scores, n_bad = model.block_cosine(u, v)
             return scores.data, n_bad
 
     col_starts = range(0, nt, width)
@@ -117,8 +117,10 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
     """(n_img, n_txt) score matrix averaged over the given network pairs.
 
     models: list of (MainNetParams, MetaNetParams) tuples; the meta slot
-    is ignored by the cosine scorer.  Degenerate cells score 0.5 (mscn) or
-    0 (cosine) and are counted, not fatal."""
+    is ignored by the cosine scorer.  Returns the matrix and the number of
+    degenerate cells, which have no similarity direction: the model's
+    block scorers score them 0.5 (mscn) or 0 (cosine), where training
+    refuses them (`model.refuse_degenerate`)."""
     blocks, _, score = _block_scorer(models, images, texts, scorer)
     out = np.empty((len(images), len(texts)), dtype=np.float64)
 

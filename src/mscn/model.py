@@ -23,7 +23,6 @@ from .autodiff import (
     ShapeMismatchError,
     Tape,
     Tensor,
-    _active_tape,
     _gemm,
     _lift,
     add,
@@ -177,6 +176,15 @@ def embed_text(texts, params: MainNetParams) -> Tensor:
     return _mlp(x, params.txt_w1, params.txt_b1, params.txt_w2, params.txt_b2)
 
 
+def refuse_degenerate(count: int) -> None:
+    """The training contract: a similarity feature or embedding whose norm
+    is not representable (<= NORM_EPSILON) has no direction to learn from,
+    so a training scorer that met `count` > 0 of them raises."""
+    if count:
+        raise DegenerateSimilarityError(
+            f"{count} degenerate cell(s): norm <= {NORM_EPSILON:g}")
+
+
 def similarity_feature(u, v, sim_w) -> Tensor:
     """Unit-normalized projection of the squared embedding difference.
 
@@ -188,41 +196,28 @@ def similarity_feature(u, v, sim_w) -> Tensor:
     u, v = _lift(u), _lift(v)
     if u.ndim != 2 or u.shape != v.shape:
         raise ShapeMismatchError("similarity_feature", u.shape, v.shape)
-    unit, _ = _unit_feature(sub(u, v), sim_w)
+    unit, mask = _unit_feature(sub(u, v), sim_w)
+    refuse_degenerate(int(mask.sum()))
     return unit
 
 
-def _unit_feature(diff: Tensor, sim_w,
-                  degenerate: str = "error") -> tuple[Tensor, np.ndarray]:
+def _unit_feature(diff: Tensor, sim_w) -> tuple[Tensor, np.ndarray]:
     """The similarity feature of embedding differences `diff` (k, d_emb),
     and the mask of its degenerate rows; see `_unit_rows`."""
-    return _unit_rows(matmul(square(diff), sim_w), degenerate)
+    return _unit_rows(matmul(square(diff), sim_w))
 
 
-def _unit_rows(x: Tensor, degenerate: str = "error",
-               neutral: str = "half") -> tuple[Tensor, np.ndarray]:
+def _unit_rows(x: Tensor) -> tuple[Tensor, np.ndarray]:
     """Each row of `x` scaled to unit norm, and the mask of rows whose norm
-    is not representable (<= NORM_EPSILON).
-
-    degenerate="error" raises on any such row (the training contract);
-    degenerate=`neutral`, the calling scorer's evaluation mode ("half" or
-    "zero"), divides those rows by 1 instead, for the caller to score
-    neutrally (evaluation only, never under an active record)."""
+    is not representable (<= NORM_EPSILON).  Those rows are divided by 1
+    off the record, for a scorer to score neutrally; a gradient through
+    them is not the feature's, so training refuses them (see
+    `refuse_degenerate`)."""
     norms = l2norm(x)
     mask = norms.data <= NORM_EPSILON
-    if degenerate == "error":
-        if mask.any():
-            raise DegenerateSimilarityError(
-                f"{int(np.sum(mask))} row(s) with norm <= {NORM_EPSILON:g}")
-        safe = norms
-    elif degenerate == neutral:
-        if _active_tape() is not None:
-            raise RuntimeError(f"degenerate={degenerate!r} is an evaluation "
-                               "mode; it cannot run under an active record")
-        safe = Tensor(np.where(mask, 1.0, norms.data))
-    else:
-        raise ValueError(f"unknown degenerate policy: {degenerate!r}")
-    return div(x, reshape(safe, (x.shape[0], 1))), mask
+    if mask.any():
+        norms = Tensor(np.where(mask, 1.0, norms.data))
+    return div(x, reshape(norms, (x.shape[0], 1))), mask
 
 
 def mscn_score(features, params: MetaNetParams) -> Tensor:
@@ -235,27 +230,26 @@ def mscn_score(features, params: MetaNetParams) -> Tensor:
 
 def pair_score(image, text, main: MainNetParams, meta: MetaNetParams) -> Tensor:
     """Scores of aligned image/text pairs under one network pair:
-    (k, d_img) x (k, d_txt) -> (k,)."""
+    (k, d_img) x (k, d_txt) -> (k,).  Raises on a degenerate pair, as
+    `similarity_feature` does."""
     u = embed_image(image, main)
     v = embed_text(text, main)
     return mscn_score(similarity_feature(u, v, main.sim_w), meta)
 
 
-def all_pairs_scores(images, texts, main: MainNetParams, meta: MetaNetParams,
-                     degenerate: str = "error") -> tuple[Tensor, int]:
-    """Score matrix of every image against every text: (n_img, n_txt).
+def all_pairs_scores(images, texts, main: MainNetParams,
+                     meta: MetaNetParams) -> tuple[Tensor, int]:
+    """Score matrix of every image against every text: (n_img, n_txt),
+    and the number of degenerate cells, which score 0.5.
 
-    The differentiable form of `block_scores`, recorded op by op.
-    degenerate="error" raises on unrepresentable similarity norms (the
-    training contract); degenerate="half" scores those cells 0.5 and
-    reports the count (evaluation only, never under an active record).
-    See `_unit_rows`.
+    The differentiable form of `block_scores`, recorded op by op.  A
+    degenerate cell's score is a constant, so a caller that records it
+    for training refuses it first (see `_unit_rows`).
     """
     u, v = embed_image(images, main), embed_text(texts, main)
     ni, nt, d = u.shape[0], v.shape[0], u.shape[1]
     diff = sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d)))
-    unit, mask = _unit_feature(reshape(diff, (ni * nt, d)), main.sim_w,
-                               degenerate)
+    unit, mask = _unit_feature(reshape(diff, (ni * nt, d)), main.sim_w)
     scores = reshape(mscn_score(unit, meta), (ni, nt))
     n_bad = int(mask.sum())
     if n_bad:
@@ -263,32 +257,20 @@ def all_pairs_scores(images, texts, main: MainNetParams, meta: MetaNetParams,
     return scores, n_bad
 
 
-def block_feature(u, v, sim_w,
-                  degenerate: str = "error") -> tuple[np.ndarray, np.ndarray]:
+def block_feature(u, v, sim_w) -> tuple[np.ndarray, np.ndarray]:
     """Off the record, the similarity feature of every row of `u` against
     every row of `v` as (n_u * n_v, d_sim) unit rows, and the (n_u, n_v)
-    mask of degenerate cells.  It runs the ops of `all_pairs_scores` in
-    their order and gemm shapes, so every cell keeps their bits.  Under
-    degenerate="error" a non-finite norm raises ValueError too; "half"
-    leaves degenerate rows for `block_scores` to score 0.5."""
+    norms of the rows before scaling.  It runs the ops of `all_pairs_scores` in
+    their order and gemm shapes, so every cell keeps their bits.  A
+    degenerate row (norm <= NORM_EPSILON) is divided by 1, for
+    `block_scores` to score 0.5; a non-finite norm is left in place."""
     u, v = _as_array(u), _as_array(v)
     x = np.subtract(u[:, None], v[None]).reshape(-1, u.shape[1])
     np.multiply(x, x, out=x)
     x = _gemm(x, _as_array(sim_w))
     norms = np.sqrt((x * x).sum(axis=-1))
-    mask = norms <= NORM_EPSILON
-    if degenerate == "error":
-        if mask.any():
-            raise DegenerateSimilarityError(
-                f"{int(np.sum(mask))} row(s) with norm <= {NORM_EPSILON:g}")
-        if not np.isfinite(norms).all():
-            raise ValueError("block_feature: non-finite similarity norm")
-    elif degenerate == "half":
-        norms[mask] = 1.0
-    else:
-        raise ValueError(f"unknown degenerate policy: {degenerate!r}")
-    x /= norms[:, None]
-    return x, mask.reshape(len(u), len(v))
+    x /= np.where(norms <= NORM_EPSILON, 1.0, norms)[:, None]
+    return x, norms.reshape(len(u), len(v))
 
 
 def block_scores(feature: tuple[np.ndarray, np.ndarray],
@@ -296,7 +278,8 @@ def block_scores(feature: tuple[np.ndarray, np.ndarray],
     """Off the record, the correction network's (n_u, n_v) scores of a
     `block_feature`, degenerate cells 0.5, and their count: bit for bit
     those of `all_pairs_scores`."""
-    unit, mask = feature
+    unit, norms = feature
+    mask = norms <= NORM_EPSILON
     w1, b1, w2, b2 = meta.arrays()
     h = _gemm(unit, w1)
     h += b1
@@ -312,22 +295,23 @@ def cosine_scores(images, texts, main: MainNetParams) -> tuple[Tensor, int]:
     """Cosine similarity of every image embedding against every text
     embedding: (n_img, n_txt) in [-1, 1].
 
-    Used by the fixed-margin ablation, which has no correction network.
-    Embeds both sides, then scores them in one `block_cosine` call, which
-    raises on an unrepresentable embedding norm."""
-    return block_cosine(embed_image(images, main), embed_text(texts, main))
+    Used by the fixed-margin ablation, which has no correction network,
+    to train: embeds both sides, scores them in one `block_cosine` call
+    and raises DegenerateSimilarityError if an embedding norm is not
+    representable."""
+    scores, n_bad = block_cosine(embed_image(images, main),
+                                 embed_text(texts, main))
+    refuse_degenerate(n_bad)
+    return scores, n_bad
 
 
-def block_cosine(u, v, degenerate: str = "error") -> tuple[Tensor, int]:
+def block_cosine(u, v) -> tuple[Tensor, int]:
     """Cosine similarity of every row of `u` against every row of `v`:
-    (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v).
-
-    degenerate="error" raises on an unrepresentable embedding norm;
-    degenerate="zero" scores every cell whose image or text has one as 0
-    and reports the number of such cells (evaluation only).  See
-    `_unit_rows`."""
-    uu, bad_u = _unit_rows(_lift(u), degenerate, neutral="zero")
-    vv, bad_v = _unit_rows(_lift(v), degenerate, neutral="zero")
+    (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v), and the number of cells
+    whose image or text embedding has an unrepresentable norm, which
+    score 0.  See `_unit_rows`."""
+    uu, bad_u = _unit_rows(_lift(u))
+    vv, bad_v = _unit_rows(_lift(v))
     scores = matmul(uu, transpose(vv))
     mask = bad_u[:, None] | bad_v[None, :]
     n_bad = int(mask.sum())

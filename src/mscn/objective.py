@@ -34,13 +34,14 @@ from .autodiff import (
 from .model import (
     MainNetParams,
     MetaNetParams,
-    _unit_feature,
     block_feature,
     block_scores,
     embed_image,
     embed_text,
     mscn_score,
     pair_score,
+    refuse_degenerate,
+    similarity_feature,
 )
 from .purifier import SCORE_CLAMP_HI, SCORE_CLAMP_LO
 
@@ -123,7 +124,9 @@ def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
     image against every text, computed off the record from `feature`, the
     batch's `block_feature` under `main` (built here if None).  Only the
     3n cells the hinges read are scored on it: the true pairs, each
-    image's hardest text and each text's hardest image."""
+    image's hardest text and each text's hardest image.  A degenerate
+    cell of the pick block raises DegenerateSimilarityError, and a
+    non-finite norm ValueError: neither has a score to pick by."""
     _check_margin_params(gamma, tau)
     imgs, txts = _lift(images), _lift(texts)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
@@ -132,14 +135,16 @@ def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
     u, v = embed_image(imgs, main), embed_text(txts, main)
     if feature is None:
         feature = block_feature(u.data, v.data, main.sim_w)
-    scores, _ = block_scores(feature, meta)
+    scores, n_bad = block_scores(feature, meta)
+    refuse_degenerate(n_bad)
+    if not np.isfinite(feature[1]).all():
+        raise ValueError("triplet_loss: non-finite similarity norm")
     text_neg, img_neg = _hardest_negatives(
         np.clip(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI, out=scores))
     rows = np.arange(n)
-    unit, _ = _unit_feature(
-        sub(take_rows(u, np.concatenate([rows, rows, img_neg])),
-            take_rows(v, np.concatenate([rows, text_neg, rows]))),
-        main.sim_w)
+    unit = similarity_feature(take_rows(u, np.concatenate([rows, rows, img_neg])),
+                              take_rows(v, np.concatenate([rows, text_neg, rows])),
+                              main.sim_w)
     cells = clamp(mscn_score(unit, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
     return reduce_sum(_hinges(cells, rows, rows + n, rows + 2 * n, gamma,
                               tau if adaptive else None))

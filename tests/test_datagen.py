@@ -4,6 +4,7 @@ round trip with corruption rejection."""
 
 from __future__ import annotations
 
+import json
 import tracemalloc
 
 import numpy as np
@@ -196,7 +197,7 @@ class TestBinaryFormat:
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.mscd"
         p.write_bytes(b"WRNG" + bytes(40))
-        with pytest.raises(dg.DatasetFormatError, match="magic"):
+        with pytest.raises(dg.DatasetFormatError, match="bad magic: b'WRNG'"):
             dg.read_dataset(p)
 
     def test_bad_version(self, tmp_path):
@@ -221,6 +222,21 @@ class TestBinaryFormat:
         dg.write_dataset(p, ds)
         p.write_bytes(p.read_bytes() + b"xxxx")
         with pytest.raises(dg.DatasetFormatError, match="trailing"):
+            dg.read_dataset(p)
+
+    @pytest.mark.parametrize("manifest", [b"\xff{}", b"{not json"],
+                             ids=["not-utf8", "not-json"])
+    def test_bad_manifest(self, tmp_path, manifest):
+        ds = dg.generate(small_cfg(19))
+        p = tmp_path / "x.mscd"
+        dg.write_dataset(p, ds)
+        blob = p.read_bytes()
+        written = json.dumps(ds.manifest, sort_keys=True,
+                             separators=(",", ":")).encode("utf-8")
+        assert blob.endswith(written)  # the manifest is last, after its length
+        p.write_bytes(blob[:len(blob) - len(written) - 4]
+                      + len(manifest).to_bytes(4, "little") + manifest)
+        with pytest.raises(dg.DatasetFormatError, match="bad manifest"):
             dg.read_dataset(p)
 
     def test_bad_clean_flag(self, tmp_path):

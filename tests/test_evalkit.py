@@ -361,14 +361,14 @@ class TestBlockwiseRanks:
         v_all = model.embed_text(split.texts, main).data
         real = model.block_feature
 
-        def poisoned(u, v, sim_w, degenerate="error"):
-            unit, mask = real(u, v, sim_w, degenerate)
+        def poisoned(u, v, sim_w):
+            unit, norms = real(u, v, sim_w)
             r0 = int(np.flatnonzero((u_all == u[0]).all(axis=1))[0])
             c0 = int(np.flatnonzero((v_all == v[0]).all(axis=1))[0])
             for i, j in cells:
                 if r0 <= i < r0 + len(u) and c0 <= j < c0 + len(v):
                     unit[(i - r0) * len(v) + j - c0] = np.nan
-            return unit, mask
+            return unit, norms
 
         monkeypatch.setattr(model, "block_feature", poisoned)
         message = rf"ranks: {len(cells)} NaN score\(s\) cannot be ranked"

@@ -116,25 +116,18 @@ class TestScores:
             np.testing.assert_allclose(mat.data[i], row, rtol=1e-12, atol=0)
 
     def test_degenerate_policy(self):
+        """With sim_w = 0 no pair has a similarity direction: the scorer
+        scores every cell 0.5 and counts it, the training scorer raises."""
         main, meta = tiny_nets(4)
         main = main.with_arrays([np.zeros_like(a) if i == 8 else a
                                  for i, a in enumerate(main.arrays())])  # sim_w = 0
         rng = rng_for(507)
         imgs, txts = rng.normal(size=(2, 5)), rng.normal(size=(3, 4))
         with pytest.raises(model.DegenerateSimilarityError):
-            model.all_pairs_scores(imgs, txts, main, meta)
-        mat, n_bad = model.all_pairs_scores(imgs, txts, main, meta, degenerate="half")
+            model.pair_score(imgs, txts[:2], main, meta)
+        mat, n_bad = model.all_pairs_scores(imgs, txts, main, meta)
         assert n_bad == 6
         np.testing.assert_array_equal(mat.data, np.full((2, 3), 0.5))
-
-    def test_half_mode_refused_under_recording(self):
-        main, meta = tiny_nets(4)
-        rng = rng_for(508)
-        with ad.Tape():
-            with pytest.raises(RuntimeError, match="evaluation"):
-                model.all_pairs_scores(rng.normal(size=(2, 5)),
-                                       rng.normal(size=(3, 4)),
-                                       main, meta, degenerate="half")
 
 
 class TestBlockScores:
@@ -142,11 +135,10 @@ class TestBlockScores:
     `all_pairs_scores`: every cell bit for bit."""
 
     @staticmethod
-    def _block(imgs, txts, main, meta, degenerate="error"):
+    def _block(imgs, txts, main, meta):
         u = model.embed_image(imgs, main).data
         v = model.embed_text(txts, main).data
-        return model.block_scores(
-            model.block_feature(u, v, main.sim_w, degenerate), meta)
+        return model.block_scores(model.block_feature(u, v, main.sim_w), meta)
 
     @pytest.mark.parametrize("ni, nt", [(1, 1), (1, 7), (7, 1), (3, 5),
                                         (13, 64), (64, 64)])
@@ -170,26 +162,10 @@ class TestBlockScores:
         rng = rng_for(512)
         imgs, txts = rng.normal(size=(3, 5)), rng.normal(size=(4, 5))
         txts[2] = imgs[0]
-        want, want_bad = model.all_pairs_scores(imgs, txts, main, meta,
-                                                degenerate="half")
-        got, n_bad = self._block(imgs, txts, main, meta, degenerate="half")
+        want, want_bad = model.all_pairs_scores(imgs, txts, main, meta)
+        got, n_bad = self._block(imgs, txts, main, meta)
         assert n_bad == want_bad == 1 and got[0, 2] == 0.5
         assert got.tobytes() == want.data.tobytes()
-        with pytest.raises(model.DegenerateSimilarityError):
-            self._block(imgs, txts, main, meta)
-        with pytest.raises(ValueError, match="unknown degenerate policy"):
-            self._block(imgs, txts, main, meta, degenerate="zero")
-
-    def test_non_finite_feature_rejected(self):
-        """A NaN embedding has no score to pick a negative by."""
-        main, meta = tiny_nets(13)
-        rng = rng_for(513)
-        u, v = rng.normal(size=(3, 6)), rng.normal(size=(4, 6))
-        for bad in (np.nan, np.inf):
-            u[1, 2] = bad
-            with np.errstate(invalid="ignore"), \
-                    pytest.raises(ValueError, match="non-finite similarity norm"):
-                model.block_feature(u, v, main.sim_w)
 
 
 class TestBatchContract:

@@ -220,6 +220,33 @@ class TestTripletLoss:
                 objective.triplet_loss(imgs, txts, main, meta, 0.2, 0.0,
                                        adaptive=adaptive)
 
+    @pytest.mark.parametrize("stage", ["warmup", "bilevel"])
+    @pytest.mark.parametrize("bad", ["degenerate", "nan", "inf"])
+    def test_pick_block_refusals(self, stage, bad):
+        """A pick-block cell with no similarity direction, or with a
+        non-finite norm, has no score to pick a negative by.  Warmup builds
+        the block itself; the bilevel step passes it in."""
+        main, meta = tiny_nets(13, d_txt=5)
+        main = main.with_arrays(main.arrays()[:4] * 2 + main.arrays()[8:])
+        rng = rng_for(705)
+        imgs, txts = rng.normal(size=(3, 5)), rng.normal(size=(3, 5))
+        if bad == "degenerate":
+            txts[2] = imgs[0]  # cell (0, 2): image and text embed alike
+            error, match = model.DegenerateSimilarityError, "1 degenerate cell"
+        else:
+            imgs[1, 2] = float(bad)
+            error, match = ValueError, "non-finite similarity norm"
+        feature = None
+        with np.errstate(invalid="ignore", over="ignore"):
+            if stage == "bilevel":
+                feature = model.block_feature(model.embed_image(imgs, main).data,
+                                              model.embed_text(txts, main).data,
+                                              main.sim_w)
+            with pytest.raises(error, match=match):
+                objective.triplet_loss(imgs, txts, main, meta, 0.2, 2.0,
+                                       adaptive=stage == "bilevel",
+                                       feature=feature)
+
     def test_fd_gradients_through_full_loss(self):
         found = 0
         for seed in range(60):
@@ -442,6 +469,18 @@ class TestCosineScores:
             v / np.linalg.norm(v, axis=1, keepdims=True)).T
         np.testing.assert_allclose(scores.data, want, rtol=1e-12)
         assert np.all(np.abs(scores.data) <= 1 + 1e-12)
+
+    def test_degenerate_embedding_refused(self):
+        """The baseline trains on these scores: an all-zero embedding has no
+        direction, so it raises, on the record or off it."""
+        main, _ = tiny_nets(51)
+        main = main.with_arrays([np.zeros_like(a) for a in main.arrays()])
+        rng = rng_for(714)
+        imgs, txts = rng.normal(size=(3, 5)), rng.normal(size=(3, 4))
+        with pytest.raises(model.DegenerateSimilarityError, match="9 degenerate"):
+            model.cosine_scores(imgs, txts, main)
+        with ad.Tape() as tape, pytest.raises(model.DegenerateSimilarityError):
+            model.cosine_scores(imgs, txts, main.lift(tape))
 
     def test_fixed_margin_triplet_on_cosine(self):
         main, _ = tiny_nets(50)
