@@ -266,8 +266,9 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=list(SCORER_OF_MODE),
                    help="override the training mode")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="worker threads for evaluation (outputs do not "
-                        "depend on it)")
+                   help="at most this many evaluation workers, none for a "
+                        "split too small to share (default: the usable "
+                        "CPUs; outputs do not depend on it)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on a split")
@@ -278,7 +279,10 @@ def build_parser() -> _Parser:
     p.add_argument("--scorer", default="mscn", choices=["mscn", "cosine"])
     p.add_argument("--ks", type=_cutoffs, default="1,5,10",
                    help="comma-separated cutoffs")
-    p.add_argument("--threads", type=_positive_int, default=None)
+    p.add_argument("--threads", type=_positive_int, default=None,
+                   help="at most this many workers, none for a split too "
+                        "small to share (default: the usable CPUs; the "
+                        "report does not depend on it)")
     p.add_argument("--out", help="directory for report.tsv")
     p.set_defaults(func=cmd_eval)
 

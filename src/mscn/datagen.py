@@ -235,7 +235,8 @@ def inject_noise(ds: Dataset, ratio: float, noise_seed: int) -> Dataset:
     # arrange into cluster blocks, shuffled within each block
     order = []
     sizes = []
-    for c in np.unique(train.cluster[selected]):
+    # np.unique imports numpy.ma in numpy 2.4: about 1.3 MB and 10 ms
+    for c in sorted(set(train.cluster[selected].tolist())):
         block = selected[train.cluster[selected] == c]
         sizes.append(block.size)
         order.append(rng.permutation(block))

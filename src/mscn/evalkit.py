@@ -9,9 +9,12 @@ scorer that picks the training negatives, with every cell the bits of
 `model.all_pairs_scores`.  A tile's (TILE * TILE, d_emb) intermediate is
 2 MiB at d_emb=64 whatever the split size.  The cosine scorer scores
 fixed CHUNK_ROWS-row strips that span all texts through
-`model.block_cosine`.  The worker count (`threads`, or the CPUs this
-process may run on) only decides how many blocks run concurrently, never
-how the matrix is partitioned, so outputs are bitwise invariant to it.
+`model.block_cosine`.  The worker count (at most `threads`, or the CPUs
+this process may run on) only decides how many blocks run concurrently,
+never how the matrix is partitioned, so outputs are bitwise invariant to
+it.  A split too small to give every worker MIN_BLOCKS_PER_WORKER blocks
+is scored on the calling thread, where a pool would save little time and
+cost memory.
 
 `score_matrix` fills the whole matrix from the blocks.  `evaluate` builds
 no matrix: it first scores the blocks that hold a true pair and reads the
@@ -28,7 +31,6 @@ score is strictly higher, or equal with a lower index.
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 
@@ -39,10 +41,16 @@ from .datagen import Split
 
 TILE = 64
 CHUNK_ROWS = 32
+# a pool starts only from this many blocks per worker.  On 2 vCPUs a pool
+# of two saved no time on 4 tiles or 13 strips and cost 1-2 MB of peak
+# RSS; it saved 12% of `mscn eval` on 49 tiles, 18% on 63 strips and more
+# on larger splits (benchmarks/eval_memory.py, README)
+MIN_BLOCKS_PER_WORKER = 8
 
 
 def worker_count(threads=None) -> int:
-    """`threads` if given, else the number of CPUs this process may run on."""
+    """`threads` if given, else the number of CPUs this process may run on:
+    the most workers an evaluation may use (see `_block_map`)."""
     if threads is not None:
         if threads < 1:
             raise ValueError(f"worker count must be positive, got {threads}")
@@ -103,11 +111,16 @@ def _block_scorer(models, images, texts, scorer: str):
 
 @contextmanager
 def _block_map(threads, n_blocks: int):
-    """A `map` that runs its calls on the evaluation workers, in order."""
-    workers = worker_count(threads)
-    if workers == 1 or n_blocks <= 1:
+    """A `map` that runs its calls on the evaluation workers, in order.
+
+    At most `worker_count(threads)` workers, and no more than give each
+    one MIN_BLOCKS_PER_WORKER of the `n_blocks` blocks; below two workers
+    the calls run on the calling thread and no pool is started."""
+    workers = min(worker_count(threads), n_blocks // MIN_BLOCKS_PER_WORKER)
+    if workers < 2:
         yield map
         return
+    from concurrent.futures import ThreadPoolExecutor
     with ThreadPoolExecutor(max_workers=workers) as pool:
         yield pool.map
 
@@ -269,7 +282,8 @@ def evaluate(models, split: Split, ks=(1, 5, 10), scorer: str = "mscn",
     t2i_ahead = np.zeros(n, dtype=np.int64)
     n_nan = n_bad = 0
     with _block_map(threads, len(blocks)) as each:
-        held = np.unique(truth_block).tolist()
+        # np.unique imports numpy.ma in numpy 2.4: about 1.3 MB and 10 ms
+        held = sorted(set(truth_block.tolist()))
         kept = dict(zip(held, each(score, [blocks[b] for b in held])))
         for b, (scores, _) in kept.items():
             rows, cols = blocks[b]

@@ -458,9 +458,10 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
     goes), best-validation checkpoints, and final checkpoints.  Each epoch
     trains net 1 and then net 2 on the calling thread: their steps are
     engine ops of a few microseconds that hold the interpreter lock, so a
-    second thread would mostly wait for it.  `threads` is the worker
-    count of every validation eval (see `evalkit.worker_count`); the
-    outputs do not depend on it."""
+    second thread would mostly wait for it.  `threads` caps the workers
+    of every validation eval (see `evalkit.worker_count`); a split too
+    small to share, such as the default 100-pair one, is scored on the
+    calling thread.  The outputs do not depend on it."""
     cfg.validate()
     train_split, meta_split, val_split = ds.train, ds.meta, ds.val
     if len(train_split) < cfg.batch_size:

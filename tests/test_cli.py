@@ -516,6 +516,29 @@ def test_data_and_baseline_commands_load_no_scipy(tmp_path):
         assert proc.stdout.splitlines()[-1] == f"{EXIT_OK} []", argv[0]
 
 
+def test_data_and_small_eval_load_no_pool_or_masked_arrays(pipeline, tmp_path):
+    """`gen-data` (smoke config, with noise) and a 12-pair `eval` at two
+    workers import neither numpy.ma (np.unique would) nor
+    concurrent.futures (a pool would), and neither does `import mscn.cli`."""
+    data, run = pipeline
+    probe = ("import json, sys\nfrom mscn.cli import main\n"
+             "watched = ('numpy.ma', 'concurrent.futures')\n"
+             "loaded = lambda: [m for m in watched if m in sys.modules]\n"
+             "seen = {'import': loaded()}\n"
+             "seen['gen-data'] = (main(['gen-data', '--config', sys.argv[1],"
+             " '--out', sys.argv[2]]), loaded())\n"
+             "seen['eval'] = (main(['eval', '--data', sys.argv[3], '--checkpoint',"
+             " sys.argv[4], '--threads', '2']), loaded())\n"
+             "print(json.dumps(seen))")
+    proc = subprocess.run([sys.executable, "-c", probe, SMOKE,
+                           str(tmp_path / "data"), str(data),
+                           str(run / "net1_best.mscp")],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == {
+        "import": [], "gen-data": [EXIT_OK, []], "eval": [EXIT_OK, []]}
+
+
 def test_train_outputs_do_not_depend_on_blas_threads(pipeline, tmp_path):
     """The BLAS thread default cannot change results: a train with one BLAS
     thread writes the same bytes as one with two."""

@@ -1,10 +1,11 @@
 """Evaluation checks: recall@K against a stable-sort oracle (with deliberate
-score ties), deterministic tiled fan-out and its memory bound, truth-map
-inversion, block-wise ranking against ranks of the whole score matrix,
-and the report round trip."""
+score ties), deterministic tiled fan-out on the calling thread and on a
+pool, and its memory bound, truth-map inversion, block-wise ranking
+against ranks of the whole score matrix, and the report round trip."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import os
 import tracemalloc
 
@@ -16,6 +17,35 @@ from mscn import evalkit as ek
 from mscn import model
 from conftest import rng_for
 from test_model import tiny_nets
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """The worker counts of the thread pools built while the test runs."""
+    built = []
+    real = concurrent.futures.ThreadPoolExecutor
+
+    class Counted(real):
+        def __init__(self, max_workers=None, *args, **kwargs):
+            built.append(max_workers)
+            super().__init__(max_workers, *args, **kwargs)
+
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    return built
+
+
+@pytest.fixture
+def block_paths(monkeypatch, pools):
+    """`for _ in block_paths():` runs a test body on the calling thread, as
+    these small splits are scored, and again on a pool: at one block per
+    worker any split of two blocks or more fans out to at most `threads`
+    workers."""
+    def paths():
+        yield "serial"
+        assert pools == [], "the serial path built a pool"
+        monkeypatch.setattr(ek, "MIN_BLOCKS_PER_WORKER", 1)
+        yield "pooled"
+    return paths
 
 
 def recall_oracle(scores: np.ndarray, truth: np.ndarray, k: int) -> float:
@@ -107,17 +137,20 @@ class TestScoreMatrix:
         np.testing.assert_array_equal(both, (s1 + s2) / 2)
         assert np.all((both > 0) & (both < 1))
 
-    def test_worker_count_invariance(self):
+    def test_worker_count_invariance(self, block_paths, pools):
         rng = rng_for(803)
         imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(40, 4))
         nets = tiny_nets(62)
         base, _ = ek.score_matrix([nets], imgs, txts, threads=1)
-        for workers in (2, 4, 7):
-            out, _ = ek.score_matrix([nets], imgs, txts, threads=workers)
-            np.testing.assert_array_equal(out, base)
+        for _ in block_paths():
+            for workers in (2, 4, 7):
+                out, _ = ek.score_matrix([nets], imgs, txts, threads=workers)
+                np.testing.assert_array_equal(out, base)
+        # two tiles: one worker each on the pool, whatever `threads`
+        assert pools == [2, 2, 2]
 
     @pytest.mark.parametrize("ni,nt", [(1, 70), (65, 129), (129, 1), (130, 130)])
-    def test_tiles_match_whole_matrix(self, ni, nt):
+    def test_tiles_match_whole_matrix(self, block_paths, ni, nt):
         """Edge tiles of one row or one column: bitwise equal for any worker
         count, and equal to whole-matrix scoring up to the last bit of a
         BLAS kernel switch."""
@@ -127,9 +160,10 @@ class TestScoreMatrix:
                 for t in (66, 67)]
         base, n_bad = ek.score_matrix(nets, imgs, txts, threads=1)
         assert n_bad == 0
-        for workers in (2, 3):
-            out, _ = ek.score_matrix(nets, imgs, txts, threads=workers)
-            np.testing.assert_array_equal(out, base)
+        for _ in block_paths():
+            for workers in (2, 3):
+                out, _ = ek.score_matrix(nets, imgs, txts, threads=workers)
+                np.testing.assert_array_equal(out, base)
         whole = [model.all_pairs_scores(imgs, txts, m, h)[0].data for m, h in nets]
         np.testing.assert_allclose(base, (whole[0] + whole[1]) / 2,
                                    rtol=0, atol=1e-15)
@@ -149,20 +183,21 @@ class TestScoreMatrix:
             tracemalloc.stop()
         assert peak - out.nbytes < 12 * 2**20
 
-    def test_degenerate_cells_score_half(self):
+    def test_degenerate_cells_score_half(self, block_paths):
         main, meta = tiny_nets(69)
         main = main.with_arrays([np.zeros_like(a) if f == "sim_w" else a
                                  for f, a in main.items()])
         rng = rng_for(808)
         imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(65, 4))
-        for workers in (1, 2):
-            out, n_bad = ek.score_matrix([(main, meta)], imgs, txts,
-                                         threads=workers)
-            assert n_bad == 70 * 65
-            np.testing.assert_array_equal(out, np.full((70, 65), 0.5))
+        for _ in block_paths():
+            for workers in (1, 2):
+                out, n_bad = ek.score_matrix([(main, meta)], imgs, txts,
+                                             threads=workers)
+                assert n_bad == 70 * 65
+                np.testing.assert_array_equal(out, np.full((70, 65), 0.5))
 
     @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
-    def test_degenerate_cells_count_once(self, scorer):
+    def test_degenerate_cells_count_once(self, block_paths, scorer):
         """All-zero main weights make every embedding zero, so every cell is
         degenerate on both sides; each counts once."""
         main, meta = tiny_nets(70)
@@ -170,11 +205,22 @@ class TestScoreMatrix:
         rng = rng_for(809)
         imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(65, 4))
         neutral = 0.5 if scorer == "mscn" else 0.0
-        for workers in (1, 2):
-            out, n_bad = ek.score_matrix([(main, meta)], imgs, txts,
-                                         scorer=scorer, threads=workers)
-            assert n_bad == 70 * 65
-            np.testing.assert_array_equal(out, np.full((70, 65), neutral))
+        for _ in block_paths():
+            for workers in (1, 2):
+                out, n_bad = ek.score_matrix([(main, meta)], imgs, txts,
+                                             scorer=scorer, threads=workers)
+                assert n_bad == 70 * 65
+                np.testing.assert_array_equal(out, np.full((70, 65), neutral))
+
+    def test_pool_needs_enough_blocks_per_worker(self, monkeypatch, pools):
+        """8 blocks per worker: 16 blocks give two workers, 15 none, and
+        `threads` still caps the count."""
+        monkeypatch.setattr(ek, "MIN_BLOCKS_PER_WORKER", 8)
+        for threads, n_blocks in ((2, 16), (2, 15), (1, 1024), (4, 24),
+                                  (4, 1024)):
+            with ek._block_map(threads, n_blocks) as each:
+                assert list(each(abs, [-1, 2])) == [1, 2]
+        assert pools == [2, 3, 4]
 
     def test_default_counts_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
@@ -260,6 +306,18 @@ class TestEvaluate:
         with pytest.raises(ValueError, match="no queries"):
             ek.evaluate([nets], ds.test, ks=(1,), scorer=scorer)
 
+    def test_small_split_runs_on_the_calling_thread(self, pools):
+        """100 pairs are 4 tiles, too few to share: even at threads=2 no
+        pool is built, and `threads` is still validated."""
+        split = make_split(100, 6)
+        nets = [tiny_nets(t) for t in (80, 81)]
+        one = ek.evaluate(nets, split, ks=(1, 5), threads=1)
+        two = ek.evaluate(nets, split, ks=(1, 5), threads=2)
+        assert pools == []
+        assert two.format_kv() == one.format_kv()
+        with pytest.raises(ValueError, match="worker count must be positive"):
+            ek.evaluate(nets, split, ks=(1,), threads=0)
+
     def test_kv_roundtrip(self):
         ds = dg.generate(dg.GenConfig(seed=32, n_clusters=4, pairs_per_cluster=30,
                                       d_img=8, d_txt=6))
@@ -314,13 +372,14 @@ class TestBlockwiseRanks:
     @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
     @pytest.mark.parametrize("permuted", [False, True])
     @pytest.mark.parametrize("n", [1, 65, 129, 130])
-    def test_matches_whole_matrix_ranks(self, n, permuted, scorer):
+    def test_matches_whole_matrix_ranks(self, block_paths, n, permuted, scorer):
         split = make_split(n, 0, permuted)
         nets = [tiny_nets(t) for t in (71, 72)]
-        assert_matches_oracle(nets, split, scorer)
+        for _ in block_paths():
+            assert_matches_oracle(nets, split, scorer)
 
     @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
-    def test_exact_ties_in_other_blocks(self, scorer):
+    def test_exact_ties_in_other_blocks(self, block_paths, scorer):
         """Records 3, 100 and 129 are copies, in three different tiles and
         strips: each true score ties with two cells of other blocks, one at
         a lower and one at a higher index (except at the ends)."""
@@ -334,27 +393,30 @@ class TestBlockwiseRanks:
         for i in group:
             assert np.all(scores[i, group] == scores[i, i])
             assert np.all(scores[group, i] == scores[i, i])
-        assert_matches_oracle(nets, split, scorer)
+        for _ in block_paths():
+            assert_matches_oracle(nets, split, scorer)
 
     @pytest.mark.parametrize("scorer", ["mscn", "cosine"])
-    def test_degenerate_pairs(self, scorer):
+    def test_degenerate_pairs(self, block_paths, scorer):
         """All-zero main weights make every cell degenerate and every score
         equal, so each true candidate ranks behind every lower index."""
         main, meta = tiny_nets(75)
         main = main.with_arrays([np.zeros_like(a) for a in main.arrays()])
         split = make_split(130, 2)
-        assert_matches_oracle([(main, meta)], split, scorer)
-        report = ek.evaluate([(main, meta)], split, ks=(1,), scorer=scorer,
-                             threads=2)
-        assert report.degenerate_pairs == 130 * 130
-        assert report.image_to_text[1] == 100.0 / 130
+        for _ in block_paths():
+            assert_matches_oracle([(main, meta)], split, scorer)
+            report = ek.evaluate([(main, meta)], split, ks=(1,),
+                                 scorer=scorer, threads=2)
+            assert report.degenerate_pairs == 130 * 130
+            assert report.image_to_text[1] == 100.0 / 130
 
     @pytest.mark.parametrize("cells", [
         [(70, 100)],                       # in the truth tile of rows 64-127
         [(5, 129)],                        # in a tile that holds no true pair
         [(70, 70), (5, 129), (129, 0)],    # a true cell and two others
     ])
-    def test_nan_cells_counted_in_every_block(self, monkeypatch, cells):
+    def test_nan_cells_counted_in_every_block(self, block_paths, monkeypatch,
+                                              cells):
         split = make_split(130, 3)
         main, meta = tiny_nets(76)
         u_all = model.embed_image(split.images, main).data
@@ -375,9 +437,10 @@ class TestBlockwiseRanks:
         scores, _ = ek.score_matrix([(main, meta)], split.images, split.texts)
         with pytest.raises(ValueError, match=message):
             ek.ranks(scores, np.arange(130))
-        for workers in (1, 2, 3):
-            with pytest.raises(ValueError, match=message):
-                ek.evaluate([(main, meta)], split, ks=(1,), threads=workers)
+        for _ in block_paths():
+            for workers in (1, 2, 3):
+                with pytest.raises(ValueError, match=message):
+                    ek.evaluate([(main, meta)], split, ks=(1,), threads=workers)
 
     def test_cutoffs_checked_before_any_block(self, monkeypatch):
         def no_scoring(*args, **kwargs):
