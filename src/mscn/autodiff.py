@@ -250,17 +250,18 @@ def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable,
 # primitives
 
 
-def _gemm(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x @ y of 2-D arrays, on the kernel that contiguous operands get."""
+def _gemm(x: np.ndarray, y: np.ndarray, out=None) -> np.ndarray:
+    """x @ y of 2-D arrays, on the kernel that contiguous operands get;
+    written into the contiguous array `out` if given."""
     if x.shape[1] == 1:
         # an outer product: each cell is one product added to a zero
         # accumulator, which turns a -0.0 product into +0.0
-        out = x * y
+        out = np.multiply(x, y, out=out)
         out += 0.0
         return out
     if x.shape[0] == 1 or y.shape[1] == 1 or np.may_share_memory(x, y):
         x, y = np.ascontiguousarray(x), np.ascontiguousarray(y)
-    return x @ y
+    return np.matmul(x, y, out=out)
 
 
 def matmul(a, b) -> Tensor:

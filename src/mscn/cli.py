@@ -266,9 +266,14 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=list(SCORER_OF_MODE),
                    help="override the training mode")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="at most this many evaluation workers, none for a "
-                        "split too small to share (default: the usable "
-                        "CPUs; outputs do not depend on it)")
+                   help="at most this many workers for each validation and "
+                        "test eval; a split of fewer than "
+                        f"{2 * evalkit.MIN_BLOCKS_PER_WORKER} blocks "
+                        f"({evalkit.TILE} x {evalkit.TILE} mscn tiles or "
+                        f"{evalkit.CHUNK_ROWS}-row cosine strips), as in "
+                        "every shipped config, runs on the calling thread "
+                        "(default: the usable CPUs; outputs do not depend "
+                        "on it)")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate checkpoints on a split")

@@ -6,9 +6,11 @@ shape and the function that scores it.  The mscn scorer scores fixed
 tiles of at most TILE images x TILE texts, the training batch's block,
 through `model.block_feature` and `model.block_scores`, the plain-numpy
 scorer that picks the training negatives, with every cell the bits of
-`model.all_pairs_scores`.  A tile's (TILE * TILE, d_emb) intermediate is
-2 MiB at d_emb=64 whatever the split size.  The cosine scorer scores
-fixed CHUNK_ROWS-row strips that span all texts through
+`model.all_pairs_scores`.  Those score a tile in chunks of at most
+`model.BLOCK_CELLS` cells, so whatever the split size the largest array
+a tile builds is its (TILE * TILE, d_sim) feature, 1 MiB at d_sim=32,
+and no chunk's intermediate exceeds 512 KiB at d_emb=64.  The cosine
+scorer scores fixed CHUNK_ROWS-row strips that span all texts through
 `model.block_cosine`.  The worker count (at most `threads`, or the CPUs
 this process may run on) only decides how many blocks run concurrently,
 never how the matrix is partitioned, so outputs are bitwise invariant to

@@ -404,7 +404,6 @@ class TrainResult:
     nets: list
     best_nets: list  # (main, meta) params at the best-validation epoch
     metrics: list
-    audit: list
     best_epoch: int
     best_rsum: float
     final_val: evalkit.RecallReport
@@ -417,6 +416,30 @@ def _purity(admitted: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
     precision = tp / max(int(mask.sum()), 1)
     recall = tp / max(int(clean.sum()), 1)
     return precision, recall
+
+
+def _purified_pools(nets, row: dict, train_split: Split, meta_split: Split,
+                    cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
+    """The training pool of each net for this epoch: the set the *other*
+    net admitted, or the whole train split if that set is smaller than a
+    batch.  Writes each fit's counts and purity to `row`; the scores and
+    mixtures die here."""
+    pools = [None, None]
+    for k in range(2):
+        admitted, _, _ = fit_purifier(nets[k].main, nets[k].meta, train_split,
+                                      meta_split, cfg.seed, epoch, k)
+        if admitted.size < cfg.batch_size:
+            log.warning("epoch %d: net %d purified only %d pairs "
+                        "(< batch %d); falling back to the full train set",
+                        epoch, k + 1, admitted.size, cfg.batch_size)
+            pools[1 - k] = np.arange(len(train_split))
+        else:
+            pools[1 - k] = admitted
+        precision, recall = _purity(admitted, train_split.clean)
+        row.update({f"net{k + 1}_purified": int(admitted.size),
+                    f"net{k + 1}_purity_precision": precision,
+                    f"net{k + 1}_purity_recall": recall})
+    return pools
 
 
 def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
@@ -489,7 +512,6 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
 
     total_epochs = cfg.warmup_epochs + cfg.epochs
     metrics_rows: list[dict] = []
-    audit: list[dict] = []
     best_rsum = -1.0
     best_epoch = -1
     best_nets = [(net.main, net.meta) for net in nets]
@@ -505,37 +527,11 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
             row = dict.fromkeys(columns)
             row.update(epoch=epoch, phase="warmup" if warm else "main",
                        lr_main=lr_main, lr_meta=lr_meta)
-            pools = [np.arange(len(train_split)), np.arange(len(train_split))]
             if not warm and cfg.mode == "mscn" and cfg.use_purification:
-                # each net trains on the set the *other* net admitted
-                for k in range(2):
-                    admitted, fit, scores = fit_purifier(
-                        nets[k].main, nets[k].meta, train_split, meta_split,
-                        cfg.seed, epoch, k)
-                    fallback = admitted.size < cfg.batch_size
-                    if fallback:
-                        log.warning(
-                            "epoch %d: net %d purified only %d pairs "
-                            "(< batch %d); falling back to the full train set",
-                            epoch, k + 1, admitted.size, cfg.batch_size)
-                    pool = np.arange(len(train_split)) if fallback else admitted
-                    pools[1 - k] = pool
-                    precision, recall = _purity(admitted, train_split.clean)
-                    row.update({f"net{k + 1}_purified": int(admitted.size),
-                                f"net{k + 1}_purity_precision": precision,
-                                f"net{k + 1}_purity_recall": recall})
-                    audit.append({
-                        "epoch": epoch, "scored_by": k, "trains": 1 - k,
-                        "alpha": fit.mixture.alpha.copy(),
-                        "beta": fit.mixture.beta.copy(),
-                        "weight": fit.mixture.weight.copy(),
-                        "iterations": fit.iterations,
-                        "mean_log_likelihood": fit.mean_log_likelihood,
-                        "scores": scores,
-                        "admitted": admitted,
-                        "fallback": fallback,
-                        "pool": pool,
-                    })
+                pools = _purified_pools(nets, row, train_split, meta_split,
+                                        cfg, epoch)
+            else:
+                pools = [np.arange(len(train_split))] * 2
 
             losses, mlosses = [None] * 2, [None] * 2
             for k in range(2):
@@ -581,5 +577,5 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
             model.save_checkpoint(out_path / f"net{k + 1}_final.mscp",
                                   net.main, net.meta)
     return TrainResult(nets=nets, best_nets=best_nets, metrics=metrics_rows,
-                       audit=audit, best_epoch=best_epoch, best_rsum=best_rsum,
+                       best_epoch=best_epoch, best_rsum=best_rsum,
                        final_val=report)

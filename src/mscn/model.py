@@ -257,34 +257,92 @@ def all_pairs_scores(images, texts, main: MainNetParams,
     return scores, n_bad
 
 
+# The most cells of a block that `block_feature` and `block_scores` hold at
+# once: a (BLOCK_CELLS, d_emb) difference is 512 KiB at d_emb=64.  A
+# multiple of 4 and at least 8, because OpenBLAS's gemv, which the
+# correction network's last layer runs on, sums rows four at a time.
+BLOCK_CELLS = 1024
+
+
+def _cell_chunks(n: int):
+    """(start, stop) ranges of at most BLOCK_CELLS of a block's `n` cells,
+    in row-major order.  Every chunk but the last starts and ends on a
+    gemv row group, so each cell is summed as in one product of all `n`
+    rows; and no chunk is a single cell of a larger block, whose one-row
+    products numpy would run as a gemv or a dot instead of the block's
+    gemm or gemv."""
+    bounds = [*range(0, n, BLOCK_CELLS), n]
+    if n > 1 and n - bounds[-2] == 1:
+        bounds[-2] -= 4
+    return zip(bounds[:-1], bounds[1:])
+
+
+def _differences(u: np.ndarray, v: np.ndarray, start: int,
+                 out: np.ndarray) -> np.ndarray:
+    """`out` filled with u[i] - v[j] for the cells (i, j) from flat index
+    `start` on, in row-major order: at most three broadcast subtractions,
+    a partial row, whole rows and a partial row."""
+    n_v, d = v.shape
+    i, j = divmod(start, n_v)
+    done = 0
+    if j:
+        done = min(n_v - j, len(out))
+        np.subtract(u[i], v[j:j + done], out=out[:done])
+        i += 1
+    rows = (len(out) - done) // n_v
+    if rows:
+        np.subtract(u[i:i + rows, None], v[None],
+                    out=out[done:done + rows * n_v].reshape(rows, n_v, d))
+        done += rows * n_v
+    if done < len(out):
+        np.subtract(u[i + rows], v[:len(out) - done], out=out[done:])
+    return out
+
+
 def block_feature(u, v, sim_w) -> tuple[np.ndarray, np.ndarray]:
     """Off the record, the similarity feature of every row of `u` against
     every row of `v` as (n_u * n_v, d_sim) unit rows, and the (n_u, n_v)
-    norms of the rows before scaling.  It runs the ops of `all_pairs_scores` in
-    their order and gemm shapes, so every cell keeps their bits.  A
-    degenerate row (norm <= NORM_EPSILON) is divided by 1, for
-    `block_scores` to score 0.5; a non-finite norm is left in place."""
-    u, v = _as_array(u), _as_array(v)
-    x = np.subtract(u[:, None], v[None]).reshape(-1, u.shape[1])
-    np.multiply(x, x, out=x)
-    x = _gemm(x, _as_array(sim_w))
-    norms = np.sqrt((x * x).sum(axis=-1))
-    x /= np.where(norms <= NORM_EPSILON, 1.0, norms)[:, None]
-    return x, norms.reshape(len(u), len(v))
+    norms of the rows before scaling.  It runs the ops of
+    `all_pairs_scores` in their order on chunks of at most BLOCK_CELLS
+    rows (see `_cell_chunks`), so every cell keeps their bits.  Each chunk
+    writes into the results and into buffers of one chunk, which are
+    allocated once per block.  A degenerate row (norm <= NORM_EPSILON) is
+    divided by 1, for `block_scores` to score 0.5; a non-finite norm is
+    left in place."""
+    u, v, sim_w = _as_array(u), _as_array(v), _as_array(sim_w)
+    n = len(u) * len(v)
+    unit = np.empty((n, sim_w.shape[1]))
+    norms = np.empty(n)
+    diff = np.empty((min(n, BLOCK_CELLS), u.shape[1]))
+    squares = np.empty((len(diff), sim_w.shape[1]))
+    for start, stop in _cell_chunks(n):
+        x = _differences(u, v, start, diff[:stop - start])
+        np.multiply(x, x, out=x)
+        x = _gemm(x, sim_w, out=unit[start:stop])
+        sq = np.multiply(x, x, out=squares[:stop - start])
+        sq.sum(axis=-1, out=norms[start:stop])
+    np.sqrt(norms, out=norms)
+    unit /= np.where(norms <= NORM_EPSILON, 1.0, norms)[:, None]
+    return unit, norms.reshape(len(u), len(v))
 
 
 def block_scores(feature: tuple[np.ndarray, np.ndarray],
                  meta: MetaNetParams) -> tuple[np.ndarray, int]:
     """Off the record, the correction network's (n_u, n_v) scores of a
     `block_feature`, degenerate cells 0.5, and their count: bit for bit
-    those of `all_pairs_scores`."""
+    those of `all_pairs_scores`.  The hidden layer is held for one chunk
+    of at most BLOCK_CELLS rows at a time, in one buffer per block."""
     unit, norms = feature
     mask = norms <= NORM_EPSILON
     w1, b1, w2, b2 = meta.arrays()
-    h = _gemm(unit, w1)
-    h += b1
-    np.maximum(h, 0.0, out=h)
-    scores = _gemm(h, w2).reshape(mask.shape)
+    scores = np.empty(mask.shape)
+    flat = scores.reshape(-1, 1)
+    hidden = np.empty((min(len(flat), BLOCK_CELLS), w1.shape[1]))
+    for start, stop in _cell_chunks(len(flat)):
+        h = _gemm(unit[start:stop], w1, out=hidden[:stop - start])
+        h += b1
+        np.maximum(h, 0.0, out=h)
+        _gemm(h, w2, out=flat[start:stop])
     scores += b2
     autodiff._expit(scores, out=scores)  # rebinds to scipy's ufunc on first use
     scores[mask] = 0.5

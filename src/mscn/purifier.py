@@ -161,13 +161,17 @@ def em_fit(scores, init: BetaMixture) -> MixtureFit:
     if s.ndim != 1 or s.size < 2:
         raise ValueError(f"em_fit: need >= 2 scores, got shape {s.shape}")
     current = BetaMixture(init.alpha.copy(), init.beta.copy(), init.weight.copy())
-    ll = mean_log_likelihood(current, s)
+    # a mixture's log-joint gives its likelihood (the bits of
+    # `mean_log_likelihood`) and, once accepted, the next E-step's
+    # responsibilities, so each is computed once
+    lj = _component_log_joint(current, s)
+    lse = _log_sum_exp(lj)
+    ll = float(np.mean(lse))
     trajectory = [ll]
     iterations = 0
     collapsed = False
     for _ in range(EM_MAX_ITERS):
-        lj = _component_log_joint(current, s)
-        resp = np.exp(lj - _log_sum_exp(lj))  # (2, n)
+        resp = np.exp(lj - lse)  # (2, n)
         new_weight = resp.mean(axis=1)
         if np.any(new_weight < _MIN_WEIGHT):
             collapsed = True
@@ -180,10 +184,12 @@ def em_fit(scores, init: BetaMixture) -> MixtureFit:
             beta=np.array([shapes[0][1], shapes[1][1]]),
             weight=new_weight,
         )
-        new_ll = mean_log_likelihood(candidate, s)
+        new_lj = _component_log_joint(candidate, s)
+        new_lse = _log_sum_exp(new_lj)
+        new_ll = float(np.mean(new_lse))
         if new_ll < ll - 1e-12:
             break  # moment step would lower the likelihood; keep current
-        current = candidate
+        current, lj, lse = candidate, new_lj, new_lse
         iterations += 1
         trajectory.append(new_ll)
         improvement = new_ll - ll

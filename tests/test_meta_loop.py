@@ -758,34 +758,78 @@ def test_train_seed_changes_outcome():
     assert not same
 
 
-def test_train_audit_provenance():
+def _spy_on_epochs(monkeypatch):
+    """Record every `fit_purifier` call of `train` as (epoch, net, main,
+    admitted, fit, scores) and every `_train_net_epoch` call as (epoch,
+    net, pool, main before, main after)."""
+    fits, epochs = [], []
+
+    def fit(main, meta, train_split, meta_split, seed, epoch, net_idx):
+        out = fit_purifier(main, meta, train_split, meta_split, seed, epoch,
+                           net_idx)
+        fits.append((epoch, net_idx, main, *out))
+        return out
+
+    def net_epoch(net, k, pool, epoch, *args):
+        out = real_net_epoch(net, k, pool, epoch, *args)
+        epochs.append((epoch, k, pool, net.main, out[0].main))
+        return out
+
+    real_net_epoch = meta_loop._train_net_epoch
+    monkeypatch.setattr(meta_loop, "fit_purifier", fit)
+    monkeypatch.setattr(meta_loop, "_train_net_epoch", net_epoch)
+    return fits, epochs
+
+
+def test_train_audit_provenance(monkeypatch):
+    """Each main epoch, net k's purifier fit runs on net k's current
+    params, admits exactly the train pairs whose clean posterior exceeds
+    one half, and its admitted set (or the whole train split on fallback)
+    is the pool the *other* net trains on; metrics.tsv counts it."""
+    fits, epochs = _spy_on_epochs(monkeypatch)
     ds = small_dataset(noise=0.5)
-    result = train(ds, train_cfg())
-    assert len(result.audit) == 4  # 2 nets x 2 main epochs
+    cfg = train_cfg()
+    result = train(ds, cfg)
     n = len(ds.train)
-    for entry in result.audit:
-        assert entry["trains"] == 1 - entry["scored_by"]
-        mix = purifier.BetaMixture(alpha=entry["alpha"], beta=entry["beta"],
-                                   weight=entry["weight"])
-        post = purifier.posterior_clean(mix, entry["scores"])
-        np.testing.assert_array_equal(entry["admitted"],
-                                      np.flatnonzero(post > 0.5))
-        if entry["fallback"]:
-            np.testing.assert_array_equal(entry["pool"], np.arange(n))
+    assert [(e, k) for e, k, *_ in fits] == [(1, 0), (1, 1), (2, 0), (2, 1)]
+    # this run takes both branches: net 1 admits 13 < 16 pairs in epoch 2
+    assert {f[3].size < cfg.batch_size for f in fits} == {False, True}
+    trained = {(e, k): (pool, before, after)
+               for e, k, pool, before, after in epochs}
+    for epoch, k, main, admitted, fit, scores in fits:
+        assert main is trained[(epoch - 1, k)][2]  # net k's current params
+        assert main is trained[(epoch, k)][1]
+        post = purifier.posterior_clean(fit.mixture, scores)
+        np.testing.assert_array_equal(admitted, np.flatnonzero(post > 0.5))
+        pool = trained[(epoch, 1 - k)][0]
+        if admitted.size < cfg.batch_size:
+            np.testing.assert_array_equal(pool, np.arange(n))
         else:
-            np.testing.assert_array_equal(entry["pool"], entry["admitted"])
-    by_epoch = {(e["epoch"], e["scored_by"]): e for e in result.audit}
-    for epoch in (1, 2):
-        row = result.metrics[epoch]
-        assert row["net1_purified"] == by_epoch[(epoch, 0)]["admitted"].size
-        assert row["net2_purified"] == by_epoch[(epoch, 1)]["admitted"].size
+            assert pool is admitted
+        assert result.metrics[epoch][f"net{k + 1}_purified"] == admitted.size
 
 
-def test_train_baseline_mode():
+def test_no_purification_array_outlives_train(monkeypatch):
+    """Nothing an epoch's purification made is kept once `train`
+    returns: no fit's scores or admitted set, and no training pool."""
+    fits, epochs = _spy_on_epochs(monkeypatch)
+    result = train(small_dataset(noise=0.5), train_cfg())
+    refs = ([weakref.ref(a) for *_, admitted, _, scores in fits
+             for a in (admitted, scores)]
+            + [weakref.ref(pool) for _, _, pool, _, _ in epochs])
+    assert len(refs) == 4 * 2 + 3 * 2
+    fits.clear()
+    epochs.clear()
+    gc.collect()
+    assert result.metrics and [r for r in refs if r() is not None] == []
+
+
+def test_train_baseline_mode(monkeypatch):
+    fits, _ = _spy_on_epochs(monkeypatch)
     ds = small_dataset(noise=0.5)
     cfg = train_cfg(mode="fixed_margin_baseline", warmup_epochs=0, epochs=2)
     result = train(ds, cfg)
-    assert len(result.audit) == 0
+    assert fits == []
     for row in result.metrics:
         assert row["net1_meta_loss"] is None
         assert row["net1_purified"] is None
@@ -844,11 +888,12 @@ def test_non_finite_loss_of_net_2_aborts_the_run(
     assert str(err.value) == "epoch 0 net 2: non-finite training loss"
 
 
-def test_train_no_purification_switch():
+def test_train_no_purification_switch(monkeypatch):
+    fits, _ = _spy_on_epochs(monkeypatch)
     ds = small_dataset(noise=0.5)
     cfg = train_cfg(warmup_epochs=0, epochs=1, use_purification=False)
     result = train(ds, cfg)
-    assert result.audit == []
+    assert fits == []
     assert result.metrics[0]["net1_purified"] is None
 
 

@@ -141,8 +141,10 @@ class TestBlockScores:
         return model.block_scores(model.block_feature(u, v, main.sim_w), meta)
 
     @pytest.mark.parametrize("ni, nt", [(1, 1), (1, 7), (7, 1), (3, 5),
-                                        (13, 64), (64, 64)])
+                                        (13, 64), (64, 64), (37, 53)])
     def test_bitwise_equal_to_recorded_composition(self, ni, nt):
+        """37 x 53 is two chunks of BLOCK_CELLS, the last one ragged and
+        starting mid-row."""
         for tag in range(4):
             main, meta = tiny_nets(tag, d_emb=64, d_sim=32, hidden=64,
                                    mscn_hidden=32)
@@ -152,6 +154,35 @@ class TestBlockScores:
             got, n_bad = self._block(imgs, txts, main, meta)
             assert got.shape == (ni, nt) and n_bad == want_bad == 0
             assert got.tobytes() == want.data.tobytes(), (ni, nt, tag)
+
+    @pytest.mark.parametrize("cells, ni, nt, d_sim, mscn_hidden", [
+        (96, 64, 64, 32, 32),  # 43 chunks, most of them starting mid-row
+        (64, 64, 64, 32, 32),  # one row per chunk
+        (8, 3, 3, 32, 32),     # 9 cells: a one-cell last chunk moves back
+        (8, 1, 17, 32, 32),    # the same within one row
+        (16, 33, 1, 32, 32),   # and down one column
+        (12, 2, 29, 32, 32),   # chunks wider than a row and narrower
+        (12, 5, 7, 1, 1)])     # one-wide products are outer products
+    def test_small_chunks_keep_every_bit(self, monkeypatch, cells, ni, nt,
+                                         d_sim, mscn_hidden):
+        monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+        main, meta = tiny_nets(9, d_emb=64, d_sim=d_sim, hidden=64,
+                               mscn_hidden=mscn_hidden)
+        rng = rng_for(513, ni, nt)
+        imgs, txts = rng.normal(size=(ni, 5)), rng.normal(size=(nt, 4))
+        want, _ = model.all_pairs_scores(imgs, txts, main, meta)
+        got, n_bad = self._block(imgs, txts, main, meta)
+        assert n_bad == 0
+        assert got.tobytes() == want.data.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 9, 16, 17, 100])
+    def test_cell_chunks_cover_the_block_in_gemv_groups(self, monkeypatch, n):
+        monkeypatch.setattr(model, "BLOCK_CELLS", 8)
+        chunks = list(model._cell_chunks(n))
+        assert [c for chunk in chunks for c in range(*chunk)] == list(range(n))
+        assert all(0 < stop - start <= 8 for start, stop in chunks)
+        assert all(start % 4 == 0 for start, _ in chunks)
+        assert n < 2 or all(stop - start > 1 for start, stop in chunks)
 
     def test_half_policy_scores_degenerate_cells_and_counts_them(self):
         """Image 0 and text 2 embed to the same point, so cell (0, 2) has

@@ -182,6 +182,31 @@ class TestEMFit:
         assert np.isfinite(fit.mean_log_likelihood)
         assert np.all(fit.mixture.alpha > 0) and np.all(fit.mixture.beta > 0)
 
+    def test_each_mixture_log_joint_computed_once(self, monkeypatch):
+        """One log-joint for the initial mixture and one per candidate,
+        and the likelihoods are the bits of `mean_log_likelihood`."""
+        calls = []
+        real = pf._component_log_joint
+
+        def counted(mixture, s):
+            calls.append(mixture)
+            return real(mixture, s)
+
+        for tag in range(10):
+            s, _ = bimodal_scores(300, 0.4, tag)
+            rng = rng_for(607, tag)
+            init = pf.moment_match_init(rng.beta(6, 3, size=40),
+                                        rng.beta(3, 6, size=40))
+            calls.clear()
+            monkeypatch.setattr(pf, "_component_log_joint", counted)
+            fit = pf.em_fit(s, init)
+            monkeypatch.setattr(pf, "_component_log_joint", real)
+            assert fit.iterations + 1 <= len(calls) <= fit.iterations + 2
+            assert len({id(m) for m in calls}) == len(calls)
+            assert fit.trajectory[0] == pf.mean_log_likelihood(init, s)
+            assert fit.mean_log_likelihood == pf.mean_log_likelihood(
+                fit.mixture, s)
+
     def test_scores_clamped_not_rejected(self):
         fit = pf.em_fit(np.array([0.0, 1.0, 0.3, 0.8, 0.9, 0.1]),
                         pf.moment_match_init(np.array([0.8, 0.9]),
