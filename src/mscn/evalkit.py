@@ -6,17 +6,17 @@ shape and the function that scores it.  The mscn scorer scores fixed
 tiles of at most TILE images x TILE texts, the training batch's block,
 through `model.block_feature` and `model.block_scores`, the plain-numpy
 scorer that picks the training negatives, with every cell the bits of
-`model.all_pairs_scores`.  Those score a tile in chunks of at most
-`model.BLOCK_CELLS` cells, so whatever the split size the largest array
-a tile builds is its (TILE * TILE, d_sim) feature, 1 MiB at d_sim=32,
-and no chunk's intermediate exceeds 512 KiB at d_emb=64.  The cosine
-scorer scores fixed CHUNK_ROWS-row strips that span all texts through
-`model.block_cosine`.  The worker count (at most `threads`, or the CPUs
-this process may run on) only decides how many blocks run concurrently,
-never how the matrix is partitioned, so outputs are bitwise invariant to
-it.  A split too small to give every worker MIN_BLOCKS_PER_WORKER blocks
-is scored on the calling thread, where a pool would save little time and
-cost memory.
+`model.all_pairs_scores`.  Those score a tile in chunks of whole rows,
+at most `model.BLOCK_CELLS` cells for blocks up to 256 wide, so whatever
+the split size the largest array a tile builds is its (TILE * TILE,
+d_sim) feature, 1 MiB at d_sim=32, and no chunk's intermediate exceeds
+512 KiB at d_emb=64.  The cosine scorer scores fixed CHUNK_ROWS-row
+strips that span all texts through `model.block_cosine`.  The worker
+count (at most `threads`, or the CPUs this process may run on) only
+decides how many blocks run concurrently, never how the matrix is
+partitioned, so outputs are bitwise invariant to it.  A split too small
+to give every worker MIN_BLOCKS_PER_WORKER blocks is scored on the
+calling thread, where a pool would save little time and cost memory.
 
 `score_matrix` fills the whole matrix from the blocks.  `evaluate` builds
 no matrix: it first scores the blocks that hold a true pair and reads the

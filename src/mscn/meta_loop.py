@@ -429,9 +429,9 @@ def _purified_pools(nets, row: dict, train_split: Split, meta_split: Split,
         admitted, _, _ = fit_purifier(nets[k].main, nets[k].meta, train_split,
                                       meta_split, cfg.seed, epoch, k)
         if admitted.size < cfg.batch_size:
-            log.warning("epoch %d: net %d purified only %d pairs "
+            log.warning("seed %d, epoch %d: net %d purified only %d pairs "
                         "(< batch %d); falling back to the full train set",
-                        epoch, k + 1, admitted.size, cfg.batch_size)
+                        cfg.seed, epoch, k + 1, admitted.size, cfg.batch_size)
             pools[1 - k] = np.arange(len(train_split))
         else:
             pools[1 - k] = admitted

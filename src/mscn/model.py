@@ -196,15 +196,9 @@ def similarity_feature(u, v, sim_w) -> Tensor:
     u, v = _lift(u), _lift(v)
     if u.ndim != 2 or u.shape != v.shape:
         raise ShapeMismatchError("similarity_feature", u.shape, v.shape)
-    unit, mask = _unit_feature(sub(u, v), sim_w)
+    unit, mask = _unit_rows(matmul(square(sub(u, v)), sim_w))
     refuse_degenerate(int(mask.sum()))
     return unit
-
-
-def _unit_feature(diff: Tensor, sim_w) -> tuple[Tensor, np.ndarray]:
-    """The similarity feature of embedding differences `diff` (k, d_emb),
-    and the mask of its degenerate rows; see `_unit_rows`."""
-    return _unit_rows(matmul(square(diff), sim_w))
 
 
 def _unit_rows(x: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -249,7 +243,8 @@ def all_pairs_scores(images, texts, main: MainNetParams,
     u, v = embed_image(images, main), embed_text(texts, main)
     ni, nt, d = u.shape[0], v.shape[0], u.shape[1]
     diff = sub(reshape(u, (ni, 1, d)), reshape(v, (1, nt, d)))
-    unit, mask = _unit_feature(reshape(diff, (ni * nt, d)), main.sim_w)
+    unit, mask = _unit_rows(matmul(square(reshape(diff, (ni * nt, d))),
+                                   main.sim_w))
     scores = reshape(mscn_score(unit, meta), (ni, nt))
     n_bad = int(mask.sum())
     if n_bad:
@@ -258,72 +253,58 @@ def all_pairs_scores(images, texts, main: MainNetParams,
 
 
 # The most cells of a block that `block_feature` and `block_scores` hold at
-# once: a (BLOCK_CELLS, d_emb) difference is 512 KiB at d_emb=64.  A
-# multiple of 4 and at least 8, because OpenBLAS's gemv, which the
-# correction network's last layer runs on, sums rows four at a time.
+# once, in whole rows, for blocks up to 256 wide: a (BLOCK_CELLS, d_emb)
+# difference is 512 KiB at d_emb=64.  A multiple of 4 and at least 8,
+# because OpenBLAS's gemv, which the correction network's last layer runs
+# on, sums rows four at a time.
 BLOCK_CELLS = 1024
 
 
-def _cell_chunks(n: int):
-    """(start, stop) ranges of at most BLOCK_CELLS of a block's `n` cells,
-    in row-major order.  Every chunk but the last starts and ends on a
-    gemv row group, so each cell is summed as in one product of all `n`
-    rows; and no chunk is a single cell of a larger block, whose one-row
-    products numpy would run as a gemv or a dot instead of the block's
-    gemm or gemv."""
-    bounds = [*range(0, n, BLOCK_CELLS), n]
-    if n > 1 and n - bounds[-2] == 1:
+def _row_chunks(n_u: int, n_v: int) -> list[tuple[int, int]]:
+    """(start, stop) cell ranges of whole rows of an n_u x n_v block, in
+    row-major order: max(4, BLOCK_CELLS // n_v // 4 * 4) rows each but the
+    last, so every chunk but the last starts and ends on a gemv row group
+    and each cell is summed as in one product of all n_u * n_v rows.  No
+    chunk is a single cell of a larger block, whose one-row products numpy
+    would run as a gemv or a dot instead of the block's gemm or gemv: a
+    one-cell last chunk of a one-wide block starts 4 rows earlier."""
+    if not n_u * n_v:
+        return []
+    bounds = [*range(0, n_u, max(4, BLOCK_CELLS // n_v // 4 * 4)), n_u]
+    if n_v == 1 and n_u > 1 and n_u - bounds[-2] == 1:
         bounds[-2] -= 4
-    return zip(bounds[:-1], bounds[1:])
-
-
-def _differences(u: np.ndarray, v: np.ndarray, start: int,
-                 out: np.ndarray) -> np.ndarray:
-    """`out` filled with u[i] - v[j] for the cells (i, j) from flat index
-    `start` on, in row-major order: at most three broadcast subtractions,
-    a partial row, whole rows and a partial row."""
-    n_v, d = v.shape
-    i, j = divmod(start, n_v)
-    done = 0
-    if j:
-        done = min(n_v - j, len(out))
-        np.subtract(u[i], v[j:j + done], out=out[:done])
-        i += 1
-    rows = (len(out) - done) // n_v
-    if rows:
-        np.subtract(u[i:i + rows, None], v[None],
-                    out=out[done:done + rows * n_v].reshape(rows, n_v, d))
-        done += rows * n_v
-    if done < len(out):
-        np.subtract(u[i + rows], v[:len(out) - done], out=out[done:])
-    return out
+    return [(a * n_v, b * n_v) for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def block_feature(u, v, sim_w) -> tuple[np.ndarray, np.ndarray]:
     """Off the record, the similarity feature of every row of `u` against
     every row of `v` as (n_u * n_v, d_sim) unit rows, and the (n_u, n_v)
     norms of the rows before scaling.  It runs the ops of
-    `all_pairs_scores` in their order on chunks of at most BLOCK_CELLS
-    rows (see `_cell_chunks`), so every cell keeps their bits.  Each chunk
-    writes into the results and into buffers of one chunk, which are
-    allocated once per block.  A degenerate row (norm <= NORM_EPSILON) is
-    divided by 1, for `block_scores` to score 0.5; a non-finite norm is
-    left in place."""
+    `all_pairs_scores` in their order on chunks of whole rows, at most
+    BLOCK_CELLS cells for blocks up to 256 wide (see `_row_chunks`), so
+    every cell keeps their bits.  Each chunk writes into the results and
+    into buffers of one chunk, which are allocated once per block.  A
+    degenerate row (norm <= NORM_EPSILON) is divided by 1, for
+    `block_scores` to score 0.5; a non-finite norm is left in place."""
     u, v, sim_w = _as_array(u), _as_array(v), _as_array(sim_w)
-    n = len(u) * len(v)
-    unit = np.empty((n, sim_w.shape[1]))
-    norms = np.empty(n)
-    diff = np.empty((min(n, BLOCK_CELLS), u.shape[1]))
-    squares = np.empty((len(diff), sim_w.shape[1]))
-    for start, stop in _cell_chunks(n):
-        x = _differences(u, v, start, diff[:stop - start])
+    n_u, (n_v, d) = len(u), v.shape
+    chunks = _row_chunks(n_u, n_v)
+    cells = max((stop - start for start, stop in chunks), default=0)
+    unit = np.empty((n_u * n_v, sim_w.shape[1]))
+    norms = np.empty(n_u * n_v)
+    diff = np.empty((cells, d))
+    squares = np.empty((cells, sim_w.shape[1]))
+    for start, stop in chunks:
+        x = diff[:stop - start]
+        np.subtract(u[start // n_v:stop // n_v, None], v[None],
+                    out=x.reshape(-1, n_v, d))
         np.multiply(x, x, out=x)
         x = _gemm(x, sim_w, out=unit[start:stop])
         sq = np.multiply(x, x, out=squares[:stop - start])
         sq.sum(axis=-1, out=norms[start:stop])
     np.sqrt(norms, out=norms)
     unit /= np.where(norms <= NORM_EPSILON, 1.0, norms)[:, None]
-    return unit, norms.reshape(len(u), len(v))
+    return unit, norms.reshape(n_u, n_v)
 
 
 def block_scores(feature: tuple[np.ndarray, np.ndarray],
@@ -331,14 +312,17 @@ def block_scores(feature: tuple[np.ndarray, np.ndarray],
     """Off the record, the correction network's (n_u, n_v) scores of a
     `block_feature`, degenerate cells 0.5, and their count: bit for bit
     those of `all_pairs_scores`.  The hidden layer is held for one chunk
-    of at most BLOCK_CELLS rows at a time, in one buffer per block."""
+    of `block_feature`'s whole rows at a time, at most BLOCK_CELLS cells
+    for blocks up to 256 wide, in one buffer per block."""
     unit, norms = feature
     mask = norms <= NORM_EPSILON
     w1, b1, w2, b2 = meta.arrays()
     scores = np.empty(mask.shape)
     flat = scores.reshape(-1, 1)
-    hidden = np.empty((min(len(flat), BLOCK_CELLS), w1.shape[1]))
-    for start, stop in _cell_chunks(len(flat)):
+    chunks = _row_chunks(*mask.shape)
+    cells = max((stop - start for start, stop in chunks), default=0)
+    hidden = np.empty((cells, w1.shape[1]))
+    for start, stop in chunks:
         h = _gemm(unit[start:stop], w1, out=hidden[:stop - start])
         h += b1
         np.maximum(h, 0.0, out=h)

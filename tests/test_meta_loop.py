@@ -781,19 +781,25 @@ def _spy_on_epochs(monkeypatch):
     return fits, epochs
 
 
-def test_train_audit_provenance(monkeypatch):
+def test_train_audit_provenance(monkeypatch, caplog):
     """Each main epoch, net k's purifier fit runs on net k's current
     params, admits exactly the train pairs whose clean posterior exceeds
     one half, and its admitted set (or the whole train split on fallback)
-    is the pool the *other* net trains on; metrics.tsv counts it."""
+    is the pool the *other* net trains on; metrics.tsv counts it.  A
+    fallback's warning names the training seed, the epoch and the net."""
     fits, epochs = _spy_on_epochs(monkeypatch)
     ds = small_dataset(noise=0.5)
     cfg = train_cfg()
-    result = train(ds, cfg)
+    with caplog.at_level("WARNING", logger=meta_loop.log.name):
+        result = train(ds, cfg)
     n = len(ds.train)
     assert [(e, k) for e, k, *_ in fits] == [(1, 0), (1, 1), (2, 0), (2, 1)]
     # this run takes both branches: net 1 admits 13 < 16 pairs in epoch 2
     assert {f[3].size < cfg.batch_size for f in fits} == {False, True}
+    assert [r.getMessage() for r in caplog.records
+            if "falling back" in r.getMessage()] == [
+        f"seed {cfg.seed}, epoch 2: net 1 purified only 13 pairs "
+        f"(< batch {cfg.batch_size}); falling back to the full train set"]
     trained = {(e, k): (pool, before, after)
                for e, k, pool, before, after in epochs}
     for epoch, k, main, admitted, fit, scores in fits:

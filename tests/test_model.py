@@ -141,10 +141,13 @@ class TestBlockScores:
         return model.block_scores(model.block_feature(u, v, main.sim_w), meta)
 
     @pytest.mark.parametrize("ni, nt", [(1, 1), (1, 7), (7, 1), (3, 5),
-                                        (13, 64), (64, 64), (37, 53)])
+                                        (13, 64), (64, 64), (37, 53),
+                                        (36, 36), (64, 36)])
     def test_bitwise_equal_to_recorded_composition(self, ni, nt):
-        """37 x 53 is two chunks of BLOCK_CELLS, the last one ragged and
-        starting mid-row."""
+        """At BLOCK_CELLS = 1024, 64-wide blocks run 16-row chunks; 37 x 53
+        is two 16-row chunks and a ragged 5-row one; 36 x 36 is a 28-row
+        chunk of 1008 cells and a ragged 8-row one, as in the remainder
+        tile of a 100-pair split, and 64 x 36 is two of them and 8 rows."""
         for tag in range(4):
             main, meta = tiny_nets(tag, d_emb=64, d_sim=32, hidden=64,
                                    mscn_hidden=32)
@@ -156,12 +159,14 @@ class TestBlockScores:
             assert got.tobytes() == want.data.tobytes(), (ni, nt, tag)
 
     @pytest.mark.parametrize("cells, ni, nt, d_sim, mscn_hidden", [
-        (96, 64, 64, 32, 32),  # 43 chunks, most of them starting mid-row
-        (64, 64, 64, 32, 32),  # one row per chunk
-        (8, 3, 3, 32, 32),     # 9 cells: a one-cell last chunk moves back
-        (8, 1, 17, 32, 32),    # the same within one row
-        (16, 33, 1, 32, 32),   # and down one column
-        (12, 2, 29, 32, 32),   # chunks wider than a row and narrower
+        (96, 64, 64, 32, 32),  # 4-row chunks of 256 cells, the fewest rows
+        (64, 64, 64, 32, 32),  # rows as wide as BLOCK_CELLS: 4 rows still
+        (8, 3, 3, 32, 32),     # 9 cells in one chunk
+        (8, 1, 17, 32, 32),    # one row, wider than BLOCK_CELLS
+        (16, 33, 1, 32, 32),   # a one-cell last chunk starts 4 rows earlier
+        (8, 9, 1, 32, 32),     # the same after one whole chunk
+        (12, 2, 29, 32, 32),   # a block of fewer rows than a chunk
+        (12, 9, 3, 32, 32),    # 4-row chunks of 12 cells, a ragged last one
         (12, 5, 7, 1, 1)])     # one-wide products are outer products
     def test_small_chunks_keep_every_bit(self, monkeypatch, cells, ni, nt,
                                          d_sim, mscn_hidden):
@@ -175,14 +180,23 @@ class TestBlockScores:
         assert n_bad == 0
         assert got.tobytes() == want.data.tobytes()
 
-    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 9, 16, 17, 100])
+    @pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 9, 16, 17, 33, 100])
     def test_cell_chunks_cover_the_block_in_gemv_groups(self, monkeypatch, n):
-        monkeypatch.setattr(model, "BLOCK_CELLS", 8)
-        chunks = list(model._cell_chunks(n))
-        assert [c for chunk in chunks for c in range(*chunk)] == list(range(n))
-        assert all(0 < stop - start <= 8 for start, stop in chunks)
-        assert all(start % 4 == 0 for start, _ in chunks)
-        assert n < 2 or all(stop - start > 1 for start, stop in chunks)
+        """`_row_chunks` of an n-row block, every width and a small
+        BLOCK_CELLS: whole rows in order, gemv groups, bounded, and no
+        one-cell chunk of a larger block."""
+        for cells in (8, 12, 24):
+            monkeypatch.setattr(model, "BLOCK_CELLS", cells)
+            for width in (0, 1, 2, 3, 7, 29):
+                chunks = model._row_chunks(n, width)
+                assert ([c for chunk in chunks for c in range(*chunk)]
+                        == list(range(n * width))), (cells, width)
+                assert all(start % width == stop % width == 0
+                           for start, stop in chunks)
+                sizes = [stop - start for start, stop in chunks]
+                assert all(size % 4 == 0 for size in sizes[:-1])
+                assert all(0 < size <= max(cells, 4 * width) for size in sizes)
+                assert n * width < 2 or 1 not in sizes
 
     def test_half_policy_scores_degenerate_cells_and_counts_them(self):
         """Image 0 and text 2 embed to the same point, so cell (0, 2) has
