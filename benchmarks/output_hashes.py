@@ -19,7 +19,11 @@ It writes the sha256 of each run's dataset, `metrics.tsv`, four
 checkpoints and `test_report.tsv`, and of eval-large's `report.tsv`, to
 --out.  With --against FILE (an earlier --out) it lists the files whose
 hash differs and exits 1 if any do.  Every step is a `python -m mscn.cli`
-child of this process, which imports neither numpy nor mscn.
+child of this process, which imports neither numpy nor mscn, so the
+child's `ru_maxrss` (read through `os.wait4`) is the command's own peak
+RSS, not this process's.  Each step prints that peak on stdout, then the
+hashes of what it wrote; the peaks are neither written to --out nor
+compared.
 """
 
 from __future__ import annotations
@@ -38,14 +42,21 @@ RUN_FILES = ("metrics.tsv", "net1_best.mscp", "net2_best.mscp",
              "net1_final.mscp", "net2_final.mscp", "test_report.tsv")
 
 
-def run_cli(args, env) -> None:
-    """Run `mscn <args>`; raises RuntimeError with its output if it fails."""
-    proc = subprocess.run([sys.executable, "-m", "mscn.cli", *map(str, args)],
-                          env=env, stdout=subprocess.PIPE,
-                          stderr=subprocess.STDOUT, text=True)
+def run_cli(args, env) -> float:
+    """Run `mscn <args>`; the child's own peak RSS in MB.  Raises
+    RuntimeError with its output if it fails."""
+    proc = subprocess.Popen([sys.executable, "-m", "mscn.cli", *map(str, args)],
+                            env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.STDOUT, text=True)
+    with proc.stdout:
+        output = proc.stdout.read()
+    # wait4, unlike Popen.wait, also returns the child's peak RSS
+    _, status, usage = os.wait4(proc.pid, 0)
+    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
     if proc.returncode != 0:
         raise RuntimeError(f"mscn {args[0]} exited {proc.returncode}:\n"
-                           f"{proc.stdout}")
+                           f"{output}")
+    return usage.ru_maxrss / 1024.0
 
 
 def sha256(path: Path) -> str:
@@ -66,17 +77,24 @@ def output_hashes(config: Path, env) -> dict:
             path.write_text(json.dumps(cfg), encoding="utf-8")
             return path
 
+        def step(run, args, outputs) -> None:
+            """Run `mscn <args>`; print its peak RSS, then hash and print
+            each of `run`'s `outputs`."""
+            print(f"{run_cli(args, env):.2f} MB  peak RSS of {run}: "
+                  f"mscn {args[0]}", flush=True)
+            for name in outputs:
+                key = f"{run}/{name}"
+                hashes[key] = sha256(work / key)
+                print(f"{hashes[key][:8]}  {key}", flush=True)
+
         def train(run, cfg, data, *extra) -> None:
-            run_cli(["train", "--config", cfg, "--data", data,
-                     "--out", work / run, "--threads", 1, *extra], env)
-            for name in RUN_FILES:
-                hashes[f"{run}/{name}"] = sha256(work / run / name)
+            step(run, ["train", "--config", cfg, "--data", data,
+                       "--out", work / run, "--threads", 1, *extra], RUN_FILES)
 
         def gen_data(run, cfg) -> Path:
-            run_cli(["gen-data", "--config", cfg, "--out", work / run], env)
-            data = work / run / "dataset.mscd"
-            hashes[f"{run}/dataset.mscd"] = sha256(data)
-            return data
+            step(run, ["gen-data", "--config", cfg, "--out", work / run],
+                 ["dataset.mscd"])
+            return work / run / "dataset.mscd"
 
         data = gen_data("default", config)
         train("default", config, data)
@@ -86,12 +104,11 @@ def output_hashes(config: Path, env) -> dict:
         large = config_with("eval-large", "data", "pairs_per_cluster", 2000)
         warm = config_with("warmup", "train", "epochs", 0)
         train("warmup", warm, data)
-        run_cli(["eval", "--data", gen_data("eval-large", large),
-                 "--checkpoint", work / "warmup" / "net1_best.mscp",
-                 "--checkpoint", work / "warmup" / "net2_best.mscp",
-                 "--split", "test", "--threads", 1,
-                 "--out", work / "eval-large"], env)
-        hashes["eval-large/report.tsv"] = sha256(work / "eval-large" / "report.tsv")
+        step("eval-large", ["eval", "--data", gen_data("eval-large", large),
+                            "--checkpoint", work / "warmup" / "net1_best.mscp",
+                            "--checkpoint", work / "warmup" / "net2_best.mscp",
+                            "--split", "test", "--threads", 1,
+                            "--out", work / "eval-large"], ["report.tsv"])
     return hashes
 
 
@@ -107,8 +124,6 @@ def main(argv=None) -> int:
     hashes = output_hashes(Path(args.config), env)
     doc = {"config": Path(args.config).name, "sha256": hashes}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    for name, digest in hashes.items():
-        print(f"{digest[:8]}  {name}")
     if args.against is None:
         return 0
     want = json.loads(Path(args.against).read_text(encoding="utf-8"))["sha256"]

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -131,6 +132,40 @@ def split_sizes(total: int, cfg: GenConfig) -> dict[str, int]:
     return {"train": n_train, "meta": n_meta, "val": n_val, "test": n_test}
 
 
+def numpy_random():
+    """The numpy.random module, imported without OpenSSL the first time.
+
+    numpy.random's bit_generator imports `secrets`, and through `hmac` the
+    OpenSSL binding `_hashlib`, whose libcrypto adds about 3.3 MB to every
+    process that draws a random number; nothing here hashes.  With
+    `_hashlib` masked, `hmac` and `hashlib` take their stdlib fallbacks.
+    The `hashlib`, `hmac` and `secrets` modules that import creates are
+    dropped again, so a later importer gets the OpenSSL-backed ones.  Does
+    nothing when numpy.random is already loaded; imports it plainly if
+    the masked import fails.
+    """
+    if "numpy.random" in sys.modules:
+        return sys.modules["numpy.random"]
+    created = [name for name in ("_hashlib", "hashlib", "hmac", "secrets")
+               if name not in sys.modules]
+    sys.modules.setdefault("_hashlib", None)
+    try:
+        import numpy.random
+    except ImportError:  # this numpy needs OpenSSL after all
+        pass
+    finally:
+        for name in created:
+            sys.modules.pop(name, None)
+    import numpy.random
+    return numpy.random
+
+
+def seeded_rng(seed) -> np.random.Generator:
+    """A PCG64 generator on `seed`, a SeedSequence or the entropy of one."""
+    random = numpy_random()
+    return random.Generator(random.PCG64(seed))
+
+
 def _unit_directions(rng: np.random.Generator, n: int, d: int) -> np.ndarray:
     vec = rng.normal(size=(n, d))
     norms = np.linalg.norm(vec, axis=1, keepdims=True)
@@ -146,23 +181,23 @@ def generate(cfg: GenConfig) -> Dataset:
     total = cfg.n_clusters * cfg.pairs_per_cluster
     sizes = split_sizes(total, cfg)
 
-    root = np.random.SeedSequence([int(cfg.seed)])
+    root = numpy_random().SeedSequence([int(cfg.seed)])
     s_img_c, s_txt_c, s_img_n, s_txt_n, s_perm = root.spawn(5)
     scale = 10.0 * cfg.within_cluster_std
     centroids_img = scale * _unit_directions(
-        np.random.Generator(np.random.PCG64(s_img_c)), cfg.n_clusters, cfg.d_img)
+        seeded_rng(s_img_c), cfg.n_clusters, cfg.d_img)
     centroids_txt = scale * _unit_directions(
-        np.random.Generator(np.random.PCG64(s_txt_c)), cfg.n_clusters, cfg.d_txt)
+        seeded_rng(s_txt_c), cfg.n_clusters, cfg.d_txt)
 
     cluster_by_id = np.arange(total, dtype=np.int64) // cfg.pairs_per_cluster
-    rng_img = np.random.Generator(np.random.PCG64(s_img_n))
-    rng_txt = np.random.Generator(np.random.PCG64(s_txt_n))
+    rng_img = seeded_rng(s_img_n)
+    rng_txt = seeded_rng(s_txt_n)
     images = centroids_img[cluster_by_id] + cfg.within_cluster_std * rng_img.normal(
         size=(total, cfg.d_img))
     texts = centroids_txt[cluster_by_id] + cfg.within_cluster_std * rng_txt.normal(
         size=(total, cfg.d_txt))
 
-    perm = np.random.Generator(np.random.PCG64(s_perm)).permutation(total)
+    perm = seeded_rng(s_perm).permutation(total)
     bounds = np.cumsum([0, sizes["test"], sizes["val"], sizes["meta"], sizes["train"]])
     chosen = {
         "test": perm[bounds[0]:bounds[1]],
@@ -230,7 +265,7 @@ def inject_noise(ds: Dataset, ratio: float, noise_seed: int) -> Dataset:
     if k < 2:
         raise NoiseInjectionError(
             f"ratio {ratio} selects {k} record(s); need at least 2 to derange")
-    rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence([int(noise_seed)])))
+    rng = seeded_rng([int(noise_seed)])
     selected = np.sort(rng.choice(n, size=k, replace=False))
     # arrange into cluster blocks, shuffled within each block
     order = []

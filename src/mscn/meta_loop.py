@@ -31,7 +31,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import evalkit, model, objective, purifier
-from .datagen import Dataset, Split
+from .datagen import Dataset, Split, seeded_rng
 
 log = logging.getLogger(__name__)
 
@@ -108,8 +108,7 @@ class TrainConfig:
 
 
 def _rng(seed: int, *tags: int) -> np.random.Generator:
-    return np.random.Generator(np.random.PCG64(
-        np.random.SeedSequence([int(seed), *map(int, tags)])))
+    return seeded_rng([int(seed), *map(int, tags)])
 
 
 class AdamState:
@@ -429,9 +428,11 @@ def _purified_pools(nets, row: dict, train_split: Split, meta_split: Split,
         admitted, _, _ = fit_purifier(nets[k].main, nets[k].meta, train_split,
                                       meta_split, cfg.seed, epoch, k)
         if admitted.size < cfg.batch_size:
-            log.warning("seed %d, epoch %d: net %d purified only %d pairs "
-                        "(< batch %d); falling back to the full train set",
-                        cfg.seed, epoch, k + 1, admitted.size, cfg.batch_size)
+            log.warning("seed %d, gamma %g, %s margin, epoch %d: net %d "
+                        "purified only %d pairs (< batch %d); falling back "
+                        "to the full train set", cfg.seed, cfg.gamma,
+                        "adaptive" if cfg.use_adaptive_margin else "fixed",
+                        epoch, k + 1, admitted.size, cfg.batch_size)
             pools[1 - k] = np.arange(len(train_split))
         else:
             pools[1 - k] = admitted

@@ -471,13 +471,47 @@ def _env_without_blas_threads(**extra):
 
 
 def test_import_sets_blas_threads_unless_preset():
-    probe = "import os, mscn; print(os.environ['OPENBLAS_NUM_THREADS'])"
+    """`import mscn` sets the BLAS thread default and loads no numpy."""
+    probe = ("import os, sys, mscn\n"
+             "print(os.environ['OPENBLAS_NUM_THREADS'], 'numpy' in sys.modules)")
     for env, want in ((_env_without_blas_threads(), "1"),
                       (_env_without_blas_threads(OPENBLAS_NUM_THREADS="2"), "2")):
         proc = subprocess.run([sys.executable, "-c", probe], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.strip() == want
+        assert proc.stdout.split() == [want, "False"]
+
+
+def test_commands_load_no_openssl(tmp_path):
+    """`gen-data`, `train` and `purify-report` draw random numbers without
+    loading OpenSSL: no `_hashlib` module and no libcrypto mapping is left
+    in the process, and a later `import hashlib` still gets OpenSSL."""
+    if not os.path.exists("/proc/self/maps"):
+        pytest.skip("no /proc/self/maps to read the mappings from")
+    data, run = tmp_path / "data", tmp_path / "run"
+    probe = ("import json, sys\nfrom mscn.cli import main\n"
+             "rcs = [main(a.split('|')) for a in sys.argv[1:]]\n"
+             "def crypto():\n"
+             "    with open('/proc/self/maps') as maps:\n"
+             "        return 'libcrypto' in maps.read()\n"
+             "seen = [rcs, '_hashlib' in sys.modules, crypto()]\n"
+             "import hashlib\n"
+             "seen += ['_hashlib' in sys.modules, hasattr(hashlib, 'scrypt')]\n"
+             "print(json.dumps(seen))")
+    argv = [["gen-data", "--config", SMOKE, "--out", data],
+            ["train", "--config", SMOKE, "--data", data / "dataset.mscd",
+             "--out", run],
+            ["purify-report", "--data", data / "dataset.mscd",
+             "--checkpoint", run / "net1_best.mscp", "--out", tmp_path / "pure"]]
+    proc = subprocess.run([sys.executable, "-c", probe,
+                           *("|".join(map(str, a)) for a in argv)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    rcs, hashlib_loaded, crypto_mapped, *later = json.loads(
+        proc.stdout.splitlines()[-1])
+    assert rcs == [EXIT_OK] * 3
+    assert (hashlib_loaded, crypto_mapped) == (False, False)
+    assert later == [True, True]
 
 
 @pytest.mark.skipif(not scipy_has_ufuncs_file(),

@@ -4,7 +4,9 @@ round trip with corruption rejection."""
 
 from __future__ import annotations
 
+import builtins
 import json
+import sys
 import tracemalloc
 
 import numpy as np
@@ -174,6 +176,48 @@ class TestInjectNoise:
             dg.inject_noise(ds, 1.0, noise_seed=1)
         with pytest.raises(ValueError, match="ratio"):
             dg.inject_noise(ds, -0.1, noise_seed=1)
+
+
+class TestNumpyRandom:
+    """`numpy_random` imports numpy.random with OpenSSL's `_hashlib`
+    masked; `seeded_rng` draws the streams plain numpy draws."""
+
+    def test_loaded_numpy_random_is_left_alone(self):
+        random = np.random
+        before = dict(sys.modules)
+        assert dg.numpy_random() is random
+        assert dict(sys.modules) == before
+
+    def test_plain_import_when_masked_import_fails(self, monkeypatch):
+        random = np.random
+        masked_on_import = []
+        real_import = builtins.__import__
+
+        def import_(name, *args, **kwargs):
+            if name != "numpy.random":
+                return real_import(name, *args, **kwargs)
+            masked = "_hashlib" in sys.modules and sys.modules["_hashlib"] is None
+            masked_on_import.append(masked)
+            if masked:
+                raise ImportError("this numpy needs _hashlib")
+            sys.modules["numpy.random"] = random
+            return np
+
+        # a process that has loaded neither numpy.random nor hashlib
+        for name in ("numpy.random", "_hashlib", "hashlib", "hmac", "secrets"):
+            monkeypatch.delitem(sys.modules, name, raising=False)
+        monkeypatch.setattr(builtins, "__import__", import_)
+        assert dg.numpy_random() is random
+        assert masked_on_import == [True, False]
+        assert not {"_hashlib", "hashlib", "hmac", "secrets"} & sys.modules.keys()
+
+    @pytest.mark.parametrize("seed", [[7], [13, 2, 5]])
+    def test_streams_match_plain_numpy(self, seed):
+        for rng in (dg.seeded_rng(seed),
+                    dg.seeded_rng(np.random.SeedSequence(seed))):
+            want = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
+            np.testing.assert_array_equal(rng.normal(size=9), want.normal(size=9))
+            np.testing.assert_array_equal(rng.permutation(11), want.permutation(11))
 
 
 class TestBinaryFormat:

@@ -786,7 +786,8 @@ def test_train_audit_provenance(monkeypatch, caplog):
     params, admits exactly the train pairs whose clean posterior exceeds
     one half, and its admitted set (or the whole train split on fallback)
     is the pool the *other* net trains on; metrics.tsv counts it.  A
-    fallback's warning names the training seed, the epoch and the net."""
+    fallback's warning names the training seed, the arm's gamma and
+    margin, the epoch and the net."""
     fits, epochs = _spy_on_epochs(monkeypatch)
     ds = small_dataset(noise=0.5)
     cfg = train_cfg()
@@ -798,8 +799,9 @@ def test_train_audit_provenance(monkeypatch, caplog):
     assert {f[3].size < cfg.batch_size for f in fits} == {False, True}
     assert [r.getMessage() for r in caplog.records
             if "falling back" in r.getMessage()] == [
-        f"seed {cfg.seed}, epoch 2: net 1 purified only 13 pairs "
-        f"(< batch {cfg.batch_size}); falling back to the full train set"]
+        f"seed {cfg.seed}, gamma {cfg.gamma:g}, adaptive margin, epoch 2: "
+        f"net 1 purified only 13 pairs (< batch {cfg.batch_size}); "
+        f"falling back to the full train set"]
     trained = {(e, k): (pool, before, after)
                for e, k, pool, before, after in epochs}
     for epoch, k, main, admitted, fit, scores in fits:
