@@ -49,9 +49,12 @@ import statistics
 import subprocess
 import sys
 import tempfile
-import time
 from importlib import metadata
 from pathlib import Path
+
+# the spawn helper that output_hashes.py uses too; this script's directory
+# is on sys.path when it runs
+from output_hashes import cli_env, run_cli
 
 ROOT = Path(__file__).resolve().parent.parent
 # the worker series: (scorer, test pairs)
@@ -66,26 +69,6 @@ POOL_CLI = ("import sys\nfrom mscn import evalkit\n"
 PROBE = ("import json\nfrom mscn import evalkit as ek\n"
          "print(json.dumps([ek.TILE, ek.CHUNK_ROWS,"
          " getattr(ek, 'MIN_BLOCKS_PER_WORKER', 1)]))")
-
-
-def run_cli(args, env, log: Path,
-            entry=("-m", "mscn.cli")) -> tuple[float, float, str]:
-    """Run `mscn <args>` with its output in `log`; its wall seconds, peak
-    RSS in MB and standard output.  Raises RuntimeError if it fails.
-    `entry` is how python starts the command."""
-    with open(log, "w+", encoding="utf-8") as out:
-        t0 = time.perf_counter()
-        proc = subprocess.Popen([sys.executable, *entry, *map(str, args)],
-                                env=env, stdout=out, stderr=subprocess.STDOUT)
-        # wait4, unlike Popen.wait, also returns the child's peak RSS
-        _, status, usage = os.wait4(proc.pid, 0)
-        wall = time.perf_counter() - t0
-        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
-        out.seek(0)
-        text = out.read()
-    if proc.returncode != 0:
-        raise RuntimeError(f"mscn {args[0]} exited {proc.returncode}:\n{text}")
-    return wall, usage.ru_maxrss / 1024.0, text
 
 
 def worker_series(cases, repeats, data, ckpts, env, work, log) -> list:
@@ -150,9 +133,7 @@ def main(argv=None) -> int:
     threads = len(os.sched_getaffinity(0))
     cases = [(scorer, n) for scorer, n in CASES if n <= args.max_pairs]
 
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                               if os.environ.get("PYTHONPATH") else [])))
+    env = cli_env()
     default_cfg = ROOT / "configs" / "default.json"
     warm = json.loads(default_cfg.read_text())
     warm["train"]["epochs"] = 0

@@ -35,6 +35,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -42,21 +43,34 @@ RUN_FILES = ("metrics.tsv", "net1_best.mscp", "net2_best.mscp",
              "net1_final.mscp", "net2_final.mscp", "test_report.tsv")
 
 
-def run_cli(args, env) -> float:
-    """Run `mscn <args>`; the child's own peak RSS in MB.  Raises
-    RuntimeError with its output if it fails."""
-    proc = subprocess.Popen([sys.executable, "-m", "mscn.cli", *map(str, args)],
-                            env=env, stdout=subprocess.PIPE,
-                            stderr=subprocess.STDOUT, text=True)
-    with proc.stdout:
-        output = proc.stdout.read()
-    # wait4, unlike Popen.wait, also returns the child's peak RSS
-    _, status, usage = os.wait4(proc.pid, 0)
-    proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
+def run_cli(args, env, log=None,
+            entry=("-m", "mscn.cli")) -> tuple[float, float, str]:
+    """Run `mscn <args>` with its output in `log` (a temporary file if
+    None); its wall seconds, peak RSS in MB and output.  Raises
+    RuntimeError with the output if it fails.  `entry` is how python
+    starts the command."""
+    with (open(log, "w+", encoding="utf-8") if log else
+          tempfile.TemporaryFile("w+", encoding="utf-8")) as out:
+        t0 = time.perf_counter()
+        proc = subprocess.Popen([sys.executable, *entry, *map(str, args)],
+                                env=env, stdout=out, stderr=subprocess.STDOUT)
+        # wait4, unlike Popen.wait, also returns the child's peak RSS
+        _, status, usage = os.wait4(proc.pid, 0)
+        wall = time.perf_counter() - t0
+        proc.returncode = os.waitstatus_to_exitcode(status)  # reaped above
+        out.seek(0)
+        text = out.read()
     if proc.returncode != 0:
-        raise RuntimeError(f"mscn {args[0]} exited {proc.returncode}:\n"
-                           f"{output}")
-    return usage.ru_maxrss / 1024.0
+        raise RuntimeError(f"mscn {args[0]} exited {proc.returncode}:\n{text}")
+    return wall, usage.ru_maxrss / 1024.0, text
+
+
+def cli_env() -> dict:
+    """This process's environment with the checkout's `src` first on
+    PYTHONPATH, so `python -m mscn.cli` runs the code under test."""
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
+                               if os.environ.get("PYTHONPATH") else [])))
 
 
 def sha256(path: Path) -> str:
@@ -80,7 +94,7 @@ def output_hashes(config: Path, env) -> dict:
         def step(run, args, outputs) -> None:
             """Run `mscn <args>`; print its peak RSS, then hash and print
             each of `run`'s `outputs`."""
-            print(f"{run_cli(args, env):.2f} MB  peak RSS of {run}: "
+            print(f"{run_cli(args, env)[1]:.2f} MB  peak RSS of {run}: "
                   f"mscn {args[0]}", flush=True)
             for name in outputs:
                 key = f"{run}/{name}"
@@ -118,10 +132,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", default="BENCH_output_hashes.json")
     p.add_argument("--against", help="an earlier --out to compare with")
     args = p.parse_args(argv)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        [str(ROOT / "src")] + ([os.environ["PYTHONPATH"]]
-                               if os.environ.get("PYTHONPATH") else [])))
-    hashes = output_hashes(Path(args.config), env)
+    hashes = output_hashes(Path(args.config), cli_env())
     doc = {"config": Path(args.config).name, "sha256": hashes}
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     if args.against is None:

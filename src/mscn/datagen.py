@@ -300,11 +300,14 @@ def _record_dtype(d_img: int, d_txt: int) -> np.dtype:
 
 
 def write_dataset(path, ds: Dataset) -> None:
-    blob = bytearray()
-    blob += DATASET_MAGIC
-    blob += struct.pack("<I", DATASET_VERSION)
-    blob += struct.pack("<4I", *(len(split) for _, split in ds.splits()))
-    blob += struct.pack("<2I", ds.d_img, ds.d_txt)
+    # each split's records are written as they are, with no joined copy of
+    # the file; the manifest is encoded first, so the encoder's temporaries
+    # (a string per cluster entry) are freed before the records are built
+    manifest = json.dumps(ds.manifest, sort_keys=True,
+                          separators=(",", ":")).encode("utf-8")
+    parts = [DATASET_MAGIC, struct.pack("<I", DATASET_VERSION),
+             struct.pack("<4I", *(len(split) for _, split in ds.splits())),
+             struct.pack("<2I", ds.d_img, ds.d_txt)]
     dtype = _record_dtype(ds.d_img, ds.d_txt)
     for _, split in ds.splits():
         records = np.empty(len(split), dtype=dtype)
@@ -313,12 +316,8 @@ def write_dataset(path, ds: Dataset) -> None:
         records["clean"] = split.clean
         records["image"] = split.images
         records["text"] = split.texts
-        blob += records.tobytes()
-    manifest = json.dumps(ds.manifest, sort_keys=True,
-                          separators=(",", ":")).encode("utf-8")
-    blob += struct.pack("<I", len(manifest))
-    blob += manifest
-    write_atomic(path, blob)
+        parts.append(records)
+    write_atomic(path, *parts, struct.pack("<I", len(manifest)), manifest)
 
 
 def read_dataset(path) -> Dataset:

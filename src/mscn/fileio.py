@@ -5,9 +5,9 @@ from __future__ import annotations
 import os
 
 
-def write_atomic(path, blob: bytes) -> None:
-    """Write `blob` to `path` so that readers see the old file or the new
-    one, never a torn mix.
+def write_atomic(path, *parts) -> None:
+    """Write the buffers `parts`, in order, to `path` so that readers see
+    the old file or the new one, never a torn mix.
 
     The bytes go to a temporary file in the same directory, are flushed to
     disk, and the temporary file then replaces `path` in one rename.  On
@@ -17,7 +17,8 @@ def write_atomic(path, blob: bytes) -> None:
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(blob)
+            for part in parts:
+                fh.write(part)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

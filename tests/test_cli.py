@@ -5,13 +5,14 @@ import json
 import os
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fail_writes_halfway, scipy_has_ufuncs_file
-from mscn import datagen, evalkit, model, purifier
+from mscn import cli, datagen, evalkit, model, purifier
 from mscn.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
                       build_config, load_config, main)
 from mscn.meta_loop import TrainConfig
@@ -231,6 +232,36 @@ def test_usage_errors_exit_config(tmp_path, capsys):
                      "--out", str(out), "--ks", ks]) == EXIT_CONFIG, ks
         assert "distinct ascending" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# the malloc setting
+
+
+def test_one_malloc_arena_sets_only_the_arena_cap(monkeypatch):
+    calls = []
+
+    def mallopt(param, value):
+        calls.append((param, value))
+        return 1
+
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace(mallopt=mallopt))
+    assert cli._one_malloc_arena() is True
+    assert calls == [(-8, 1)]   # M_ARENA_MAX, one arena
+
+
+def test_one_malloc_arena_leaves_a_libc_without_mallopt(monkeypatch):
+    monkeypatch.setattr(cli.ctypes, "CDLL",
+                        lambda name: types.SimpleNamespace())
+    assert cli._one_malloc_arena() is False
+
+
+def test_main_caps_arenas_before_parsing(monkeypatch, capsys):
+    calls = []
+    monkeypatch.setattr(cli, "_one_malloc_arena", lambda: calls.append(1))
+    assert main([]) == EXIT_CONFIG
+    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------

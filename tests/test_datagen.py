@@ -373,3 +373,17 @@ class TestBinaryFormat:
                 assert arr.dtype == dtype, name
                 assert arr.flags.c_contiguous and arr.flags.writeable, name
 
+
+    def test_write_holds_no_copy_of_the_file(self, tmp_path):
+        """The splits' records go to the file as they are built: the traced
+        peak stays near one file size, not the records plus a joined copy."""
+        ds = dg.generate(small_cfg(20, n_clusters=10, pairs_per_cluster=400,
+                                   d_img=16, d_txt=12))
+        p = tmp_path / "data.mscd"
+        tracemalloc.start()
+        try:
+            dg.write_dataset(p, ds)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.6 * p.stat().st_size
