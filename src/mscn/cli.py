@@ -44,7 +44,6 @@ _TYPE_CHECKS = {
     int: ("an integer", _is_int),
     float: ("a number", lambda v: _is_int(v) or isinstance(v, float)),
     str: ("a string", lambda v: isinstance(v, str)),
-    typing.Optional[int]: ("an integer or null", lambda v: v is None or _is_int(v)),
     tuple: ("a list of integers",
             lambda v: isinstance(v, list) and all(map(_is_int, v))),
 }
@@ -159,9 +158,8 @@ def _load_maybe_config(args) -> dict:
 
 def cmd_gen_data(args) -> int:
     cfg = _load_maybe_config(args)
-    gc = build_config(cfg, "data", seed=args.seed)
-    noise = build_config(cfg, "noise", ratio=args.noise_ratio,
-                         seed=args.noise_seed)
+    gc = build_config(cfg, "data")
+    noise = build_config(cfg, "noise")
     ds = datagen.generate(gc)
     if noise.ratio > 0:
         ds = datagen.inject_noise(ds, noise.ratio, noise.seed)
@@ -179,7 +177,7 @@ def cmd_gen_data(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = _load_maybe_config(args)
-    tc = build_config(cfg, "train", seed=args.seed, mode=args.mode)
+    tc = build_config(cfg, "train", mode=args.mode)
     ds = datagen.read_dataset(args.data)
     if len(ds.test) < max(tc.eval_ks):
         raise ValueError(f"test split ({len(ds.test)}) too small for "
@@ -242,17 +240,12 @@ def build_parser() -> _Parser:
     p = sub.add_parser("gen-data", help="generate a synthetic benchmark file")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the generation seed")
-    p.add_argument("--noise-ratio", type=float,
-                   help="fraction of train pairs to corrupt")
-    p.add_argument("--noise-seed", type=int, help="corruption seed")
     p.set_defaults(func=cmd_gen_data)
 
     p = sub.add_parser("train", help="train on a benchmark file")
     p.add_argument("--config", help="JSON config file")
     p.add_argument("--data", required=True, help="dataset file (.mscd)")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, help="override the training seed")
     p.add_argument("--mode", choices=list(SCORER_OF_MODE),
                    help="override the training mode")
     p.add_argument("--threads", type=_positive_int, default=None,

@@ -25,7 +25,6 @@ from __future__ import annotations
 import logging
 from dataclasses import dataclass, replace
 from pathlib import Path
-from typing import Optional
 
 import numpy as np
 
@@ -72,7 +71,6 @@ class TrainConfig:
     lr_decay_factor: float = 0.1
     d_emb: int = 64
     d_sim: int = 32
-    branch_hidden: Optional[int] = None
     mscn_hidden: int = 32
     use_adaptive_margin: bool = True
     use_purification: bool = True
@@ -98,8 +96,6 @@ class TrainConfig:
             raise ValueError("lr_decay_factor must lie in (0, 1]")
         if min(self.d_emb, self.d_sim, self.mscn_hidden) < 1:
             raise ValueError("d_emb, d_sim and mscn_hidden must be at least 1")
-        if self.branch_hidden is not None and self.branch_hidden < 1:
-            raise ValueError("branch_hidden must be at least 1 when set")
         if not self.d_sim < self.d_emb:
             raise ValueError("d_sim must be below d_emb")
         if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
@@ -175,8 +171,7 @@ class NetState:
              rng: np.random.Generator) -> "NetState":
         """A network pair at the shapes of `cfg`, drawn from `rng`, with
         zeroed optimizer moments."""
-        main = model.MainNetParams.init(d_img, d_txt, cfg.d_emb, cfg.d_sim,
-                                        rng, hidden=cfg.branch_hidden)
+        main = model.MainNetParams.init(d_img, d_txt, cfg.d_emb, cfg.d_sim, rng)
         meta = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
         return cls(main=main, meta=meta, opt_main=AdamState(main.arrays()),
                    opt_meta=AdamState(meta.arrays()))

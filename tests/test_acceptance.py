@@ -258,8 +258,7 @@ def test_2_meta_gradient_suite_matches_composed_pipeline():
     """50 instances with 9 correction parameters, rel err <= 1e-4."""
     t0 = time.monotonic()
     cfg = TrainConfig(seed=7, batch_size=4, meta_batch_size=4, d_emb=4,
-                      d_sim=2, branch_hidden=3, mscn_hidden=2,
-                      eval_ks=(1,))
+                      d_sim=2, mscn_hidden=2, eval_ks=(1,))
     alpha = 2e-3
     checked = 0
     for instance in itertools.count():
@@ -439,7 +438,7 @@ def test_7_bitwise_determinism(tmp_path):
     ds = datagen.inject_noise(datagen.generate(gen), 0.5, noise_seed=11)
     cfg = TrainConfig(seed=13, batch_size=16, meta_batch_size=8, lr_main=1e-3,
                       lr_meta=5e-4, warmup_epochs=1, epochs=2, d_emb=8,
-                      d_sim=4, branch_hidden=8, mscn_hidden=8, eval_ks=(1, 5))
+                      d_sim=4, mscn_hidden=8, eval_ks=(1, 5))
     outs = []
     for name in ("a", "b"):
         out = tmp_path / name

@@ -623,7 +623,7 @@ class TestPrunedBackward:
         step (wrt the main leaves) and meta sweep (wrt the correction
         leaves) give the same bits as sweeping every leaf both times."""
         cfg = TrainConfig(seed=7, batch_size=4, meta_batch_size=4, d_emb=4,
-                          d_sim=2, branch_hidden=3, mscn_hidden=2, eval_ks=(1,))
+                          d_sim=2, mscn_hidden=2, eval_ks=(1,))
         labels = np.array([1.0, 1.0, 0.0, 0.0])
 
         def meta_grads(main, meta, imgs, txts, mb_imgs, mb_txts, pruned):

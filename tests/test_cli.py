@@ -26,9 +26,16 @@ def write_json(path, payload) -> str:
     return str(path)
 
 
-def gen_small(tmp_path, extra=()):
+def smoke_with(tmp_path, section, key, value) -> str:
+    """The smoke config with one value changed, written under `tmp_path`."""
+    cfg = json.loads(Path(SMOKE).read_text(encoding="utf-8"))
+    cfg[section][key] = value
+    return write_json(tmp_path / f"{section}_{key}.json", cfg)
+
+
+def gen_small(tmp_path, config=SMOKE):
     out = tmp_path / "data"
-    rc = main(["gen-data", "--config", SMOKE, "--out", str(out), *extra])
+    rc = main(["gen-data", "--config", config, "--out", str(out)])
     assert rc == EXIT_OK
     return out / "dataset.mscd"
 
@@ -59,7 +66,8 @@ def test_load_config_strict(tmp_path, capsys):
         load_config(tmp_path / "missing.json")
     # keys of removed options: a config still carrying one exits 1
     for key, value in (("optimizer", "adam"), ("adam_beta1", 0.9),
-                       ("warmup_meta", True), ("meta_bce_negative_term", True)):
+                       ("warmup_meta", True), ("meta_bce_negative_term", True),
+                       ("branch_hidden", 8)):
         config = write_json(tmp_path / f"{key}.json", {"train": {key: value}})
         with pytest.raises(ConfigError, match="unknown keys"):
             load_config(config)
@@ -68,6 +76,15 @@ def test_load_config_strict(tmp_path, capsys):
         assert rc == EXIT_CONFIG
         assert "unknown keys" in capsys.readouterr().err
         assert not (tmp_path / key).exists()
+    # flags that repeated a config key: a command line still carrying one
+    # exits 1 before the config is read
+    for argv in (["gen-data", "--seed", "3"], ["gen-data", "--noise-ratio", "0"],
+                 ["gen-data", "--noise-seed", "4"],
+                 ["train", "--data", str(tmp_path / "absent.mscd"), "--seed", "1"]):
+        out = tmp_path / "flag"
+        assert main([*argv, "--config", SMOKE, "--out", str(out)]) == EXIT_CONFIG
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_default_config_file_states_the_defaults():
@@ -80,14 +97,11 @@ def test_default_config_file_states_the_defaults():
 def test_config_value_types_checked_at_load(tmp_path, capsys):
     """A value of the wrong JSON type exits 1 before any work starts."""
     absent = str(tmp_path / "absent.mscd")
-    base = json.loads(Path(SMOKE).read_text(encoding="utf-8"))
     for section, key, value, command in (
             ("train", "use_purification", "false", "train"),
             ("train", "batch_size", 16.5, "train"),
             ("data", "pairs_per_cluster", 20.5, "gen-data")):
-        cfg = json.loads(json.dumps(base))
-        cfg[section][key] = value
-        config = write_json(tmp_path / f"{key}.json", cfg)
+        config = smoke_with(tmp_path, section, key, value)
         out = tmp_path / key
         args = ["--data", absent] if command == "train" else []
         rc = main([command, "--config", config, *args, "--out", str(out)])
@@ -95,7 +109,7 @@ def test_config_value_types_checked_at_load(tmp_path, capsys):
         assert f"{section}.{key} must be" in capsys.readouterr().err
         assert not out.exists()
     ok = {"data": {"within_cluster_std": 1}, "noise": {"ratio": 0},
-          "train": {"branch_hidden": None, "eval_ks": [1, 5]}}
+          "train": {"eval_ks": [1, 5]}}
     load_config(write_json(tmp_path / "ok.json", ok))
     for section, key, value in (("train", "epochs", True),
                                 ("train", "lr_main", False),
@@ -138,31 +152,36 @@ def test_gen_data_writes_dataset(tmp_path, capsys):
 
 
 def test_gen_data_noise_override(tmp_path):
-    path = gen_small(tmp_path, extra=["--noise-ratio", "0"])
+    path = gen_small(tmp_path, smoke_with(tmp_path, "noise", "ratio", 0))
     ds = datagen.read_dataset(path)
     assert np.all(ds.train.clean)
 
 
 def test_gen_data_seed_override_changes_bytes(tmp_path):
     a = gen_small(tmp_path / "a")
-    b = gen_small(tmp_path / "b", extra=["--seed", "777"])
+    b = gen_small(tmp_path / "b", smoke_with(tmp_path, "data", "seed", 777))
     assert a.read_bytes() != b.read_bytes()
 
 
 def test_gen_data_defaults_without_config(tmp_path):
+    """Without a config, gen-data writes the dataset of the declared
+    defaults: GenConfig's, with NoiseConfig's ratio of 0."""
     out = tmp_path / "plain"
-    rc = main(["gen-data", "--out", str(out), "--noise-ratio", "0.2",
-               "--seed", "3", "--noise-seed", "4"])
-    assert rc == EXIT_OK
-    ds = datagen.read_dataset(out / "dataset.mscd")
-    assert int(np.sum(~ds.train.clean)) == int(0.2 * len(ds.train))
+    assert main(["gen-data", "--out", str(out)]) == EXIT_OK
+    assert datagen.NoiseConfig().ratio == 0
+    datagen.write_dataset(tmp_path / "expected.mscd",
+                          datagen.generate(datagen.GenConfig()))
+    assert ((out / "dataset.mscd").read_bytes()
+            == (tmp_path / "expected.mscd").read_bytes())
 
 
 def test_gen_data_bad_ratio_exits_config(tmp_path, capsys):
-    rc = main(["gen-data", "--out", str(tmp_path / "x"),
-               "--noise-ratio", "1.5"])
+    out = tmp_path / "x"
+    rc = main(["gen-data", "--config", smoke_with(tmp_path, "noise", "ratio", 1.5),
+               "--out", str(out)])
     assert rc == EXIT_CONFIG
-    assert "error" in capsys.readouterr().err
+    assert "bad noise config: noise ratio must lie in" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_negative_seeds_exit_config(tmp_path, capsys):
@@ -170,10 +189,12 @@ def test_negative_seeds_exit_config(tmp_path, capsys):
     written (the data file does not exist, which would otherwise exit 2)."""
     out, absent = tmp_path / "out", str(tmp_path / "absent.mscd")
     for argv, message in (
-            (["gen-data", "--seed", "-3"], "bad data config: seed must be"),
-            (["gen-data", "--noise-ratio", "0.5", "--noise-seed", "-1"],
+            (["gen-data", "--config", smoke_with(tmp_path, "data", "seed", -3)],
+             "bad data config: seed must be"),
+            (["gen-data", "--config", smoke_with(tmp_path, "noise", "seed", -1)],
              "bad noise config: seed must be"),
-            (["train", "--data", absent, "--seed", "-1"],
+            (["train", "--data", absent,
+              "--config", smoke_with(tmp_path, "train", "seed", -1)],
              "bad train config: seed must be"),
             (["purify-report", "--data", absent, "--checkpoint", "y",
               "--seed", "-1"], "--seed: expected a non-negative integer")):
@@ -186,18 +207,13 @@ def test_network_sizes_exit_config(tmp_path, capsys):
     """A layer width below 1 is rejected by name before the data file is
     read (it does not exist, which would otherwise exit 2), rather than
     failing inside parameter init."""
-    smoke = json.loads(Path(SMOKE).read_text())
     absent, out = str(tmp_path / "absent.mscd"), tmp_path / "out"
     for key, value, message in (
             ("mscn_hidden", 0, "mscn_hidden must be at least 1"),
             ("mscn_hidden", -1, "mscn_hidden must be at least 1"),
             ("d_sim", 0, "d_sim and mscn_hidden must be at least 1"),
-            ("d_emb", 0, "d_emb, d_sim and mscn_hidden must be at least 1"),
-            ("branch_hidden", 0, "branch_hidden must be at least 1"),
-            ("branch_hidden", -2, "branch_hidden must be at least 1")):
-        cfg = json.loads(json.dumps(smoke))
-        cfg["train"][key] = value
-        path = write_json(tmp_path / "c.json", cfg)
+            ("d_emb", 0, "d_emb, d_sim and mscn_hidden must be at least 1")):
+        path = smoke_with(tmp_path, "train", key, value)
         assert main(["train", "--config", path, "--data", absent,
                      "--out", str(out)]) == EXIT_CONFIG, (key, value)
         err = capsys.readouterr().err

@@ -23,7 +23,7 @@ from test_model import tiny_nets
 def tiny_cfg(**kw):
     base = dict(seed=7, batch_size=8, meta_batch_size=8, lr_main=1e-3,
                 lr_meta=1e-3, warmup_epochs=1, epochs=2, lr_decay_epoch=100,
-                d_emb=6, d_sim=3, branch_hidden=4, mscn_hidden=4,
+                d_emb=6, d_sim=3, mscn_hidden=4,
                 eval_ks=(1, 5))
     base.update(kw)
     return TrainConfig(**base)
@@ -76,7 +76,7 @@ def small_dataset(noise: float = 0.5) -> datagen.Dataset:
 def train_cfg(**kw):
     base = dict(seed=13, batch_size=16, meta_batch_size=8, lr_main=1e-3,
                 lr_meta=5e-4, warmup_epochs=1, epochs=2, lr_decay_epoch=100,
-                d_emb=8, d_sim=4, branch_hidden=8, mscn_hidden=8,
+                d_emb=8, d_sim=4, mscn_hidden=8,
                 eval_ks=(1, 5))
     base.update(kw)
     return TrainConfig(**base)
@@ -846,8 +846,7 @@ def test_train_baseline_mode(monkeypatch):
     for k in range(2):
         rng = _rng(cfg.seed, _TAG_INIT, k)
         main0 = model.MainNetParams.init(ds.d_img, ds.d_txt, cfg.d_emb,
-                                         cfg.d_sim, rng,
-                                         hidden=cfg.branch_hidden)
+                                         cfg.d_sim, rng)
         meta0 = model.MetaNetParams.init(cfg.d_sim, rng, hidden=cfg.mscn_hidden)
         for (_, a), (_, b) in zip(result.nets[k].meta.items(), meta0.items()):
             np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
