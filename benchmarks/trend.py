@@ -25,7 +25,8 @@ and sample standard deviation of the test rsum and of the R@1 sum
 count the seeds on which one arm beats another.  With `--against`, each
 arm's mean rsum is compared with the same arm in an earlier output: an
 arm has moved when the difference exceeds the larger of the two seed
-ranges.  Nothing is asserted.
+ranges.  An arm the earlier output lacks is listed under "skipped" and
+not compared.  Nothing is asserted.
 """
 
 from __future__ import annotations
@@ -110,14 +111,18 @@ def summarize(runs: list, noise: list, seeds: list) -> dict:
     return out
 
 
-def compare(summary: dict, earlier: dict) -> dict:
+def compare(summary: dict, earlier: dict) -> tuple[dict, list]:
     """Each arm's change in mean rsum against `earlier`'s summary, and
-    whether it exceeds the larger seed range of the two."""
-    out = {}
+    whether it exceeds the larger seed range of the two; and the arms that
+    `earlier` lacks at some shared noise ratio, which are not compared."""
+    out, skipped = {}, set()
     for ratio, cell in summary.items():
         if ratio not in earlier:
             continue
         for arm, now in cell["arms"].items():
+            if arm not in earlier[ratio]["arms"]:
+                skipped.add(arm)
+                continue
             then = earlier[ratio]["arms"][arm]["rsum"]
             spread = max(now["rsum"]["max"] - now["rsum"]["min"],
                          then["max"] - then["min"])
@@ -125,7 +130,7 @@ def compare(summary: dict, earlier: dict) -> dict:
             out.setdefault(ratio, {})[arm] = {
                 "delta_mean_rsum": delta, "seed_range": spread,
                 "moved": abs(delta) > spread}
-    return out
+    return out, sorted(skipped)
 
 
 def main(argv=None) -> int:
@@ -170,11 +175,14 @@ def main(argv=None) -> int:
     }
     if args.against:
         earlier = json.loads(Path(args.against).read_text(encoding="utf-8"))
-        doc["against"] = {"file": args.against,
-                          "arms": compare(summary, earlier["summary"])}
-        moved = [(r, a) for r, arms in doc["against"]["arms"].items()
-                 for a, c in arms.items() if c["moved"]]
+        arms, skipped = compare(summary, earlier["summary"])
+        doc["against"] = {"file": args.against, "arms": arms,
+                          "skipped": skipped}
+        moved = [(r, a) for r, cells in arms.items()
+                 for a, c in cells.items() if c["moved"]]
         print(f"arms moved beyond their seed range: {moved or 'none'}")
+        if skipped:
+            print(f"arms not in {args.against}, not compared: {skipped}")
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -13,8 +13,9 @@ Each epoch both network pairs score every training pair, a Beta mixture
 splits the scores into clean/noisy, and each pair trains on the set the
 *other* pair admitted.  A warmup phase precedes this: fixed-margin
 training plus per-iteration supervised updates of the correction network.
-The sets are fixed before an epoch's steps start, and the two pairs' step
-loops run one after the other on the calling thread.
+The sets are fixed before an epoch's steps start.  All a run carries from
+one epoch to the next is one `RunState`: `run_epoch` takes it through an
+epoch, and `train` loops over it and writes the files.
 
 Everything stochastic draws from SeedSequence([seed, *tags]) streams, so
 a run is a pure function of (dataset bytes, config).
@@ -98,8 +99,9 @@ class TrainConfig:
             raise ValueError("d_emb, d_sim and mscn_hidden must be at least 1")
         if not self.d_sim < self.d_emb:
             raise ValueError("d_sim must be below d_emb")
-        if not self.eval_ks or list(self.eval_ks) != sorted(set(self.eval_ks)):
-            raise ValueError("eval_ks must be distinct and ascending")
+        ks = list(self.eval_ks)
+        if not ks or ks[0] < 1 or ks != sorted(set(ks)):
+            raise ValueError("eval_ks must be distinct, ascending and at least 1")
         objective._check_margin_params(self.gamma, self.tau)
 
 
@@ -393,45 +395,32 @@ def format_metrics_row(row: dict, columns) -> str:
     return "\t".join(cells)
 
 
-@dataclass
-class TrainResult:
-    nets: list
-    best_nets: list  # (main, meta) params at the best-validation epoch
-    metrics: list
-    best_epoch: int
-    best_rsum: float
-    final_val: evalkit.RecallReport
-
-
 def _purity(admitted: np.ndarray, clean: np.ndarray) -> tuple[float, float]:
-    mask = np.zeros(clean.size, dtype=bool)
-    mask[admitted] = True
-    tp = int(np.sum(mask & clean))
-    precision = tp / max(int(mask.sum()), 1)
-    recall = tp / max(int(clean.sum()), 1)
-    return precision, recall
+    """Precision and recall of the distinct indices `admitted` for `clean`."""
+    tp = int(clean[admitted].sum())
+    return tp / max(admitted.size, 1), tp / max(int(clean.sum()), 1)
 
 
-def _purified_pools(nets, row: dict, train_split: Split, meta_split: Split,
-                    cfg: TrainConfig, epoch: int) -> list[np.ndarray]:
+def _purified_pools(nets, row: dict, ds: Dataset, cfg: TrainConfig,
+                    epoch: int) -> list[np.ndarray]:
     """The training pool of each net for this epoch: the set the *other*
     net admitted, or the whole train split if that set is smaller than a
     batch.  Writes each fit's counts and purity to `row`; the scores and
     mixtures die here."""
     pools = [None, None]
     for k in range(2):
-        admitted, _, _ = fit_purifier(nets[k].main, nets[k].meta, train_split,
-                                      meta_split, cfg.seed, epoch, k)
+        admitted, _, _ = fit_purifier(nets[k].main, nets[k].meta, ds.train,
+                                      ds.meta, cfg.seed, epoch, k)
         if admitted.size < cfg.batch_size:
             log.warning("seed %d, gamma %g, %s margin, epoch %d: net %d "
                         "purified only %d pairs (< batch %d); falling back "
                         "to the full train set", cfg.seed, cfg.gamma,
                         "adaptive" if cfg.use_adaptive_margin else "fixed",
                         epoch, k + 1, admitted.size, cfg.batch_size)
-            pools[1 - k] = np.arange(len(train_split))
+            pools[1 - k] = np.arange(len(ds.train))
         else:
             pools[1 - k] = admitted
-        precision, recall = _purity(admitted, train_split.clean)
+        precision, recall = _purity(admitted, ds.train.clean)
         row.update({f"net{k + 1}_purified": int(admitted.size),
                     f"net{k + 1}_purity_precision": precision,
                     f"net{k + 1}_purity_recall": recall})
@@ -439,25 +428,25 @@ def _purified_pools(nets, row: dict, train_split: Split, meta_split: Split,
 
 
 def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
-                     warm: bool, lr_main: float, lr_meta: float,
-                     train_split: Split, meta_split: Split, cfg: TrainConfig):
+                     warm: bool, lr_main: float, lr_meta: float, ds: Dataset,
+                     cfg: TrainConfig):
     """One epoch of steps of network pair `k` over its training pool.
 
     Reads nothing the other pair's loop writes: every random draw comes
-    from a stream keyed by (epoch, k, step).  Returns (net, training
-    losses, meta losses)."""
+    from a stream keyed by (epoch, k, step).  Returns (net, the pair's
+    metrics-row cells: its mean training and meta loss, where it had any)."""
     order = _rng(cfg.seed, _TAG_SHUFFLE, epoch, k).permutation(pool.size)
     shuffled = pool[order]
     losses, mlosses = [], []
     for step in range(pool.size // cfg.batch_size):
         sel = shuffled[step * cfg.batch_size:(step + 1) * cfg.batch_size]
-        imgs = train_split.images[sel]
-        txts = train_split.texts[sel]
+        imgs = ds.train.images[sel]
+        txts = ds.train.texts[sel]
         if cfg.mode == "fixed_margin_baseline":
             net, diag = baseline_step(net, imgs, txts, lr_main, cfg)
         else:
             mb = construct_meta_batch(
-                meta_split, train_split, cfg.meta_batch_size,
+                ds.meta, ds.train, cfg.meta_batch_size,
                 _rng(cfg.seed, _TAG_META_BATCH, epoch, k, step))
             step_fn = warmup_step if warm else bilevel_step
             net, diag = step_fn(net, imgs, txts, mb, lr_main, lr_meta, cfg)
@@ -467,11 +456,77 @@ def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
         losses.append(diag["train_loss"])
         if diag["meta_loss"] is not None:
             mlosses.append(diag["meta_loss"])
-    return net, losses, mlosses
+    return net, {f"net{k + 1}_{col}": float(np.mean(values))
+                 for col, values in (("train_loss", losses), ("meta_loss", mlosses))
+                 if values}
 
 
-def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainResult:
-    """Run the full schedule (warmup then main epochs) on two network pairs.
+@dataclass
+class RunState:
+    """Everything a run carries from one epoch to the next."""
+    nets: list  # one NetState per network pair, with its optimizer moments
+    best_nets: list  # (main, meta) params at the best-validation epoch
+    metrics: list  # the metrics row of every finished epoch
+    best_epoch: int = -1
+    best_rsum: float = -1.0
+    final_val: evalkit.RecallReport | None = None  # the last epoch's
+
+    @classmethod
+    def init(cls, ds: Dataset, cfg: TrainConfig) -> "RunState":
+        """The state before epoch 0: both network pairs at their init draws."""
+        nets = [NetState.init(ds.d_img, ds.d_txt, cfg, _rng(cfg.seed, _TAG_INIT, k))
+                for k in range(2)]
+        return cls(nets=nets, best_nets=[(net.main, net.meta) for net in nets],
+                   metrics=[])
+
+
+def run_epoch(state: RunState, epoch: int, ds: Dataset, cfg: TrainConfig,
+              threads=None) -> tuple[RunState, dict]:
+    """Epoch `epoch` of the schedule, from the state after the epoch before:
+    the learning rates, the purified pools, each network pair's steps, the
+    validation eval and the best-so-far update.  Returns the state after
+    it and the epoch's metrics row, which is appended to `metrics`.
+
+    Takes over `state`: the steps update its nets' Adam moments in place
+    and the epoch's results are stored into it, so only the returned state
+    may be used afterwards.  `threads`: see `train`."""
+    warm = epoch < cfg.warmup_epochs
+    factor = cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else 1.0
+    lr_main = cfg.lr_main * factor
+    lr_meta = cfg.lr_meta * factor
+
+    row = dict.fromkeys(metrics_columns(cfg.eval_ks))
+    row.update(epoch=epoch, phase="warmup" if warm else "main",
+               lr_main=lr_main, lr_meta=lr_meta)
+    if not warm and cfg.mode == "mscn" and cfg.use_purification:
+        pools = _purified_pools(state.nets, row, ds, cfg, epoch)
+    else:
+        pools = [np.arange(len(ds.train))] * 2
+    for k in range(2):
+        state.nets[k], cells = _train_net_epoch(
+            state.nets[k], k, pools[k], epoch, warm, lr_main, lr_meta, ds, cfg)
+        row.update(cells)
+
+    report = evalkit.evaluate(
+        [(net.main, net.meta) for net in state.nets], ds.val,
+        ks=cfg.eval_ks, scorer=SCORER_OF_MODE[cfg.mode], threads=threads)
+    row.update(val_rsum=report.rsum, degenerate_pairs=report.degenerate_pairs)
+    for k in cfg.eval_ks:
+        row[f"val_i2t_r{k}"] = report.image_to_text[k]
+        row[f"val_t2i_r{k}"] = report.text_to_image[k]
+    state.metrics.append(row)
+    state.final_val = report
+    if report.rsum > state.best_rsum:
+        state.best_rsum = report.rsum
+        state.best_epoch = epoch
+        # optimizer steps replace arrays rather than mutate them, so
+        # holding references freezes this epoch's params
+        state.best_nets = [(net.main, net.meta) for net in state.nets]
+    return state, row
+
+
+def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> RunState:
+    """Run the schedule's epochs through `run_epoch`; returns the final state.
 
     With out_dir set, writes metrics.tsv (one row per epoch, flushed as it
     goes), best-validation checkpoints, and final checkpoints.  Each epoch
@@ -482,21 +537,16 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
     small to share, such as the default 100-pair one, is scored on the
     calling thread.  The outputs do not depend on it."""
     cfg.validate()
-    train_split, meta_split, val_split = ds.train, ds.meta, ds.val
-    if len(train_split) < cfg.batch_size:
-        raise ValueError(
-            f"train split ({len(train_split)}) smaller than one batch "
-            f"({cfg.batch_size})")
-    if len(meta_split) < 1:
+    if len(ds.train) < cfg.batch_size:
+        raise ValueError(f"train split ({len(ds.train)}) smaller than one "
+                         f"batch ({cfg.batch_size})")
+    if len(ds.meta) < 1:
         raise ValueError("meta split is empty")
-    if len(val_split) < max(cfg.eval_ks):
-        raise ValueError(
-            f"validation split ({len(val_split)}) too small for "
-            f"R@{max(cfg.eval_ks)}")
+    if len(ds.val) < max(cfg.eval_ks):
+        raise ValueError(f"validation split ({len(ds.val)}) too small for "
+                         f"R@{max(cfg.eval_ks)}")
 
-    nets = [NetState.init(ds.d_img, ds.d_txt, cfg, _rng(cfg.seed, _TAG_INIT, k))
-            for k in range(2)]
-
+    state = RunState.init(ds, cfg)
     out_path = Path(out_dir) if out_dir is not None else None
     columns = metrics_columns(cfg.eval_ks)
     metrics_fh = None
@@ -506,62 +556,14 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
         metrics_fh.write("\t".join(columns) + "\n")
         metrics_fh.flush()
 
-    total_epochs = cfg.warmup_epochs + cfg.epochs
-    metrics_rows: list[dict] = []
-    best_rsum = -1.0
-    best_epoch = -1
-    best_nets = [(net.main, net.meta) for net in nets]
-    report = None
-
     try:
-        for epoch in range(total_epochs):
-            warm = epoch < cfg.warmup_epochs
-            factor = cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else 1.0
-            lr_main = cfg.lr_main * factor
-            lr_meta = cfg.lr_meta * factor
-
-            row = dict.fromkeys(columns)
-            row.update(epoch=epoch, phase="warmup" if warm else "main",
-                       lr_main=lr_main, lr_meta=lr_meta)
-            if not warm and cfg.mode == "mscn" and cfg.use_purification:
-                pools = _purified_pools(nets, row, train_split, meta_split,
-                                        cfg, epoch)
-            else:
-                pools = [np.arange(len(train_split))] * 2
-
-            losses, mlosses = [None] * 2, [None] * 2
-            for k in range(2):
-                nets[k], losses[k], mlosses[k] = _train_net_epoch(
-                    nets[k], k, pools[k], epoch, warm, lr_main, lr_meta,
-                    train_split, meta_split, cfg)
-
-            report = evalkit.evaluate(
-                [(net.main, net.meta) for net in nets], val_split,
-                ks=cfg.eval_ks, scorer=SCORER_OF_MODE[cfg.mode],
-                threads=threads)
-            for k in range(2):
-                for col, values in (("train_loss", losses[k]),
-                                    ("meta_loss", mlosses[k])):
-                    if values:
-                        row[f"net{k + 1}_{col}"] = float(np.mean(values))
-            row.update(val_rsum=report.rsum,
-                       degenerate_pairs=report.degenerate_pairs)
-            for k in cfg.eval_ks:
-                row[f"val_i2t_r{k}"] = report.image_to_text[k]
-                row[f"val_t2i_r{k}"] = report.text_to_image[k]
-            metrics_rows.append(row)
-            if metrics_fh is not None:
+        for epoch in range(cfg.warmup_epochs + cfg.epochs):
+            state, row = run_epoch(state, epoch, ds, cfg, threads)
+            if out_path is not None:
                 metrics_fh.write(format_metrics_row(row, columns) + "\n")
                 metrics_fh.flush()
-
-            if report.rsum > best_rsum:
-                best_rsum = report.rsum
-                best_epoch = epoch
-                # optimizer steps replace arrays rather than mutate them, so
-                # holding references freezes this epoch's params
-                best_nets = [(net.main, net.meta) for net in nets]
-                if out_path is not None:
-                    for k, net in enumerate(nets):
+                if state.best_epoch == epoch:
+                    for k, net in enumerate(state.nets):
                         model.save_checkpoint(
                             out_path / f"net{k + 1}_best.mscp", net.main, net.meta)
     finally:
@@ -569,9 +571,7 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> TrainRes
             metrics_fh.close()
 
     if out_path is not None:
-        for k, net in enumerate(nets):
+        for k, net in enumerate(state.nets):
             model.save_checkpoint(out_path / f"net{k + 1}_final.mscp",
                                   net.main, net.meta)
-    return TrainResult(nets=nets, best_nets=best_nets, metrics=metrics_rows,
-                       best_epoch=best_epoch, best_rsum=best_rsum,
-                       final_val=report)
+    return state

@@ -92,6 +92,8 @@ def test_default_config_file_states_the_defaults():
     assert raw["data"] == dataclasses.asdict(datagen.GenConfig())
     assert raw["train"] == dict(dataclasses.asdict(TrainConfig()),
                                 eval_ks=list(TrainConfig().eval_ks))
+    # the reference run's corruption, not NoiseConfig's clean default
+    assert raw["noise"] == {"ratio": 0.5, "seed": 20240602}
 
 
 def test_config_value_types_checked_at_load(tmp_path, capsys):
@@ -204,15 +206,18 @@ def test_negative_seeds_exit_config(tmp_path, capsys):
 
 
 def test_network_sizes_exit_config(tmp_path, capsys):
-    """A layer width below 1 is rejected by name before the data file is
-    read (it does not exist, which would otherwise exit 2), rather than
-    failing inside parameter init."""
+    """A layer width or a recall cutoff below 1 is rejected by name before
+    the data file is read (it does not exist, which would otherwise exit
+    2), rather than failing inside parameter init or after an epoch of
+    training."""
     absent, out = str(tmp_path / "absent.mscd"), tmp_path / "out"
     for key, value, message in (
             ("mscn_hidden", 0, "mscn_hidden must be at least 1"),
             ("mscn_hidden", -1, "mscn_hidden must be at least 1"),
             ("d_sim", 0, "d_sim and mscn_hidden must be at least 1"),
-            ("d_emb", 0, "d_emb, d_sim and mscn_hidden must be at least 1")):
+            ("d_emb", 0, "d_emb, d_sim and mscn_hidden must be at least 1"),
+            ("eval_ks", [0, 1], "eval_ks must be distinct, ascending and at least 1"),
+            ("eval_ks", [-2, 5], "eval_ks must be distinct, ascending and at least 1")):
         path = smoke_with(tmp_path, "train", key, value)
         assert main(["train", "--config", path, "--data", absent,
                      "--out", str(out)]) == EXIT_CONFIG, (key, value)

@@ -1,6 +1,7 @@
 """Bi-level step semantics, optimizer behavior, and the training driver."""
 
 import gc
+import pickle
 import weakref
 
 import numpy as np
@@ -12,11 +13,12 @@ from conftest import (assert_close_grad, central_difference,
 from mscn import autodiff as ad
 from mscn import datagen, meta_loop, model, objective, purifier
 from mscn.meta_loop import (ADAM_BETA1, ADAM_BETA2, ADAM_EPS, AdamState,
-                            NetState, NonFiniteGradientError,
+                            NetState, NonFiniteGradientError, RunState,
                             TrainConfig, actual_update, baseline_step,
                             bilevel_step, construct_meta_batch, fit_purifier,
                             format_metrics_row, metrics_columns,
-                            optimizer_step, train, virtual_update, warmup_step)
+                            optimizer_step, run_epoch, train, virtual_update,
+                            warmup_step)
 from test_model import tiny_nets
 
 
@@ -748,6 +750,47 @@ def test_train_bitwise_deterministic(tmp_path):
         np.testing.assert_array_equal(np.asarray(a), np.asarray(b))
 
 
+def _state_bytes(state: RunState) -> list[bytes]:
+    """The bytes of every param and Adam moment of both nets, and of the
+    best nets' params."""
+    out = []
+    for net in state.nets:
+        for bundle in (net.main, net.meta):
+            out += [np.asarray(a).tobytes() for _, a in bundle.items()]
+        for opt in (net.opt_main, net.opt_meta):
+            out += [opt.m.tobytes(), opt.v.tobytes(), str(opt.t).encode()]
+    for main, meta in state.best_nets:
+        for bundle in (main, meta):
+            out += [np.asarray(a).tobytes() for _, a in bundle.items()]
+    return out
+
+
+def test_run_state_carries_a_run_through_pickle():
+    """A run stopped after epoch 1, its state round-tripped through pickle
+    and finished from the copy, ends bitwise where an uninterrupted `train`
+    ends: every metrics row, every param and Adam moment of both nets, and
+    the best nets and epoch.  So the state holds all that one epoch hands
+    the next."""
+    ds = small_dataset(noise=0.5)
+    # this run's best epoch, 2, comes after the stop
+    cfg = train_cfg(epochs=4, lr_main=3e-3)
+    whole = train(ds, cfg)
+    state = RunState.init(ds, cfg)
+    for epoch in range(2):
+        state, row = run_epoch(state, epoch, ds, cfg)
+        assert state.metrics[-1] is row
+    state = pickle.loads(pickle.dumps(state))
+    for epoch in range(2, cfg.warmup_epochs + cfg.epochs):
+        state, _ = run_epoch(state, epoch, ds, cfg)
+    columns = metrics_columns(cfg.eval_ks)
+    assert ([format_metrics_row(r, columns) for r in state.metrics]
+            == [format_metrics_row(r, columns) for r in whole.metrics])
+    assert _state_bytes(state) == _state_bytes(whole)
+    assert state.best_epoch == whole.best_epoch == 2
+    assert state.best_rsum == whole.best_rsum
+    assert state.final_val == whole.final_val
+
+
 def test_train_seed_changes_outcome():
     ds = small_dataset(noise=0.5)
     a = train(ds, train_cfg(seed=13, warmup_epochs=1, epochs=0))
@@ -924,6 +967,9 @@ def test_train_validation_errors():
         train(ds, train_cfg(batch_size=4096))
     with pytest.raises(ValueError):
         train(ds, train_cfg(eval_ks=(1, 500)))
+    # rejected before the first epoch, not by the first validation eval
+    with pytest.raises(ValueError, match="eval_ks must be"):
+        train(ds, train_cfg(eval_ks=(0, 1)))
 
 
 def test_format_metrics_row():
