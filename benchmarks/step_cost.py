@@ -1,19 +1,26 @@
-"""Per-step cost of the three training steps, at the shapes of a config.
+"""Per-step cost of the three training steps, recorded and replayed, at the
+shapes of a config.
 
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/step_cost.py [--config configs/default.json]
         [--steps 50] [--warmup 5] [--out BENCH_step_cost.json]
 
-Builds the config's dataset in memory, then for each of `warmup_step`,
-`bilevel_step` and `baseline_step` runs `--warmup` untimed steps followed
-by `--steps` timed ones on one network pair, each on the next batch of
-the training split.  It prints the median wall milliseconds of a step and
-the number of nodes one step records on its computation records, and
-writes the same numbers, with the inputs that produced them, to `--out`.
-It runs with the package's one BLAS thread unless OPENBLAS_NUM_THREADS
-is set, and records that.  Nothing is asserted: the numbers are for
-before/after comparisons on one host, run alternately.
+Builds the config's dataset in memory.  For each of `warmup_step`,
+`bilevel_step` and `baseline_step` it trains two copies of one network
+pair on the same batches, as `train` runs them: one calls the step on its
+own, so every stage records, and one passes a dict of plans, as
+`_train_net_epoch` does, so the first step captures each first-order
+stage and every later step replays it.  `--warmup` (at least 1) untimed
+steps, the capture among them, are followed by `--steps` timed ones, the
+two copies alternating which goes first.  It prints, and writes with the
+inputs that produced them to `--out`, each step's median wall
+milliseconds recorded and replayed, the nodes one recorded step appends
+to its records and the kernels of its plans.  The two copies must end
+bitwise equal; if they do not it says so and exits 1.  It runs with the
+package's one BLAS thread unless OPENBLAS_NUM_THREADS is set, and
+records that.  The timings are for before/after comparisons on one host,
+run alternately.
 """
 
 from __future__ import annotations
@@ -39,23 +46,22 @@ STEPS = ("warmup_step", "bilevel_step", "baseline_step")
 
 
 def _stepper(kind: str, ds, cfg):
-    """A function net, i -> net that takes step i of `kind`."""
+    """A function net, i, plans -> net that takes step i of `kind`; step i
+    reads the same batch and meta batch whichever net takes it."""
     train, meta = ds.train, ds.meta
     n_batches = len(train) // cfg.batch_size
-    rng = np.random.default_rng(cfg.seed)
+    fn = getattr(meta_loop, kind)
 
-    def batch(i):
+    def step(net, i, plans):
         lo = (i % n_batches) * cfg.batch_size
-        return (train.images[lo:lo + cfg.batch_size],
-                train.texts[lo:lo + cfg.batch_size])
-
-    def step(net, i):
-        imgs, txts = batch(i)
+        imgs = train.images[lo:lo + cfg.batch_size]
+        txts = train.texts[lo:lo + cfg.batch_size]
         if kind == "baseline_step":
-            return meta_loop.baseline_step(net, imgs, txts, cfg.lr_main, cfg)[0]
-        mb = meta_loop.construct_meta_batch(meta, train, cfg.meta_batch_size, rng)
-        fn = getattr(meta_loop, kind)
-        return fn(net, imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg)[0]
+            return fn(net, imgs, txts, cfg.lr_main, cfg, plans=plans)[0]
+        mb = meta_loop.construct_meta_batch(
+            meta, train, cfg.meta_batch_size, np.random.default_rng([cfg.seed, i]))
+        return fn(net, imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg,
+                  plans=plans)[0]
 
     return step
 
@@ -69,30 +75,46 @@ class _CountingTape(ad.Tape):
 
 
 def _nodes_per_step(step, net) -> int:
-    """Nodes appended to every record opened by one step."""
+    """Nodes appended to every record opened by one recorded step."""
     plain = ad.Tape
     _CountingTape.nodes = 0
     ad.Tape = _CountingTape
     try:
-        step(net, 0)
+        step(net, 0, None)
     finally:
         ad.Tape = plain
     return _CountingTape.nodes
 
 
+def _state_bytes(net) -> list[bytes]:
+    arrays = [*net.main.arrays(), *net.meta.arrays()]
+    for opt in (net.opt_main, net.opt_meta):
+        arrays += [opt.m, opt.v, np.array(opt.t)]
+    return [a.tobytes() for a in arrays]
+
+
 def measure(ds, cfg, kind: str, steps: int, warmup: int) -> dict:
     step = _stepper(kind, ds, cfg)
-    net = meta_loop.NetState.init(ds.d_img, ds.d_txt, cfg,
-                                  np.random.default_rng(cfg.seed))
+    nets = [meta_loop.NetState.init(ds.d_img, ds.d_txt, cfg,
+                                    np.random.default_rng(cfg.seed))
+            for _ in range(2)]
+    plans = {}
+    runs = ((0, None), (1, plans))  # (net, plans): recorded, replayed
     for i in range(warmup):
-        net = step(net, i)
-    wall = []
+        for k, p in runs:
+            nets[k] = step(nets[k], i, p)
+    wall = ([], [])
     for i in range(warmup, warmup + steps):
-        t0 = time.perf_counter()
-        net = step(net, i)
-        wall.append(time.perf_counter() - t0)
-    return {"median_ms": 1e3 * statistics.median(wall),
-            "nodes": _nodes_per_step(step, net)}
+        for k, p in runs if i % 2 else runs[::-1]:
+            t0 = time.perf_counter()
+            nets[k] = step(nets[k], i, p)
+            wall[k].append(time.perf_counter() - t0)
+    identical = _state_bytes(nets[0]) == _state_bytes(nets[1])
+    return {"recorded_ms": 1e3 * statistics.median(wall[0]),
+            "replayed_ms": 1e3 * statistics.median(wall[1]),
+            "nodes": _nodes_per_step(step, nets[0]),
+            "kernels": sum(len(plan) for plan in plans.values()),
+            "identical": identical}
 
 
 def main(argv=None) -> int:
@@ -102,8 +124,9 @@ def main(argv=None) -> int:
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--out", default="BENCH_step_cost.json")
     args = p.parse_args(argv)
-    if args.steps < 1 or args.warmup < 0:
-        p.error("--steps must be at least 1 and --warmup at least 0")
+    if args.steps < 1 or args.warmup < 1:
+        p.error("--steps and --warmup must be at least 1 (a warmup step "
+                "captures the plans)")
 
     raw = cli.load_config(args.config)
     ds = datagen.generate(cli.build_config(raw, "data"))
@@ -114,10 +137,12 @@ def main(argv=None) -> int:
     results = {}
     for kind in STEPS:
         mode = "fixed_margin_baseline" if kind == "baseline_step" else "mscn"
-        results[kind] = measure(ds, dataclasses.replace(cfg, mode=mode),
-                                kind, args.steps, args.warmup)
-        print(f"{kind}\t{results[kind]['median_ms']:.3f} ms\t"
-              f"{results[kind]['nodes']} nodes")
+        r = results[kind] = measure(ds, dataclasses.replace(cfg, mode=mode),
+                                    kind, args.steps, args.warmup)
+        print(f"{kind}\trecorded {r['recorded_ms']:.3f} ms\t"
+              f"replayed {r['replayed_ms']:.3f} ms\t{r['nodes']} nodes\t"
+              f"{r['kernels']} kernels"
+              + ("" if r["identical"] else "\treplay DIFFERS from record"))
     doc = {
         "config": args.config,
         "steps": args.steps,
@@ -131,7 +156,7 @@ def main(argv=None) -> int:
         "results": results,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return 0
+    return 0 if all(r["identical"] for r in results.values()) else 1
 
 
 if __name__ == "__main__":

@@ -113,11 +113,13 @@ def summarize(runs: list, noise: list, seeds: list) -> dict:
 
 def compare(summary: dict, earlier: dict) -> tuple[dict, list]:
     """Each arm's change in mean rsum against `earlier`'s summary, and
-    whether it exceeds the larger seed range of the two; and the arms that
-    `earlier` lacks at some shared noise ratio, which are not compared."""
+    whether it exceeds the larger seed range of the two; and what is not
+    compared: each arm that `earlier` lacks at some shared noise ratio, by
+    name, and each noise ratio it lacks, as "noise <ratio>"."""
     out, skipped = {}, set()
     for ratio, cell in summary.items():
         if ratio not in earlier:
+            skipped.add(f"noise {ratio}")
             continue
         for arm, now in cell["arms"].items():
             if arm not in earlier[ratio]["arms"]:
@@ -182,7 +184,7 @@ def main(argv=None) -> int:
                  for a, c in cells.items() if c["moved"]]
         print(f"arms moved beyond their seed range: {moved or 'none'}")
         if skipped:
-            print(f"arms not in {args.against}, not compared: {skipped}")
+            print(f"not in {args.against}, not compared: {skipped}")
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
     return 0
 

@@ -3,7 +3,8 @@
 The engine is deliberately small: an explicit computation record (``Tape``)
 is opened per training step, forward ops append nodes to it, and
 ``backward`` replays the record once in reverse.  There is no global graph
-and no implicit state besides the thread-local "currently recording" slot.
+and no implicit state besides two thread-local slots: the record being
+made and the plan being captured (see the end of this docstring).
 
 Higher-order derivatives need no special machinery.  Every VJP is written
 in terms of the public ops themselves, so running ``backward_retaining``
@@ -63,11 +64,31 @@ same ``add.reduce`` as the ``np.sum``/``np.any`` wrappers, and a float64
 ndarray is wrapped in a Tensor as it is.  A node records at once which
 of its inputs are on the record, so a full sweep reads that mask rather
 than building it again.
+
+Capture and replay.  Each op hands ``_record`` its kernel, the function
+that computes its output, and the kernel's operand arrays; numpy work
+off the record (masks, indices, domain checks, the pick block) goes
+through ``host`` the same way.  While a ``Capture`` is active, every
+such call is logged as one step of a plan: the kernel and the slots of
+its operands and outputs.  An operand array must be an input declared
+to the capture or the output of a logged kernel; any other array raises
+CaptureError rather than being baked in.  Other operands (floats,
+shapes, axes) are the plan's constants.  ``Plan.run`` calls the same
+kernels on new inputs in the same order, the checks among them, so a
+replay returns the bits and raises the errors that recording the same
+code would.  It skips all the rest: Tensor and Node
+objects, VJP closures, ``_record``, ``_live_needs`` and the sweep's dict
+work.  A plan is right only while what it baked in holds: shapes,
+constants and the branches taken on them.  Its owner bounds its life to
+a span over which those are fixed; ``meta_loop._train_net_epoch`` keeps
+one per first-order stage for one epoch of one network pair, and a
+retained (second-order) record is never captured.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import threading
 import weakref
 from typing import Callable, Iterable, Optional, Sequence
@@ -89,8 +110,13 @@ class RecordError(RuntimeError):
     """Misuse of a computation record (empty backward, foreign values, ...)."""
 
 
+class CaptureError(RecordError):
+    """A captured stage read an array that its plan could not reproduce."""
+
+
 class _State(threading.local):
     tape: Optional["Tape"] = None
+    capture: Optional["Capture"] = None
 
 
 _state = _State()
@@ -155,7 +181,7 @@ class Tensor:
     def __init__(self, data, node: Optional[Node] = None):
         # np.asarray would return a float64 ndarray as it is; skip the call
         if type(data) is not np.ndarray or data.dtype is not _F64:
-            data = np.asarray(data, dtype=np.float64)
+            data = host(_float64, data)
         self.data = data
         self.node = node
 
@@ -216,12 +242,45 @@ def _lift(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(op: str, out_data, inputs: Sequence[Tensor], vjp: Callable,
-            keep_out: bool = False) -> Tensor:
-    """Wrap `out_data`, and append a node to the active record if an input
-    is on it.  The node holds the output only with `keep_out`, which an op
-    sets when its VJP reads `out`."""
-    out = Tensor(out_data)
+def _float64(x) -> np.ndarray:
+    return np.asarray(x, dtype=np.float64)
+
+
+def as_array(x) -> np.ndarray:
+    """The float64 array of a Tensor or of anything np.asarray takes: a
+    Tensor's data, or a float64 ndarray, as it is.  A conversion (an
+    unpickled array's equal but distinct dtype makes one too) is a
+    kernel, logged as `host` logs."""
+    if isinstance(x, Tensor):
+        return x.data
+    if type(x) is not np.ndarray or x.dtype is not _F64:
+        x = host(_float64, x)
+    return x
+
+
+def host(kernel: Callable, *args):
+    """`kernel(*args)`, off the record.  While a plan is being captured the
+    call is logged to it like an op's kernel, so a replay runs it too: the
+    off-record arrays of a stage (masks, indices, checks) go through here."""
+    out = kernel(*args)
+    capture = _state.capture
+    if capture is not None:
+        capture.log(kernel, args, out)
+    return out
+
+
+def _record(op: str, kernel: Callable, args: tuple, inputs: Sequence[Tensor],
+            vjp: Callable, keep_out: bool = False) -> Tensor:
+    """Run the op's `kernel` on its operand arrays `args`, log the call to
+    the plan being captured, if any, and wrap the output; append a node to
+    the active record if one of the Tensors `inputs` is on it.  The node
+    holds the output only with `keep_out`, which an op sets when its VJP
+    reads `out`."""
+    data = kernel(*args)
+    capture = _state.capture
+    if capture is not None:
+        capture.log(kernel, args, data)
+    out = Tensor(data)
     tape = _state.tape
     if tape is None:
         return out
@@ -273,7 +332,7 @@ def matmul(a, b) -> Tensor:
         return (matmul(g, transpose(b)) if needs[0] else None,
                 matmul(transpose(a), g) if needs[1] else None)
 
-    return _record("matmul", _gemm(a.data, b.data), (a, b), vjp)
+    return _record("matmul", _gemm, (a.data, b.data), (a, b), vjp)
 
 
 def _unbroadcast(g: Tensor, shape) -> Tensor:
@@ -300,10 +359,6 @@ def _binary(op: str, a, b, fwd, grads, keep=(False, False),
     sum, which is exact and touches fewer elements.
     """
     a, b = _lift(a), _lift(b)
-    try:
-        out = fwd(a.data, b.data)
-    except ValueError:  # numpy's own broadcasting check
-        raise ShapeMismatchError(op, a.shape, b.shape) from None
     a_shape, b_shape = a.shape, b.shape
     kept_a = a if keep[0] else None
     kept_b = b if keep[1] else None
@@ -317,7 +372,10 @@ def _binary(op: str, a, b, fwd, grads, keep=(False, False),
                 gb = neg(gb)
         return ga, gb
 
-    return _record(op, out, (a, b), vjp, keep_out)
+    try:
+        return _record(op, fwd, (a.data, b.data), (a, b), vjp, keep_out)
+    except ValueError:  # numpy's own broadcasting check
+        raise ShapeMismatchError(op, a_shape, b_shape) from None
 
 
 def add(a, b) -> Tensor:
@@ -335,24 +393,26 @@ def mul(a, b) -> Tensor:
                    keep=(True, True))
 
 
-def div(a, b) -> Tensor:
-    def fwd(x, y):
-        if (y == 0.0).any():
-            raise ZeroDivisionError("div: zero denominator")
-        return x / y
+def _divide(x, y):
+    if (y == 0.0).any():
+        raise ZeroDivisionError("div: zero denominator")
+    return x / y
 
+
+def div(a, b) -> Tensor:
     def grads(g, a, b, out, needs):
         ga = div(g, b)
         return ga, mul(ga, out) if needs[1] else None
 
-    return _binary("div", a, b, fwd, grads, keep=(False, True), negate_b=True,
-                   keep_out=True)
+    return _binary("div", a, b, _divide, grads, keep=(False, True),
+                   negate_b=True, keep_out=True)
 
 
 def scalar_mul(c: float, x) -> Tensor:
     x = _lift(x)
     c = float(c)
-    return _record("scalar_mul", c * x.data, (x,), lambda g, *_: (scalar_mul(c, g),))
+    return _record("scalar_mul", operator.mul, (c, x.data), (x,),
+                   lambda g, *_: (scalar_mul(c, g),))
 
 
 def neg(x) -> Tensor:
@@ -363,39 +423,63 @@ def square(x) -> Tensor:
     x = _lift(x)
     # 2 * (g * x) has the bits of g * (2 * x), since doubling is exact, and
     # records no (x-sized) 2x array
-    return _record("square", x.data * x.data, (x,),
+    return _record("square", operator.mul, (x.data, x.data), (x,),
                    lambda g, *_: (scalar_mul(2.0, mul(g, x)),))
 
 
 def relu(x) -> Tensor:
     """Hinge [x]+ with the strict-inequality subgradient (0 at exactly 0)."""
     x = _lift(x)
-    return _record("relu", np.maximum(x.data, 0.0), (x,),
-                   lambda g, out, needs: (mul(g, Tensor(out.data > 0.0)),),
+    return _record("relu", np.maximum, (x.data, 0.0), (x,),
+                   lambda g, out, needs: (mul(g, Tensor(host(_positive, out.data))),),
                    keep_out=True)
 
 
+def _positive(x) -> np.ndarray:
+    return _float64(x > 0.0)
+
+
 def _expit(x, out=None):
+    """expit(x, out=out); the first call binds this name to scipy's ufunc
+    (see `_expit_ufunc`), which the block scorers then call directly."""
+    return _expit_ufunc()(x, out=out)
+
+
+def _expit_ufunc():
     """scipy's expit ufunc.  The first call loads it through `_special`,
-    which skips the 0.23 s scipy.special package, and rebinds this name to
+    which skips the 0.23 s scipy.special package, and binds `_expit` to
     it, so commands that take no sigmoid load no scipy at all."""
     global _expit
-    from ._special import expit as _expit
-    return _expit(x, out=out)
+    if type(_expit) is not np.ufunc:
+        from ._special import expit as _expit
+    return _expit
 
 
 def sigmoid(x) -> Tensor:
     x = _lift(x)
-    return _record("sigmoid", _expit(x.data), (x,),
+    return _record("sigmoid", _expit_ufunc(), (x.data,), (x,),
                    lambda g, out, needs: (mul(g, mul(out, sub(1.0, out))),),
                    keep_out=True)
 
 
+def _refuse_non_positive(x):
+    if (x <= 0.0).any():
+        raise ValueError("log: requires strictly positive inputs")
+
+
 def log(x) -> Tensor:
     x = _lift(x)
-    if (x.data <= 0.0).any():
-        raise ValueError("log: requires strictly positive inputs")
-    return _record("log", np.log(x.data), (x,), lambda g, *_: (div(g, x),))
+    host(_refuse_non_positive, x.data)
+    return _record("log", np.log, (x.data,), (x,), lambda g, *_: (div(g, x),))
+
+
+def _refuse_nan(x):
+    if np.isnan(x).any():
+        raise ValueError("clamp: NaN input")
+
+
+def _inside(x, lo: float, hi: float) -> np.ndarray:
+    return _float64((x > lo) & (x < hi))
 
 
 def clamp(x, lo: float, hi: float) -> Tensor:
@@ -403,10 +487,13 @@ def clamp(x, lo: float, hi: float) -> Tensor:
     x = _lift(x)
     if not lo < hi:
         raise ValueError(f"clamp: empty interval [{lo}, {hi}]")
-    if np.isnan(x.data).any():
-        raise ValueError("clamp: NaN input")
-    return _record("clamp", np.clip(x.data, lo, hi), (x,),
-                   lambda g, *_: (mul(g, Tensor((x.data > lo) & (x.data < hi))),))
+    host(_refuse_nan, x.data)
+    return _record("clamp", np.clip, (x.data, lo, hi), (x,),
+                   lambda g, *_: (mul(g, Tensor(host(_inside, x.data, lo, hi))),))
+
+
+def _norms(x) -> np.ndarray:
+    return np.sqrt((x * x).sum(axis=-1))
 
 
 def l2norm(x) -> Tensor:
@@ -419,15 +506,19 @@ def l2norm(x) -> Tensor:
         ratio = div(g, out)  # (...,)
         return (mul(x, reshape(ratio, ratio.shape + (1,))),)
 
-    return _record("l2norm", np.sqrt((x.data * x.data).sum(axis=-1)), (x,), vjp,
-                   keep_out=True)
+    return _record("l2norm", _norms, (x.data,), (x,), vjp, keep_out=True)
+
+
+def _cells_at(x, rows, idx) -> np.ndarray:
+    return x[rows, idx]
 
 
 def row_max(x) -> tuple[Tensor, np.ndarray]:
     """Per-row maximum of a 2D tensor; ties resolve to the lowest index.
 
     Returns (values, argmax indices); the indices are plain ints, not part
-    of the record.
+    of the record.  No stage of the pipeline calls it, so its indices are
+    not logged: a capture that reaches it raises CaptureError.
     """
     x = _lift(x)
     if x.ndim != 2 or x.shape[1] == 0:
@@ -441,7 +532,17 @@ def row_max(x) -> tuple[Tensor, np.ndarray]:
         onehot[rows, idx] = 1.0
         return (mul(Tensor(onehot), reshape(g, (g.shape[0], 1))),)
 
-    return _record("row_max", x.data[rows, idx], (x,), vjp), idx
+    return _record("row_max", _cells_at, (x.data, rows, idx), (x,), vjp), idx
+
+
+def _rows(idx, shape) -> tuple[np.ndarray, np.ndarray]:
+    """`idx` as an array, checked as rows to gather from an array of
+    `shape`, and as the bins of the adjoint's bincount."""
+    idx = np.asarray(idx)
+    if (not shape or idx.ndim != 1 or idx.dtype.kind not in "iu"
+            or idx.size and not 0 <= idx.min() <= idx.max() < shape[0]):
+        raise ShapeMismatchError("take_rows", shape, idx.shape)
+    return idx, idx.astype(np.intp, copy=False)
 
 
 def take_rows(x, idx) -> Tensor:
@@ -452,28 +553,25 @@ def take_rows(x, idx) -> Tensor:
     the adjoint scatter-add, which adds each gradient row into its source
     row in index order."""
     x = _lift(x)
-    idx = np.asarray(idx)
-    if (x.ndim == 0 or idx.ndim != 1 or idx.dtype.kind not in "iu"
-            or idx.size and not 0 <= idx.min() <= idx.max() < x.shape[0]):
-        raise ShapeMismatchError("take_rows", x.shape, idx.shape)
+    idx, bins = host(_rows, idx, x.shape)
     n = x.shape[0]
-    out = x.data[idx]
-    idx = idx.astype(np.intp, copy=False)  # the bins of the adjoint's bincount
-    return _record("take_rows", out, (x,),
-                   lambda g, *_: (_scatter_rows(g, idx, n),))
+    return _record("take_rows", operator.getitem, (x.data, idx), (x,),
+                   lambda g, *_: (_scatter_rows(g, bins, n),))
+
+
+def _scatter(g, idx, n: int) -> np.ndarray:
+    if g.ndim == 1:
+        return np.bincount(idx, g, n)
+    # one bin per cell of the n output rows
+    width = math.prod(g.shape[1:])
+    cells = (idx[:, None] * width + np.arange(width)).ravel()
+    return np.bincount(cells, g.ravel(), n * width).reshape((n,) + g.shape[1:])
 
 
 def _scatter_rows(g: Tensor, idx: np.ndarray, n: int) -> Tensor:
     """The adjoint of `take_rows`: n rows of zeros with row k of `g` added
     into row idx[k], in index order.  Its own adjoint is `take_rows`."""
-    if g.ndim == 1:
-        out = np.bincount(idx, g.data, n)
-    else:  # one bin per cell of the n output rows
-        width = math.prod(g.shape[1:])
-        cells = (idx[:, None] * width + np.arange(width)).ravel()
-        out = np.bincount(cells, g.data.ravel(), n * width)
-        out = out.reshape((n,) + g.shape[1:])
-    return _record("scatter_rows", out, (g,),
+    return _record("scatter_rows", _scatter, (g.data, idx, n), (g,),
                    lambda gg, *_: (take_rows(gg, idx),))
 
 
@@ -485,17 +583,20 @@ def _norm_axes(axis, ndim: int) -> tuple[int, ...]:
     return tuple(a % ndim for a in axis)
 
 
+def _sum(x, axis) -> np.ndarray:
+    return x.sum(axis=axis)
+
+
 def reduce_sum(x, axis=None) -> Tensor:
     x = _lift(x)
     axes = _norm_axes(axis, x.ndim)
     in_shape = x.shape
-    data = x.data.sum(axis=axes if axes else None)
 
     def vjp(g, *_):
         g = reshape(g, tuple(1 if i in axes else d for i, d in enumerate(in_shape)))
         return (broadcast_to(g, in_shape),)
 
-    return _record("sum", data, (x,), vjp)
+    return _record("sum", _sum, (x.data, axes if axes else None), (x,), vjp)
 
 
 def reduce_mean(x) -> Tensor:
@@ -506,39 +607,45 @@ def reduce_mean(x) -> Tensor:
     return scalar_mul(1.0 / x.size, reduce_sum(x))
 
 
+def _broadcast(x, shape) -> np.ndarray:
+    data = np.empty(shape)
+    data[...] = x
+    return data
+
+
 def broadcast_to(x, shape) -> Tensor:
     x = _lift(x)
     shape = tuple(shape)
+    in_shape = x.shape
     try:
         if x.ndim > len(shape):  # which assigning into `data` would allow
             raise ValueError
-        data = np.empty(shape)
-        data[...] = x.data
+        return _record("broadcast_to", _broadcast, (x.data, shape), (x,),
+                       lambda g, *_: (_unbroadcast(g, in_shape),))
     except ValueError:  # numpy's own broadcasting check
         raise ShapeMismatchError("broadcast_to", x.shape, shape) from None
-    in_shape = x.shape
-    return _record("broadcast_to", data, (x,), lambda g, *_: (_unbroadcast(g, in_shape),))
 
 
 def reshape(x, shape) -> Tensor:
     x = _lift(x)
     shape = tuple(map(int, shape))
+    in_shape = x.shape
     try:
         # the size test rejects a single -1, numpy any other negative size
         if x.size != math.prod(shape):
             raise ValueError
-        data = x.data.reshape(shape)
+        return _record("reshape", np.ndarray.reshape, (x.data, shape), (x,),
+                       lambda g, *_: (reshape(g, in_shape),))
     except ValueError:
         raise ShapeMismatchError("reshape", x.shape, shape) from None
-    in_shape = x.shape
-    return _record("reshape", data, (x,), lambda g, *_: (reshape(g, in_shape),))
 
 
 def transpose(x) -> Tensor:
     x = _lift(x)
     if x.ndim != 2:
         raise ShapeMismatchError("transpose", x.shape)
-    return _record("transpose", x.data.T, (x,), lambda g, *_: (transpose(g),))
+    return _record("transpose", np.ndarray.transpose, (x.data,), (x,),
+                   lambda g, *_: (transpose(g),))
 
 
 # ---------------------------------------------------------------------------
@@ -578,7 +685,7 @@ def _backprop(record: Tape, output: Tensor,
             if t.node is None or t.node.record is not record._ref or t.node.vjp is not None:
                 raise RecordError("backward: wrt must hold leaves of this record")
         live = _live_needs(nodes, [t.node for t in leaves])
-    grads: dict[Node, Tensor] = {output.node: Tensor(np.ones_like(output.data))}
+    grads: dict[Node, Tensor] = {output.node: Tensor(host(np.ones_like, output.data))}
     for node in reversed(nodes):
         if node.vjp is None:
             continue
@@ -597,7 +704,7 @@ def _backprop(record: Tape, output: Tensor,
     out: dict[Tensor, Tensor] = {}
     for leaf in leaves:
         g = grads.get(leaf.node)
-        out[leaf] = Tensor(np.zeros_like(leaf.data)) if g is None else g
+        out[leaf] = Tensor(host(np.zeros_like, leaf.data)) if g is None else g
     return out
 
 
@@ -626,3 +733,171 @@ def backward_retaining(record: Tape, output: Tensor,
         raise RecordError("backward_retaining requires a record opened with retain=True")
     with _using_tape(record):
         return _backprop(record, output, wrt)
+
+
+# ---------------------------------------------------------------------------
+# capture and replay
+
+
+def _holds_array(value) -> bool:
+    if isinstance(value, (np.ndarray, np.generic, Tensor)):
+        return True
+    return isinstance(value, (tuple, list)) and any(map(_holds_array, value))
+
+
+def _kernel_name(kernel) -> str:
+    return getattr(kernel, "__qualname__", None) or repr(kernel)
+
+
+class Capture:
+    """While active, logs every kernel the thread runs, op or `host`, as
+    one step of a plan.
+
+    `inputs` are the arrays the captured code reads that may differ from
+    one run to the next, in the order `Plan.run` takes them.  Each array
+    operand of a kernel must be one of them or the output of a kernel
+    logged before it: any other array would be baked into the plan, so it
+    raises CaptureError.  Every other operand (a float, a shape, an axis)
+    is a constant of the plan.  A kernel returns an array, a numpy scalar,
+    a tuple of them, or None (a check).
+
+    Values are known by id.  A capture holds no array: each one's id is
+    forgotten the moment it is freed, before the id can name another, so
+    capturing a step holds no more memory than recording it."""
+
+    def __init__(self, inputs):
+        self.slots: dict[int, int] = {}  # id of a live value -> its slot
+        self.n_slots = 0
+        self.refs: list = []  # a weak reference to each array with a slot
+        self.scalars: list = []  # numpy scalars take no weak reference
+        self.consts: dict[int, object] = {}
+        self.steps: list = []
+        for a in inputs:
+            if type(a) is not np.ndarray or id(a) in self.slots:
+                raise CaptureError("plan inputs must be distinct arrays")
+            self._define(a)
+        self.n_inputs = self.n_slots
+
+    def __enter__(self):
+        if _state.capture is not None:
+            raise CaptureError("captures do not nest")
+        _state.capture = self
+        return self
+
+    def __exit__(self, *exc):
+        _state.capture = None
+        return False
+
+    def _define(self, value) -> int:
+        key, slot = id(value), self.n_slots
+        self.slots[key] = slot
+        self.n_slots += 1
+        if isinstance(value, np.ndarray):
+            slots = self.slots
+            self.refs.append(weakref.ref(value, lambda _: slots.pop(key, None)))
+        else:
+            self.scalars.append(value)
+        return slot
+
+    def _operand(self, kernel, value) -> int:
+        slot = self.slots.get(id(value))
+        if slot is not None:
+            return slot
+        if _holds_array(value):
+            raise CaptureError(
+                f"{_kernel_name(kernel)}: an operand is neither a plan input "
+                "nor the output of a logged kernel")
+        slot = self.n_slots
+        self.n_slots += 1
+        self.consts[slot] = value
+        return slot
+
+    def _result(self, kernel, value) -> int:
+        if not isinstance(value, (np.ndarray, np.generic)):
+            raise CaptureError(f"{_kernel_name(kernel)} returned a "
+                               f"{type(value).__name__}, which a plan cannot hold")
+        return self._define(value)
+
+    def log(self, kernel: Callable, args: tuple, out) -> None:
+        operands = tuple([self._operand(kernel, a) for a in args])
+        if out is None:
+            target = None
+        elif type(out) is tuple:
+            target = tuple([self._result(kernel, v) for v in out])
+        else:
+            target = self._result(kernel, out)
+        self.steps.append((kernel, operands, target))
+
+    def plan(self, outputs: Sequence[np.ndarray]) -> "Plan":
+        """The plan of every kernel logged so far, returning `outputs`,
+        each an input or a logged output."""
+        slots = []
+        for a in outputs:
+            slot = self.slots.get(id(a))
+            if slot is None:
+                raise CaptureError("a plan output must be an input or the "
+                                   "output of a logged kernel")
+            slots.append(slot)
+        return Plan(self.steps, self.consts, self.n_slots, self.n_inputs, slots)
+
+
+class Plan:
+    """A captured run of kernels.  Each step is (kernel, operand slots,
+    output slot, a tuple of them or None for a check, the slots that no
+    later step reads); a slot holds an input, a constant or a kernel's
+    output.
+
+    `run` calls the kernels in their captured order on new inputs, and
+    drops each value after the last step that reads it, as recording
+    does.  It makes no Tensor, Node or record, and returns what the
+    captured code returns on those inputs, bit for bit, as long as
+    nothing the capture baked in (shapes, constants, branches on them)
+    differs."""
+
+    __slots__ = ("steps", "frame", "n_inputs", "outputs")
+
+    def __init__(self, steps, consts: dict, n_slots: int, n_inputs: int,
+                 outputs):
+        last = {}  # slot -> the step after which no step reads it
+        for j, (_, operands, target) in enumerate(steps):
+            last.update(dict.fromkeys(_targets(target), j))
+            last.update(dict.fromkeys(operands, j))
+        dead = [[] for _ in steps]
+        kept = {*consts, *outputs}
+        for slot, j in last.items():
+            if slot not in kept:
+                dead[j].append(slot)
+        self.steps = tuple((kernel, operands, target, tuple(free))
+                           for (kernel, operands, target), free in zip(steps, dead))
+        self.frame = [None] * n_slots
+        for slot, value in consts.items():
+            self.frame[slot] = value
+        self.n_inputs = n_inputs
+        self.outputs = tuple(outputs)
+
+    def __len__(self) -> int:
+        return len(self.steps)
+
+    def run(self, inputs: Sequence[np.ndarray]) -> list:
+        if len(inputs) != self.n_inputs:
+            raise CaptureError(f"plan takes {self.n_inputs} inputs, "
+                               f"got {len(inputs)}")
+        vals = self.frame[:]
+        vals[:self.n_inputs] = inputs
+        for kernel, operands, target, dead in self.steps:
+            out = kernel(*[vals[i] for i in operands])
+            if target.__class__ is int:
+                vals[target] = out
+            elif target is not None:
+                for slot, value in zip(target, out):
+                    vals[slot] = value
+            for slot in dead:
+                vals[slot] = None
+        return [vals[i] for i in self.outputs]
+
+
+def _targets(target) -> tuple:
+    """The output slots of a step."""
+    if target is None:
+        return ()
+    return (target,) if type(target) is int else target

@@ -24,6 +24,7 @@ a run is a pure function of (dataset bytes, config).
 from __future__ import annotations
 
 import logging
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -226,18 +227,45 @@ def _check_finite(flat: np.ndarray, grads, names, context: str):
 def _descend(params, lifted, grads, opt: AdamState, lr: float, context: str):
     """Optimizer step on `params` from the gradients of `lifted`, its copy
     on a record, after checking that they are finite."""
-    g = [grads[t].data for _, t in lifted.items()]
-    return params.with_arrays(optimizer_step(params.arrays(), g, opt, lr,
-                                             lifted.FIELDS, context))
+    return _step(params, [grads[t].data for _, t in lifted.items()], opt, lr,
+                 context)
 
 
-def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str):
+def _step(params, grads, opt: AdamState, lr: float, context: str):
+    """Optimizer step on `params` from the arrays `grads`, aligned with
+    its fields, after checking that they are finite."""
+    return params.with_arrays(optimizer_step(params.arrays(), grads, opt, lr,
+                                             params.FIELDS, context))
+
+
+def _fields(params) -> list:
+    """The values of a bundle's fields, as the bundle holds them."""
+    return [value for _, value in params.items()]
+
+
+def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str,
+                plans=None, reads=()):
     """Lift `params` onto a fresh record, differentiate loss_of(lifted) and
-    descend.  Returns (new params, loss value)."""
-    with ad.Tape() as tape:
+    descend.  Returns (new params, loss value).
+
+    `plans` is None for a step called on its own, or the dict of plans of
+    one `_train_net_epoch` call, by `context`.  If it holds this stage's
+    plan, the gradients and loss come from a replay of it on the arrays of
+    `params` and on `reads`, the other arrays that loss_of reads: no
+    record is made.  Otherwise the stage records and, with `plans`, is
+    captured into a plan that the epoch's later steps replay."""
+    plan = None if plans is None else plans.get(context)
+    if plan is not None:
+        *grads, loss = plan.run([*_fields(params), *reads])
+        return _step(params, grads, opt, lr, context), float(loss)
+    capture = None if plans is None else ad.Capture([*_fields(params), *reads])
+    with ad.Tape() as tape, capture or nullcontext():
         lifted = params.lift(tape)
         loss = loss_of(lifted)
         grads = ad.backward(tape, loss)
+    if capture is not None:
+        plans[context] = capture.plan(
+            [*(grads[t].data for _, t in lifted.items()), loss.data])
     return _descend(params, lifted, grads, opt, lr, context), loss.item()
 
 
@@ -270,17 +298,18 @@ def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
 
 
 def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
-                  lr_main: float, cfg: TrainConfig, feature=None):
+                  lr_main: float, cfg: TrainConfig, feature=None, plans=None):
     """Stage 3: step the main params on the same batch under the updated
     correction network (held constant).  `feature`: see
-    `objective.triplet_loss`."""
+    `objective.triplet_loss`; `plans`: see `_descend_on`."""
     return _descend_on(
         state.main,
         lambda main_l: objective.triplet_loss(images, texts, main_l, meta_new,
                                               cfg.gamma, cfg.tau,
                                               adaptive=cfg.use_adaptive_margin,
                                               feature=feature),
-        state.opt_main, lr_main, "actual_update")
+        state.opt_main, lr_main, "actual_update", plans,
+        (images, texts, *_fields(meta_new), *(feature or ())))
 
 
 def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
@@ -299,8 +328,10 @@ def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
 
 
 def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
-                 lr_main: float, lr_meta: float, cfg: TrainConfig):
-    """One full three-stage step; returns (new state, diagnostics)."""
+                 lr_main: float, lr_meta: float, cfg: TrainConfig, plans=None):
+    """One full three-stage step; returns (new state, diagnostics).  With
+    `plans` (see `_descend_on`) the actual stage may replay; the retained
+    stages always record."""
     # stages 1 and 3 pick negatives under the same main params, so from one
     # similarity feature, which the correction network does not enter
     main = state.main
@@ -309,38 +340,42 @@ def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
     meta_new, train_loss, meta_loss_val = _retained_stages(
         state, images, texts, batch, lr_main, lr_meta, cfg, feature)
     main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg,
-                                feature)
+                                feature, plans)
     return (replace(state, main=main_new, meta=meta_new),
             {"train_loss": train_loss, "meta_loss": meta_loss_val})
 
 
 def warmup_step(state: NetState, images, texts, batch: MetaBatch,
-                lr_main: float, lr_meta: float, cfg: TrainConfig):
+                lr_main: float, lr_meta: float, cfg: TrainConfig, plans=None):
     """Fixed-margin step on the main params, then a supervised step of the
-    correction network at the updated main params."""
+    correction network at the updated main params.  `plans`: see
+    `_descend_on`."""
     main_new, loss_val = _descend_on(
         state.main,
         lambda main_l: objective.triplet_loss(images, texts, main_l, state.meta,
                                               cfg.gamma, cfg.tau, adaptive=False),
-        state.opt_main, lr_main, "warmup main")
+        state.opt_main, lr_main, "warmup main", plans,
+        (images, texts, *_fields(state.meta)))
     meta_new, meta_loss_val = _descend_on(
         state.meta,
         lambda meta_l: objective.meta_loss(
             batch.images, batch.texts, batch.labels, main_new, meta_l),
-        state.opt_meta, lr_meta, "warmup meta")
+        state.opt_meta, lr_meta, "warmup meta", plans,
+        (batch.images, batch.texts, batch.labels, *_fields(main_new)))
     return (replace(state, main=main_new, meta=meta_new),
             {"train_loss": loss_val, "meta_loss": meta_loss_val})
 
 
 def baseline_step(state: NetState, images, texts, lr_main: float,
-                  cfg: TrainConfig):
-    """Fixed-margin triplet step on cosine scores; no correction network."""
+                  cfg: TrainConfig, plans=None):
+    """Fixed-margin triplet step on cosine scores; no correction network.
+    `plans`: see `_descend_on`."""
     def loss_of(main_l):
         scores, _ = model.cosine_scores(images, texts, main_l)
         return objective.triplet_loss_from_scores(scores, cfg.gamma)
 
     main_new, loss_val = _descend_on(state.main, loss_of, state.opt_main,
-                                     lr_main, "baseline")
+                                     lr_main, "baseline", plans, (images, texts))
     return replace(state, main=main_new), {"train_loss": loss_val, "meta_loss": None}
 
 
@@ -438,18 +473,23 @@ def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
     order = _rng(cfg.seed, _TAG_SHUFFLE, epoch, k).permutation(pool.size)
     shuffled = pool[order]
     losses, mlosses = [], []
+    # the first step captures each first-order stage it runs and the later
+    # steps replay it; everything a plan bakes in (shapes, learning rates,
+    # config, mode, warm) is fixed for this call
+    plans = {}
     for step in range(pool.size // cfg.batch_size):
         sel = shuffled[step * cfg.batch_size:(step + 1) * cfg.batch_size]
         imgs = ds.train.images[sel]
         txts = ds.train.texts[sel]
         if cfg.mode == "fixed_margin_baseline":
-            net, diag = baseline_step(net, imgs, txts, lr_main, cfg)
+            net, diag = baseline_step(net, imgs, txts, lr_main, cfg, plans=plans)
         else:
             mb = construct_meta_batch(
                 ds.meta, ds.train, cfg.meta_batch_size,
                 _rng(cfg.seed, _TAG_META_BATCH, epoch, k, step))
             step_fn = warmup_step if warm else bilevel_step
-            net, diag = step_fn(net, imgs, txts, mb, lr_main, lr_meta, cfg)
+            net, diag = step_fn(net, imgs, txts, mb, lr_main, lr_meta, cfg,
+                                plans=plans)
         if not np.isfinite(diag["train_loss"]):
             raise NonFiniteGradientError(
                 f"epoch {epoch} net {k + 1}: non-finite training loss")

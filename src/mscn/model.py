@@ -26,7 +26,9 @@ from .autodiff import (
     _gemm,
     _lift,
     add,
+    as_array,
     div,
+    host,
     l2norm,
     matmul,
     relu,
@@ -65,7 +67,7 @@ class _Params:
         return [(f, getattr(self, f)) for f in self.FIELDS]
 
     def arrays(self) -> list[np.ndarray]:
-        return [_as_array(getattr(self, f)) for f in self.FIELDS]
+        return [as_array(getattr(self, f)) for f in self.FIELDS]
 
     def with_arrays(self, arrays):
         return replace(self, **dict(zip(self.FIELDS, arrays)))
@@ -149,10 +151,6 @@ class MetaNetParams(_Params):
         return self.w1.shape[0]
 
 
-def _as_array(x) -> np.ndarray:
-    return np.asarray(x.data if isinstance(x, Tensor) else x, dtype=np.float64)
-
-
 def _check_input(x: Tensor, d: int, op: str):
     if x.ndim != 2 or x.shape[1] != d:
         raise ShapeMismatchError(op, x.shape, (-1, d))
@@ -197,8 +195,13 @@ def similarity_feature(u, v, sim_w) -> Tensor:
     if u.ndim != 2 or u.shape != v.shape:
         raise ShapeMismatchError("similarity_feature", u.shape, v.shape)
     unit, mask = _unit_rows(matmul(square(sub(u, v)), sim_w))
-    refuse_degenerate(int(mask.sum()))
+    host(_refuse_marked, mask)
     return unit
+
+
+def _refuse_marked(mask: np.ndarray) -> None:
+    """`refuse_degenerate` of the cells that `mask` marks."""
+    refuse_degenerate(int(mask.sum()))
 
 
 def _unit_rows(x: Tensor) -> tuple[Tensor, np.ndarray]:
@@ -208,10 +211,19 @@ def _unit_rows(x: Tensor) -> tuple[Tensor, np.ndarray]:
     them is not the feature's, so training refuses them (see
     `refuse_degenerate`)."""
     norms = l2norm(x)
-    mask = norms.data <= NORM_EPSILON
-    if mask.any():
-        norms = Tensor(np.where(mask, 1.0, norms.data))
+    mask = host(np.less_equal, norms.data, NORM_EPSILON)
+    divisor = host(_railed, norms.data, mask)
+    if divisor is not norms.data:
+        norms = Tensor(divisor)
     return div(x, reshape(norms, (x.shape[0], 1))), mask
+
+
+def _railed(norms: np.ndarray, mask: np.ndarray) -> np.ndarray:
+    """`norms` with the rows `mask` marks set to 1, or `norms` itself if it
+    marks none.  A plan captured on a step with no such row replays this
+    too, so a later degenerate step divides by 1 and is refused as a
+    recorded step is."""
+    return np.where(mask, 1.0, norms) if mask.any() else norms
 
 
 def mscn_score(features, params: MetaNetParams) -> Tensor:
@@ -286,7 +298,7 @@ def block_feature(u, v, sim_w) -> tuple[np.ndarray, np.ndarray]:
     into buffers of one chunk, which are allocated once per block.  A
     degenerate row (norm <= NORM_EPSILON) is divided by 1, for
     `block_scores` to score 0.5; a non-finite norm is left in place."""
-    u, v, sim_w = _as_array(u), _as_array(v), _as_array(sim_w)
+    u, v, sim_w = as_array(u), as_array(v), as_array(sim_w)
     n_u, (n_v, d) = len(u), v.shape
     chunks = _row_chunks(n_u, n_v)
     cells = max((stop - start for start, stop in chunks), default=0)
@@ -338,13 +350,13 @@ def cosine_scores(images, texts, main: MainNetParams) -> tuple[Tensor, int]:
     embedding: (n_img, n_txt) in [-1, 1].
 
     Used by the fixed-margin ablation, which has no correction network,
-    to train: embeds both sides, scores them in one `block_cosine` call
-    and raises DegenerateSimilarityError if an embedding norm is not
-    representable."""
-    scores, n_bad = block_cosine(embed_image(images, main),
+    to train: embeds both sides, scores them as `block_cosine` does and
+    raises DegenerateSimilarityError if an embedding norm is not
+    representable, so the count it returns is 0."""
+    scores, mask = _cosine_cells(embed_image(images, main),
                                  embed_text(texts, main))
-    refuse_degenerate(n_bad)
-    return scores, n_bad
+    host(_refuse_marked, mask)
+    return scores, 0
 
 
 def block_cosine(u, v) -> tuple[Tensor, int]:
@@ -352,14 +364,23 @@ def block_cosine(u, v) -> tuple[Tensor, int]:
     (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v), and the number of cells
     whose image or text embedding has an unrepresentable norm, which
     score 0.  See `_unit_rows`."""
-    uu, bad_u = _unit_rows(_lift(u))
-    vv, bad_v = _unit_rows(_lift(v))
-    scores = matmul(uu, transpose(vv))
-    mask = bad_u[:, None] | bad_v[None, :]
+    scores, mask = _cosine_cells(u, v)
     n_bad = int(mask.sum())
     if n_bad:
         scores = Tensor(np.where(mask, 0.0, scores.data))
     return scores, n_bad
+
+
+def _cosine_cells(u, v) -> tuple[Tensor, np.ndarray]:
+    """The cosines of `block_cosine` before its degenerate cells are
+    zeroed, and the mask of those cells."""
+    uu, bad_u = _unit_rows(_lift(u))
+    vv, bad_v = _unit_rows(_lift(v))
+    return matmul(uu, transpose(vv)), host(_either, bad_u, bad_v)
+
+
+def _either(bad_u: np.ndarray, bad_v: np.ndarray) -> np.ndarray:
+    return bad_u[:, None] | bad_v[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +398,7 @@ def save_checkpoint(path, main: MainNetParams, meta: MetaNetParams) -> None:
     entries = [("main." + n, v) for n, v in main.items()]
     entries += [("meta." + n, v) for n, v in meta.items()]
     for name, value in entries:
-        arr = _as_array(value)
+        arr = as_array(value)
         encoded = name.encode("utf-8")
         blob += struct.pack("<H", len(encoded))
         blob += encoded

@@ -18,7 +18,9 @@ from .autodiff import (
     Tensor,
     _lift,
     add,
+    as_array,
     clamp,
+    host,
     log,
     mul,
     neg,
@@ -67,10 +69,14 @@ def adaptive_margin(score, gamma: float, tau: float):
     """
     _check_margin_params(gamma, tau)
     s = score if isinstance(score, Tensor) else Tensor(float(score))
-    if (s.data <= 0.0).any() or (s.data >= 1.0).any():
-        raise ValueError("adaptive_margin: scores must lie strictly in (0, 1)")
+    host(_refuse_outside_unit, s.data)
     out = scalar_mul(gamma, sigmoid(scalar_mul(tau, sub(log(s), log(sub(1.0, s))))))
     return out if isinstance(score, Tensor) else out.item()
+
+
+def _refuse_outside_unit(s: np.ndarray) -> None:
+    if (s <= 0.0).any() or (s >= 1.0).any():
+        raise ValueError("adaptive_margin: scores must lie strictly in (0, 1)")
 
 
 def _hardest_negatives(s: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -92,7 +98,7 @@ def _hinges(cells: Tensor, diag, text, img, gamma: float, tau=None) -> Tensor:
     if tau is not None:
         margin = adaptive_margin(pos, gamma, tau)
     else:
-        margin = Tensor(np.full(len(diag), gamma))
+        margin = Tensor(host(np.full, len(diag), gamma))
     gap = sub(margin, pos)
     return add(relu(add(gap, take_rows(cells, text))),
                relu(add(gap, take_rows(cells, img))))
@@ -109,10 +115,17 @@ def triplet_loss_from_scores(scores: Tensor, gamma: float) -> Tensor:
         raise ShapeMismatchError("triplet_loss_from_scores", scores.shape)
     _check_margin_base(gamma)
     n = scores.shape[0]
-    text_neg, img_neg = _hardest_negatives(scores.data)
+    diag, text, img = host(_flat_hinge_cells, scores.data)
+    return reduce_sum(_hinges(reshape(scores, (n * n,)), diag, text, img, gamma))
+
+
+def _flat_hinge_cells(s: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Flat indices into the square `s` of the true pairs, each image's
+    hardest text and each text's hardest image."""
+    n = s.shape[0]
+    text_neg, img_neg = _hardest_negatives(s)
     rows = np.arange(n)
-    return reduce_sum(_hinges(reshape(scores, (n * n,)), rows * (n + 1),
-                              rows * n + text_neg, img_neg * n + rows, gamma))
+    return rows * (n + 1), rows * n + text_neg, img_neg * n + rows
 
 
 def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
@@ -131,23 +144,38 @@ def triplet_loss(images, texts, main: MainNetParams, meta: MetaNetParams,
     imgs, txts = _lift(images), _lift(texts)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("triplet_loss", imgs.shape, txts.shape)
-    n = imgs.shape[0]
     u, v = embed_image(imgs, main), embed_text(txts, main)
     if feature is None:
-        feature = block_feature(u.data, v.data, main.sim_w)
-    scores, n_bad = block_scores(feature, meta)
-    refuse_degenerate(n_bad)
-    if not np.isfinite(feature[1]).all():
-        raise ValueError("triplet_loss: non-finite similarity norm")
-    text_neg, img_neg = _hardest_negatives(
-        np.clip(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI, out=scores))
-    rows = np.arange(n)
-    unit = similarity_feature(take_rows(u, np.concatenate([rows, rows, img_neg])),
-                              take_rows(v, np.concatenate([rows, text_neg, rows])),
+        feature = host(block_feature, u.data, v.data, as_array(main.sim_w))
+    text_neg, img_neg = host(_pick_negatives, *feature, *meta.arrays())
+    u_rows, v_rows, diag, text, img = host(_hinge_rows, text_neg, img_neg)
+    unit = similarity_feature(take_rows(u, u_rows), take_rows(v, v_rows),
                               main.sim_w)
     cells = clamp(mscn_score(unit, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
-    return reduce_sum(_hinges(cells, rows, rows + n, rows + 2 * n, gamma,
+    return reduce_sum(_hinges(cells, diag, text, img, gamma,
                               tau if adaptive else None))
+
+
+def _pick_negatives(unit, norms, *meta) -> tuple[np.ndarray, np.ndarray]:
+    """`_hardest_negatives` of the clamped `block_scores` of the feature
+    (unit, norms) under the correction network's arrays `meta`, after
+    the checks that `triplet_loss` documents."""
+    scores, n_bad = block_scores((unit, norms), MetaNetParams(*meta))
+    refuse_degenerate(n_bad)
+    if not np.isfinite(norms).all():
+        raise ValueError("triplet_loss: non-finite similarity norm")
+    return _hardest_negatives(
+        np.clip(scores, SCORE_CLAMP_LO, SCORE_CLAMP_HI, out=scores))
+
+
+def _hinge_rows(text_neg: np.ndarray, img_neg: np.ndarray) -> tuple:
+    """The rows of u and of v whose 3n cells the hinges read, in the order
+    true pairs, hardest texts, hardest images; then the positions of
+    those three groups among the cells."""
+    n = text_neg.size
+    rows = np.arange(n)
+    return (np.concatenate([rows, rows, img_neg]),
+            np.concatenate([rows, text_neg, rows]), rows, rows + n, rows + 2 * n)
 
 
 def meta_loss(images, texts, labels, main: MainNetParams,
@@ -156,15 +184,20 @@ def meta_loss(images, texts, labels, main: MainNetParams,
 
     labels: 1 for trusted positives, 0 for constructed negatives."""
     imgs, txts = _lift(images), _lift(texts)
-    y = np.asarray(labels, dtype=np.float64)
+    y = host(np.asarray, labels, np.float64)
     if imgs.ndim != 2 or txts.ndim != 2 or imgs.shape[0] != txts.shape[0]:
         raise ShapeMismatchError("meta_loss", imgs.shape, txts.shape)
     if y.shape != (imgs.shape[0],):
         raise ShapeMismatchError("meta_loss", y.shape, (imgs.shape[0],))
     if y.size == 0:
         raise ValueError("meta_loss: empty batch")
-    if not ((y == 0.0) | (y == 1.0)).all():
-        raise ValueError("meta_loss: labels must be 0 or 1")
+    host(_refuse_non_binary, y)
     s = clamp(pair_score(imgs, txts, main, meta), SCORE_CLAMP_LO, SCORE_CLAMP_HI)
     return neg(reduce_mean(add(mul(Tensor(y), log(s)),
-                               mul(Tensor(1.0 - y), log(sub(1.0, s))))))
+                               mul(Tensor(host(np.subtract, 1.0, y)),
+                                   log(sub(1.0, s))))))
+
+
+def _refuse_non_binary(y: np.ndarray) -> None:
+    if not ((y == 0.0) | (y == 1.0)).all():
+        raise ValueError("meta_loss: labels must be 0 or 1")

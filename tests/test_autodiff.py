@@ -804,3 +804,113 @@ class TestRetainedRecords:
             # the record still differentiates: d/dw of sum(x @ w + 2b)^2
             want = x.data.T @ (2.0 * (x.data @ w.data + 2.0 * b.data))
             np.testing.assert_allclose(grads[w].data, want, rtol=1e-12)
+
+
+class TestCapture:
+    """A plan replays the kernels of a captured forward pass and sweep,
+    and refuses to bake in an array it was not given."""
+
+    @staticmethod
+    def _program_inputs(program, values):
+        """Leaf values, then the index arrays of the program's gathers,
+        which a plan must be given as inputs too."""
+        return [*values, *(ins[2]["idx"] for ins in program
+                           if ins[0] == "take_rows")]
+
+    @staticmethod
+    def _record(program, values):
+        with ad.Tape() as tape:
+            loss, leaves = _run_program(program, values, tape)
+            grads = ad.backward(tape, loss)
+        return [*(grads[leaf].data for leaf in leaves), loss.data]
+
+    def test_replayed_programs_match_recording_bitwise(self):
+        """On new leaf values, a plan captured from a random program and
+        its full sweep returns the bits a recording of them gives."""
+        for trial in range(40):
+            rng = rng_for(203, trial)
+            program = _build_random_program(rng)
+            shapes = [ins[1] for ins in program if ins[0] == "leaf"]
+            first = [rng.normal(size=s) for s in shapes]
+            capture = ad.Capture(self._program_inputs(program, first))
+            with capture:
+                captured = self._record(program, first)
+            plan = capture.plan(captured)
+            for _ in range(3):
+                values = [rng.normal(size=s) for s in shapes]
+                got = plan.run(self._program_inputs(program, values))
+                want = self._record(program, values)
+                assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+
+    def test_undeclared_arrays_abort_the_capture(self):
+        x = np.arange(1.0, 4.0)
+        with ad.Capture([x]):
+            with pytest.raises(ad.CaptureError, match="neither a plan input"):
+                ad.add(x, np.ones(3))  # an array the plan was not given
+            with pytest.raises(ad.CaptureError, match="neither a plan input"):
+                ad.mul(x, x * 2.0)  # numpy work that was not logged
+            with pytest.raises(ad.CaptureError, match="neither a plan input"):
+                ad.host(id, ad.Tensor(x))  # a kernel takes arrays
+            with pytest.raises(ad.CaptureError, match="cannot hold"):
+                ad.host(len, x)  # a Python value would be baked in
+            ad.add(x, ad.host(np.ones, 3))  # logged numpy work is fine
+        with pytest.raises(ad.CaptureError, match="distinct arrays"):
+            ad.Capture([x, x])
+        assert ad._state.capture is None
+
+    @pytest.mark.parametrize("build, bad, error", [
+        (lambda x: ad.clamp(x, 0.0, 1.0), np.array([0.5, np.nan]),
+         "clamp: NaN input"),
+        (lambda x: ad.log(x), np.array([1.0, 0.0]),
+         "log: requires strictly positive inputs"),
+        (lambda x: ad.div(1.0, x), np.array([2.0, 0.0]),
+         "div: zero denominator"),
+        (lambda x: ad.mul(ad.take_rows(ad.host(np.eye, 2),
+                                       ad.host(_as_rows, x.data)), x),
+         np.array([0.0, 2.0]), "take_rows: shapes"),
+    ])
+    def test_checks_raise_in_the_replay(self, build, bad, error):
+        """Each check of an op runs in the replay and raises what the op
+        raises when it records."""
+        good = np.array([0.5, 0.25])
+        capture = ad.Capture([good])
+        with capture, ad.Tape() as tape:
+            x = tape.leaf(good)
+            loss = ad.reduce_sum(build(x))
+            grads = ad.backward(tape, loss)
+        plan = capture.plan([grads[x].data, loss.data])
+        with pytest.raises(Exception) as recorded:
+            with ad.Tape() as tape:
+                ad.backward(tape, ad.reduce_sum(build(tape.leaf(bad))))
+        with pytest.raises(type(recorded.value)) as replayed:
+            plan.run([bad])
+        assert str(replayed.value) == str(recorded.value)
+        assert error in str(recorded.value)
+
+    def test_a_replay_frees_each_value_after_its_last_reader(self):
+        """As a record does, a replay drops an intermediate once no later
+        kernel reads it, not when the run ends."""
+        made, alive = [], []
+
+        def doubled(x):
+            out = 2.0 * x
+            made.append(weakref.ref(out))
+            return out
+
+        def probe(x):
+            alive.append(made[-1]() is not None)
+            return x + 1.0
+
+        x = np.arange(1.0, 4.0)
+        capture = ad.Capture([x])
+        with capture:
+            out = ad.host(probe, ad.host(np.add, ad.host(doubled, x), 1.0))
+        plan = capture.plan([out])
+        alive.clear()
+        plan.run([x])
+        assert alive == [False]
+
+
+def _as_rows(x):
+    """A gather's rows from the float array `x`."""
+    return x.astype(np.int64)

@@ -1,8 +1,10 @@
 """Bi-level step semantics, optimizer behavior, and the training driver."""
 
+import copy
 import gc
 import pickle
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -598,6 +600,207 @@ def test_baseline_step_ignores_meta():
                   for (_, a), (_, b) in zip(state.main.items(),
                                             new_state.main.items()))
     assert changed
+
+
+# ---------------------------------------------------------------------------
+# replayed stages: a dict of plans makes a step's first call capture each
+# first-order stage and its later calls replay it
+
+_STAGES = {"baseline": {"baseline"}, "warmup": {"warmup main", "warmup meta"},
+           "bilevel": {"actual_update"}, "actual": {"actual_update"}}
+
+
+def _net_bytes(state: NetState) -> list[bytes]:
+    arrays = [*state.main.arrays(), *state.meta.arrays()]
+    for opt in (state.opt_main, state.opt_meta):
+        arrays += [opt.m, opt.v, np.array(opt.t)]
+    return [a.tobytes() for a in arrays]
+
+
+def _step_args(tag: int, i: int):
+    """Batch i of a run: eight pairs and a meta batch."""
+    return (*batch_data(tag * 10 + i, n=8), meta_batch_for(tag * 10 + i))
+
+
+def _take(kind: str, state: NetState, args, cfg, plans):
+    """One step of `kind` on `args`; "actual" is the actual stage alone, on
+    the pick feature and correction network a bilevel step gives it."""
+    imgs, txts, mb = args
+    if kind == "baseline":
+        return baseline_step(state, imgs, txts, cfg.lr_main, cfg, plans=plans)
+    if kind == "actual":
+        main = state.main
+        feature = model.block_feature(model.embed_image(imgs, main).data,
+                                      model.embed_text(txts, main).data,
+                                      main.sim_w)
+        main_new, loss = actual_update(state, state.meta, imgs, txts,
+                                       cfg.lr_main, cfg, feature, plans)
+        return replace(state, main=main_new), {"train_loss": loss}
+    step = warmup_step if kind == "warmup" else bilevel_step
+    return step(state, imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg, plans=plans)
+
+
+def _on_the_rail(state: NetState) -> NetState:
+    """The correction network's output bias at 30, so every score it gives
+    sits on the upper clamp rail."""
+    w1, b1, w2, _ = state.meta.arrays()
+    state.meta = state.meta.with_arrays([w1, b1, w2, np.full(1, 30.0)])
+    return state
+
+
+@pytest.mark.parametrize("kind, adaptive", [
+    ("baseline", False), ("warmup", True), ("bilevel", True),
+    ("bilevel", False),
+])
+def test_replayed_stages_match_recorded_steps_bitwise(kind, adaptive):
+    """On three consecutive batches of each of 20 random network pairs, a
+    step that captures its first-order stages and then replays them gives
+    the bits a recorded step gives: params, Adam moments and step counts,
+    and losses.  Every fourth pair scores on the clamp rail."""
+    cfg = tiny_cfg(use_adaptive_margin=adaptive)
+    for net in range(20):
+        tag = 9400 + net
+        recorded, replayed = tiny_state(tag), tiny_state(tag)
+        if net % 4 == 3:
+            recorded, replayed = _on_the_rail(recorded), _on_the_rail(replayed)
+        plans = {}
+        for i in range(3):
+            recorded, want = _take(kind, recorded, _step_args(tag, i), cfg, None)
+            replayed, got = _take(kind, replayed, _step_args(tag, i), cfg, plans)
+            assert set(plans) == _STAGES[kind]
+            assert got == want, (net, i)
+            assert _net_bytes(replayed) == _net_bytes(recorded), (net, i)
+
+
+def _nan_main(state, args):
+    arrays = state.main.arrays()
+    arrays[0] = arrays[0].copy()
+    arrays[0][0, 0] = np.nan
+    return replace(state, main=state.main.with_arrays(arrays)), args
+
+
+def _nan_meta(state, args):
+    arrays = state.meta.arrays()
+    arrays[0] = arrays[0].copy()
+    arrays[0][0, 0] = np.nan
+    return replace(state, meta=state.meta.with_arrays(arrays)), args
+
+
+def _degenerate(state, args):
+    """Output layers of zeros: every image and text embeds to 0, so every
+    pair is degenerate."""
+    zeros = {f: np.zeros_like(a) for f, a in state.main.items()
+             if f in ("img_w2", "img_b2", "txt_w2", "txt_b2")}
+    return replace(state, main=replace(state.main, **zeros)), args
+
+
+def _bad_label(state, args):
+    imgs, txts, mb = args
+    labels = mb.labels.copy()
+    labels[0] = 0.5
+    return state, (imgs, txts, replace(mb, labels=labels))
+
+
+@pytest.mark.parametrize("kind, spoil, error", [
+    ("baseline", _nan_main, "baseline: non-finite gradient"),
+    ("baseline", _degenerate, "degenerate cell"),
+    ("warmup", _nan_main, "non-finite similarity norm"),
+    ("warmup", _degenerate, "degenerate cell"),
+    ("warmup", _bad_label, "labels must be 0 or 1"),
+    ("actual", _nan_meta, "clamp: NaN input"),
+    ("actual", _degenerate, "degenerate cell"),
+])
+def test_guards_raise_the_same_error_replayed(kind, spoil, error):
+    """After a good step has captured the plans, a step on a NaN param, a
+    degenerate pair or a bad label raises, replayed, the exception a
+    recorded step raises, with the same message."""
+    cfg = tiny_cfg()
+    plans = {}
+    state, _ = _take(kind, tiny_state(9500), _step_args(9500, 0), cfg, plans)
+    assert set(plans) == _STAGES[kind]
+    raised = []
+    for p in (None, plans):
+        bad_state, bad_args = spoil(copy.deepcopy(state), _step_args(9500, 1))
+        with pytest.raises(Exception) as err:
+            _take(kind, bad_state, bad_args, cfg, p)
+        raised.append((type(err.value), str(err.value)))
+    assert raised[0] == raised[1]
+    assert error in raised[0][1]
+
+
+def test_an_undeclared_array_aborts_the_capture():
+    """A stage whose loss reads an array that is not among its declared
+    reads (here the correction network) is not captured: it raises before
+    the optimizer steps, and no plan is kept."""
+    cfg = tiny_cfg()
+    state = tiny_state(9600)
+    imgs, txts = batch_data(9600, n=8)
+    plans = {}
+    with pytest.raises(ad.CaptureError, match="neither a plan input"):
+        meta_loop._descend_on(
+            state.main,
+            lambda main_l: objective.triplet_loss(imgs, txts, main_l, state.meta,
+                                                  cfg.gamma, cfg.tau),
+            state.opt_main, cfg.lr_main, "actual_update", plans, (imgs, txts))
+    assert plans == {} and state.opt_main.t == 0
+    assert ad._state.capture is None
+
+
+def test_replayed_steps_leave_no_reference_cycles():
+    """With the cyclic collector off, a replayed step and then the plans
+    themselves are freed by reference counting."""
+    cfg = tiny_cfg()
+    gc.collect()
+    gc.disable()
+    try:
+        for kind in ("baseline", "warmup", "bilevel"):
+            plans = {}
+            state, _ = _take(kind, tiny_state(42), _step_args(42, 0), cfg, plans)
+            gc.collect()
+            state, _ = _take(kind, state, _step_args(42, 1), cfg, plans)
+            assert gc.collect() == 0, kind
+            del plans
+            assert gc.collect() == 0, kind
+    finally:
+        gc.enable()
+
+
+def _drop_plans(step):
+    """`step` called on its own, as a library caller does: every stage
+    records."""
+    def recorded(*args, plans, **kwargs):
+        assert plans is not None
+        return step(*args, **kwargs)
+    return recorded
+
+
+@pytest.mark.parametrize("mode", ["mscn", "fixed_margin_baseline"])
+def test_replaying_epochs_equal_epochs_of_recorded_steps(monkeypatch, mode):
+    """`train`, whose epochs capture each first-order stage in their first
+    step and replay it after, ends bitwise where a run of recorded steps
+    ends: across the warmup epoch and the learning-rate decay."""
+    ds = small_dataset(noise=0.5)
+    cfg = train_cfg(mode=mode, warmup_epochs=1, epochs=2, lr_decay_epoch=2)
+    replays = []
+    real_run = ad.Plan.run
+
+    def counted(plan, inputs):
+        replays.append(None)
+        return real_run(plan, inputs)
+
+    with monkeypatch.context() as m:
+        m.setattr(ad.Plan, "run", counted)
+        replayed = train(ds, cfg)
+    assert replays
+    for name in ("warmup_step", "bilevel_step", "baseline_step"):
+        monkeypatch.setattr(meta_loop, name, _drop_plans(getattr(meta_loop, name)))
+    recorded = train(ds, cfg)
+    columns = metrics_columns(cfg.eval_ks)
+    assert ([format_metrics_row(r, columns) for r in replayed.metrics]
+            == [format_metrics_row(r, columns) for r in recorded.metrics])
+    assert [r["lr_main"] for r in recorded.metrics] == [
+        cfg.lr_main, cfg.lr_main, cfg.lr_main * cfg.lr_decay_factor]
+    assert _state_bytes(replayed) == _state_bytes(recorded)
 
 
 # ---------------------------------------------------------------------------

@@ -48,3 +48,18 @@ def test_compare_skips_an_arm_the_earlier_output_lacks(trend):
         assert cell == {"delta_mean_rsum": -17.0, "seed_range": 10.0,
                         "moved": True}
 
+
+
+def test_compare_skips_a_noise_ratio_the_earlier_output_lacks(trend):
+    """A noise ratio that the earlier output was not run at is listed as
+    skipped, and the shared ratio is still compared."""
+    runs = [{"noise": ratio, "arm": arm, "seed": seed, "rsum": 100.0 + seed,
+             "r1sum": 10.0, "best_epoch": 3}
+            for ratio in (0.2, 0.5) for arm in trend.ARMS for seed in (1, 2)]
+    now = trend.summarize(runs, [0.2, 0.5], [1, 2])
+    earlier = trend.summarize([r for r in runs if r["noise"] == 0.5], [0.5],
+                              [1, 2])
+    arms, skipped = trend.compare(now, earlier)
+    assert skipped == ["noise 0.2"]
+    assert set(arms) == {"0.5"}
+    assert set(arms["0.5"]) == set(trend.ARMS)
