@@ -4,7 +4,7 @@ shapes of a config.
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/step_cost.py [--config configs/default.json]
-        [--steps 50] [--warmup 5] [--out BENCH_step_cost.json]
+        [--steps 50] [--warmup 5] [--out BENCH_step_cost.json] [--against FILE]
 
 Builds the config's dataset in memory.  For each of `warmup_step`,
 `bilevel_step` and `baseline_step` it trains two copies of one network
@@ -21,6 +21,12 @@ bitwise equal; if they do not it says so and exits 1.  It runs with the
 package's one BLAS thread unless OPENBLAS_NUM_THREADS is set, and
 records that.  The timings are for before/after comparisons on one host,
 run alternately.
+
+With --against FILE (an earlier --out of the same --config; another
+config's is refused) it also exits 1, naming each field, if a step's
+`nodes` or `kernels` differ from FILE's.  Those counts follow from the
+code and the config's shapes alone, so they hold on any host; timings
+and host are not compared.
 """
 
 from __future__ import annotations
@@ -117,16 +123,37 @@ def measure(ds, cfg, kind: str, steps: int, warmup: int) -> dict:
             "identical": identical}
 
 
+def compare(results: dict, earlier: dict) -> list[str]:
+    """What makes `results` fail against `earlier`, the results of an
+    earlier run at the same config: one line per step and field whose
+    count differs, and per step whose replay differs from its record."""
+    problems = []
+    for kind in STEPS:
+        now, then = results[kind], earlier.get(kind, {})
+        for field in ("nodes", "kernels"):
+            if now[field] != then.get(field):
+                problems.append(f"{kind} {field}: {then.get(field)} -> {now[field]}")
+        if not now["identical"]:
+            problems.append(f"{kind} identical: false")
+    return problems
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--config", default="configs/default.json")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--warmup", type=int, default=5)
     p.add_argument("--out", default="BENCH_step_cost.json")
+    p.add_argument("--against", help="an earlier --out to compare with")
     args = p.parse_args(argv)
     if args.steps < 1 or args.warmup < 1:
         p.error("--steps and --warmup must be at least 1 (a warmup step "
                 "captures the plans)")
+    if args.against:
+        earlier = json.loads(Path(args.against).read_text(encoding="utf-8"))
+        if os.path.normpath(earlier["config"]) != os.path.normpath(args.config):
+            p.error(f"{args.against} was measured on {earlier['config']}, "
+                    f"not on {args.config}")
 
     raw = cli.load_config(args.config)
     ds = datagen.generate(cli.build_config(raw, "data"))
@@ -156,7 +183,13 @@ def main(argv=None) -> int:
         "results": results,
     }
     Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-    return 0 if all(r["identical"] for r in results.values()) else 1
+    if args.against is None:
+        return 0 if all(r["identical"] for r in results.values()) else 1
+    problems = compare(results, earlier["results"])
+    for line in problems:
+        print(f"differs: {line}")
+    print(f"{len(problems)} differences from {args.against}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

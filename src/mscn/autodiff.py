@@ -15,8 +15,8 @@ can be differentiated again.
 Ownership: a record holds its nodes, a node holds its parents and its
 VJP, and nothing points back.  A VJP is handed its own output at sweep
 time and never closes over it; a node refers to its record only weakly; a
-tape drops its recording context on exit.  A record is therefore freed by
-reference counting the moment its step lets go of it.
+tape lets go of the recording target it replaced on exit.  A record is
+therefore freed by reference counting the moment its step lets go of it.
 
 A record keeps only the arrays that some VJP reads.  A node holds its
 output only when its own VJP reads it (leaves, ``relu``, ``sigmoid``,
@@ -26,9 +26,11 @@ gradient reads it: both for ``mul`` and ``matmul``, the divisor for
 soon as the forward pass no longer uses it, even while its record lives,
 so a retained step record stays small.
 
-A sweep does only the work its caller asks for.  ``backward(..., wrt=)``
-marks the nodes that depend on the requested leaves and runs VJPs only
-there, and each VJP is told which of its inputs need a gradient.  Binary
+A sweep has one rule, and does only the work its caller asks for.
+Before any VJP runs, it marks the nodes that depend on the leaves
+``wrt`` (every leaf of the record when it is None) and which of each
+one's inputs do; it then walks only those nodes in reverse, and each
+VJP is told which of its inputs need a gradient.  Binary
 ops broadcast lazily, as numpy does, and sum their gradient back down to
 each operand's shape inside the VJP; ``sub`` and ``div`` negate their
 b-gradient after that sum, on the smaller array.
@@ -61,9 +63,7 @@ own: a binary op, ``reshape`` and ``broadcast_to`` turn the ValueError
 numpy raises into a ShapeMismatchError instead of checking first.
 Reductions and domain checks call the ndarray methods, which run the
 same ``add.reduce`` as the ``np.sum``/``np.any`` wrappers, and a float64
-ndarray is wrapped in a Tensor as it is.  A node records at once which
-of its inputs are on the record, so a full sweep reads that mask rather
-than building it again.
+ndarray is wrapped in a Tensor as it is.
 
 Capture and replay.  Each op hands ``_record`` its kernel, the function
 that computes its output, and the kernel's operand arrays; numpy work
@@ -122,26 +122,6 @@ class _State(threading.local):
 _state = _State()
 
 
-def _active_tape() -> Optional["Tape"]:
-    return _state.tape
-
-
-class _using_tape:
-    """Temporarily make `tape` (or None) the recording target."""
-
-    def __init__(self, tape: Optional["Tape"]):
-        self.tape = tape
-
-    def __enter__(self):
-        self.prev = _active_tape()
-        _state.tape = self.tape
-        return self
-
-    def __exit__(self, *exc):
-        _state.tape = self.prev
-        return False
-
-
 class Node:
     """One recorded operation: parents, a VJP and, if the VJP reads it, the
     output array (else ``data`` is None).
@@ -151,19 +131,18 @@ class Node:
     the gradient of the output, `out` the output as a Tensor on this node
     (None where the node keeps no output), and `needs[i]` says whether
     input i wants a gradient.  It returns one entry per input, None where
-    none was wanted.  ``tracked`` is the `needs` of a full sweep: which
-    inputs are on the record at all.
+    none was wanted; a sweep works out `needs` from the leaves it
+    differentiates by, so a node stores none.
     """
 
-    __slots__ = ("record", "op", "parents", "vjp", "data", "tracked")
+    __slots__ = ("record", "op", "parents", "vjp", "data")
 
-    def __init__(self, record, op, parents, vjp, data, tracked=()):
+    def __init__(self, record, op, parents, vjp, data):
         self.record = record
         self.op = op
         self.parents = parents  # tuple[Node | None], aligned with the op inputs
         self.vjp = vjp  # None for leaves
         self.data = data
-        self.tracked = tracked  # tuple[bool], aligned with parents
 
 
 _F64 = np.dtype(np.float64)
@@ -211,6 +190,8 @@ class Tape:
     Nodes are appended in execution order, which is already a topological
     order, so backward is a single reverse sweep.  ``retain=True`` allows
     ``backward_retaining`` to extend the record with the backward pass.
+    While entered it is the thread's recording target; on exit the target
+    it replaced is restored.
     """
 
     def __init__(self, retain: bool = False):
@@ -218,16 +199,15 @@ class Tape:
         self.nodes: list[Node] = []
         self._leaves: list[Tensor] = []
         self._ref = weakref.ref(self)
-        self._ctx = None
+        self._outer = None
 
     def __enter__(self):
-        self._ctx = _using_tape(self)
-        self._ctx.__enter__()
+        self._outer, _state.tape = _state.tape, self
         return self
 
     def __exit__(self, *exc):
-        ctx, self._ctx = self._ctx, None
-        return ctx.__exit__(*exc)
+        _state.tape, self._outer = self._outer, None
+        return False
 
     def leaf(self, value) -> Tensor:
         """Register a differentiation root holding `value` on this record."""
@@ -286,12 +266,12 @@ def _record(op: str, kernel: Callable, args: tuple, inputs: Sequence[Tensor],
         return out
     if len(inputs) == 1:  # every op has one or two inputs
         parents = (inputs[0].node,)
-        tracked = (parents[0] is not None,)
+        if parents[0] is None:
+            return out
     else:
         parents = (inputs[0].node, inputs[1].node)
-        tracked = (parents[0] is not None, parents[1] is not None)
-    if True not in tracked:
-        return out
+        if parents[0] is None and parents[1] is None:
+            return out
     ref = tape._ref
     for p in parents:
         if p is not None and p.record is not ref:
@@ -299,8 +279,7 @@ def _record(op: str, kernel: Callable, args: tuple, inputs: Sequence[Tensor],
                 f"{op}: input was recorded on a different record; "
                 "records must not be mixed"
             )
-    out.node = Node(ref, op, parents, vjp, out.data if keep_out else None,
-                    tracked)
+    out.node = Node(ref, op, parents, vjp, out.data if keep_out else None)
     tape.nodes.append(out.node)
     return out
 
@@ -652,20 +631,24 @@ def transpose(x) -> Tensor:
 # backward
 
 
-def _live_needs(nodes: list[Node], roots) -> dict:
-    """For each node that depends on any of `roots`, which of its inputs
-    do; record order is topological."""
-    live = dict.fromkeys(roots, ())
+def _live_needs(nodes: list[Node], roots) -> list:
+    """Each node that depends on any of `roots`, in record order (which is
+    topological), with which of its inputs do."""
+    reached = set(roots)
+    live = []
     for node in nodes:
-        if node.vjp is not None:
-            needs = tuple([p in live for p in node.parents])
-            if True in needs:
-                live[node] = needs
+        needs = tuple([p in reached for p in node.parents])
+        if True in needs:
+            reached.add(node)
+            live.append((node, needs))
     return live
 
 
-def _backprop(record: Tape, output: Tensor,
-              wrt: Optional[Iterable[Tensor]]) -> dict[Tensor, Tensor]:
+def _backprop(record: Tape, output: Tensor, wrt: Optional[Iterable[Tensor]],
+              target: Optional[Tape]) -> dict[Tensor, Tensor]:
+    """The sweep of `backward` (`target` None) and `backward_retaining`
+    (`target` the record): the VJPs run with `target` as the thread's
+    recording target, and the one before it is restored on return."""
     if not record.nodes:
         raise RecordError("backward on an empty record")
     if output.node is None or output.node.record is not record._ref:
@@ -674,38 +657,35 @@ def _backprop(record: Tape, output: Tensor,
         raise RecordError(
             f"backward requires a scalar output, got shape {output.shape}"
         )
-    # Snapshot the nodes: VJPs may append nodes (retaining mode); those
-    # belong to future backward passes, not this one.
-    nodes = record.nodes[:]
     if wrt is None:
-        leaves, live = record._leaves, None  # every recorded node depends on a leaf
+        leaves = record._leaves
     else:
         leaves = tuple(wrt)
         for t in leaves:
             if t.node is None or t.node.record is not record._ref or t.node.vjp is not None:
                 raise RecordError("backward: wrt must hold leaves of this record")
-        live = _live_needs(nodes, [t.node for t in leaves])
-    grads: dict[Node, Tensor] = {output.node: Tensor(host(np.ones_like, output.data))}
-    for node in reversed(nodes):
-        if node.vjp is None:
-            continue
-        g = grads.pop(node, None)
-        if g is None:
-            continue
-        needs = node.tracked if live is None else live.get(node)
-        if needs is None:
-            continue
-        out_t = None if node.data is None else Tensor(node.data, node)
-        for parent, need, pg in zip(node.parents, needs, node.vjp(g, out_t, needs)):
-            if not need:
+    # marked before any VJP runs, so the nodes a retained sweep appends
+    # belong to later sweeps, not this one
+    live = _live_needs(record.nodes, [t.node for t in leaves])
+    outer, _state.tape = _state.tape, target
+    try:
+        grads = {output.node: Tensor(host(np.ones_like, output.data))}
+        for node, needs in reversed(live):
+            g = grads.pop(node, None)
+            if g is None:
                 continue
-            acc = grads.get(parent)
-            grads[parent] = pg if acc is None else add(acc, pg)
-    out: dict[Tensor, Tensor] = {}
-    for leaf in leaves:
-        g = grads.get(leaf.node)
-        out[leaf] = Tensor(host(np.zeros_like, leaf.data)) if g is None else g
-    return out
+            out_t = None if node.data is None else Tensor(node.data, node)
+            for parent, need, pg in zip(node.parents, needs, node.vjp(g, out_t, needs)):
+                if need:
+                    acc = grads.get(parent)
+                    grads[parent] = pg if acc is None else add(acc, pg)
+        out: dict[Tensor, Tensor] = {}
+        for leaf in leaves:
+            g = grads.get(leaf.node)
+            out[leaf] = Tensor(host(np.zeros_like, leaf.data)) if g is None else g
+        return out
+    finally:
+        _state.tape = outer
 
 
 def backward(record: Tape, output: Tensor,
@@ -717,8 +697,7 @@ def backward(record: Tape, output: Tensor,
     the sweep; returned gradients are plain values.  Leaves the output does
     not depend on map to zeros.
     """
-    with _using_tape(None):
-        return _backprop(record, output, wrt)
+    return _backprop(record, output, wrt, None)
 
 
 def backward_retaining(record: Tape, output: Tensor,
@@ -731,8 +710,7 @@ def backward_retaining(record: Tape, output: Tensor,
     """
     if not record.retain:
         raise RecordError("backward_retaining requires a record opened with retain=True")
-    with _using_tape(record):
-        return _backprop(record, output, wrt)
+    return _backprop(record, output, wrt, record)
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import logging
 from contextlib import nullcontext
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -224,15 +224,8 @@ def _check_finite(flat: np.ndarray, grads, names, context: str):
                 f"(|max|={np.abs(g[finite]).max() if finite.any() else 'n/a'})")
 
 
-def _descend(params, lifted, grads, opt: AdamState, lr: float, context: str):
-    """Optimizer step on `params` from the gradients of `lifted`, its copy
-    on a record, after checking that they are finite."""
-    return _step(params, [grads[t].data for _, t in lifted.items()], opt, lr,
-                 context)
-
-
-def _step(params, grads, opt: AdamState, lr: float, context: str):
-    """Optimizer step on `params` from the arrays `grads`, aligned with
+def _descend(params, grads, opt: AdamState, lr: float, context: str):
+    """Optimizer step on `params` from the arrays `grads`, in the order of
     its fields, after checking that they are finite."""
     return params.with_arrays(optimizer_step(params.arrays(), grads, opt, lr,
                                              params.FIELDS, context))
@@ -257,16 +250,16 @@ def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str,
     plan = None if plans is None else plans.get(context)
     if plan is not None:
         *grads, loss = plan.run([*_fields(params), *reads])
-        return _step(params, grads, opt, lr, context), float(loss)
+        return _descend(params, grads, opt, lr, context), float(loss)
     capture = None if plans is None else ad.Capture([*_fields(params), *reads])
     with ad.Tape() as tape, capture or nullcontext():
         lifted = params.lift(tape)
         loss = loss_of(lifted)
-        grads = ad.backward(tape, loss)
+        by_leaf = ad.backward(tape, loss)
+    grads = [by_leaf[t].data for t in _fields(lifted)]
     if capture is not None:
-        plans[context] = capture.plan(
-            [*(grads[t].data for _, t in lifted.items()), loss.data])
-    return _descend(params, lifted, grads, opt, lr, context), loss.item()
+        plans[context] = capture.plan([*grads, loss.data])
+    return _descend(params, grads, opt, lr, context), loss.item()
 
 
 def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
@@ -279,7 +272,7 @@ def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
                                   cfg.gamma, cfg.tau,
                                   adaptive=cfg.use_adaptive_margin,
                                   feature=feature)
-    leaves = [t for _, t in main_lifted.items()]
+    leaves = _fields(main_lifted)
     grads = ad.backward_retaining(tape, loss, wrt=leaves)
     stepped = [ad.sub(t, ad.scalar_mul(alpha, grads[t])) for t in leaves]
     return main_lifted.with_arrays(stepped), loss
@@ -292,9 +285,10 @@ def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
     main params.  Returns (new meta params, meta loss value)."""
     mloss = objective.meta_loss(batch.images, batch.texts, batch.labels,
                                 virtual_main, meta_lifted)
-    grads = ad.backward(tape, mloss, wrt=[t for _, t in meta_lifted.items()])
-    return _descend(state.meta, meta_lifted, grads, state.opt_meta, lr_meta,
-                    "meta_update"), mloss.item()
+    leaves = _fields(meta_lifted)
+    grads = ad.backward(tape, mloss, wrt=leaves)
+    return _descend(state.meta, [grads[t].data for t in leaves],
+                    state.opt_meta, lr_meta, "meta_update"), mloss.item()
 
 
 def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
@@ -341,7 +335,7 @@ def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
         state, images, texts, batch, lr_main, lr_meta, cfg, feature)
     main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg,
                                 feature, plans)
-    return (replace(state, main=main_new, meta=meta_new),
+    return (NetState(main_new, meta_new, state.opt_main, state.opt_meta),
             {"train_loss": train_loss, "meta_loss": meta_loss_val})
 
 
@@ -362,7 +356,7 @@ def warmup_step(state: NetState, images, texts, batch: MetaBatch,
             batch.images, batch.texts, batch.labels, main_new, meta_l),
         state.opt_meta, lr_meta, "warmup meta", plans,
         (batch.images, batch.texts, batch.labels, *_fields(main_new)))
-    return (replace(state, main=main_new, meta=meta_new),
+    return (NetState(main_new, meta_new, state.opt_main, state.opt_meta),
             {"train_loss": loss_val, "meta_loss": meta_loss_val})
 
 
@@ -376,7 +370,8 @@ def baseline_step(state: NetState, images, texts, lr_main: float,
 
     main_new, loss_val = _descend_on(state.main, loss_of, state.opt_main,
                                      lr_main, "baseline", plans, (images, texts))
-    return replace(state, main=main_new), {"train_loss": loss_val, "meta_loss": None}
+    return (NetState(main_new, state.meta, state.opt_main, state.opt_meta),
+            {"train_loss": loss_val, "meta_loss": None})
 
 
 def fit_purifier(main: model.MainNetParams, meta: model.MetaNetParams,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -59,7 +59,8 @@ def _uniform_init(rng: np.random.Generator, fan_in: int, shape) -> np.ndarray:
 
 class _Params:
     """A parameter bundle: a dataclass whose FIELDS name its tensors, in
-    checkpoint order."""
+    checkpoint order, which is the order of its dataclass fields, so a
+    bundle is built from its values positionally."""
 
     FIELDS = ()
 
@@ -70,14 +71,13 @@ class _Params:
         return [as_array(getattr(self, f)) for f in self.FIELDS]
 
     def with_arrays(self, arrays):
-        return replace(self, **dict(zip(self.FIELDS, arrays)))
+        return type(self)(*arrays)
 
     def lift(self, tape: Tape):
         """Copy with every field registered as a leaf of `tape`.  A bundle
         that is not lifted holds plain arrays, which every op takes as
         constants."""
-        return replace(self, **{f: tape.leaf(getattr(self, f))
-                                for f in self.FIELDS})
+        return type(self)(*[tape.leaf(getattr(self, f)) for f in self.FIELDS])
 
 
 @dataclass

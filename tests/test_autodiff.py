@@ -601,10 +601,33 @@ class TestCompositePrograms:
             np.testing.assert_array_equal(a, b)
 
     def test_wrt_subsets_match_full_sweep_bitwise(self):
-        for trial in range(60):
+        """A sweep by a subset of the leaves gives each of them the bits of
+        the full sweep (wrt None).  By every leaf it also logs the full
+        sweep's kernels, in order, to a capture."""
+        def swept(program, values, every: bool):
+            """A capture of recording `program` and sweeping it, by every
+            leaf named (`every`) or by default, and the gradients."""
+            capture = ad.Capture(TestCapture._program_inputs(program, values))
+            with capture, ad.Tape() as tape:
+                loss, leaves = _run_program(program, values, tape)
+                grads = ad.backward(tape, loss, wrt=leaves if every else None)
+            return capture, [grads[leaf].data for leaf in leaves]
+
+        # a repeated input (mul(x, x)), a constant operand (safe_div's 0.5)
+        # and a leaf that the output does not reach
+        fixed = [("leaf", (3,)), ("leaf", (3,)), ("leaf", (2,)),
+                 ("mul", (0, 0), {}, (3,)), ("safe_div", (3, 1), {}, (3,))]
+        for trial in range(61):
             rng = rng_for(202, trial)
-            program = _build_random_program(rng)
+            program = _build_random_program(rng) if trial else fixed
             values = [rng.normal(size=ins[1]) for ins in program if ins[0] == "leaf"]
+            by_default, full = swept(program, values, every=False)
+            by_name, every = swept(program, values, every=True)
+            assert [g.tobytes() for g in every] == [g.tobytes() for g in full]
+            assert by_name.steps == by_default.steps
+            assert by_name.consts == by_default.consts
+            if not trial:
+                assert not full[2].any() and full[0].any() and full[1].any()
             with ad.Tape() as tape:
                 loss, leaves = _run_program(program, values, tape)
                 full = ad.backward(tape, loss)

@@ -4,6 +4,8 @@ binary checkpoint format."""
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -39,6 +41,12 @@ class TestInit:
     def test_sim_dim_must_be_below_embedding_dim(self):
         with pytest.raises(ValueError, match="below"):
             model.MainNetParams.init(5, 4, 6, 6, rng_for(1))
+
+    @pytest.mark.parametrize("bundle", [model.MainNetParams, model.MetaNetParams])
+    def test_fields_are_the_dataclass_fields_in_order(self, bundle):
+        """`with_arrays` and `lift` build a bundle positionally from values
+        in FIELDS order, so FIELDS must list its fields as declared."""
+        assert bundle.FIELDS == tuple(f.name for f in dataclasses.fields(bundle))
 
 
 class TestEmbeddings:
