@@ -10,8 +10,9 @@ Builds the config's dataset in memory.  For each of `warmup_step`,
 `bilevel_step` and `baseline_step` it trains two copies of one network
 pair on the same batches, as `train` runs them: one calls the step on its
 own, so every stage records, and one passes a dict of plans, as
-`_train_net_epoch` does, so the first step captures each first-order
-stage and every later step replays it.  `--warmup` (at least 1) untimed
+`train` does, so the first step captures each stage and every later step
+replays it: the bilevel step's retained virtual and meta stages as one
+plan, and its actual stage as another.  `--warmup` (at least 1) untimed
 steps, the capture among them, are followed by `--steps` timed ones, the
 two copies alternating which goes first.  It prints, and writes with the
 inputs that produced them to `--out`, each step's median wall

@@ -78,11 +78,13 @@ kernels on new inputs in the same order, the checks among them, so a
 replay returns the bits and raises the errors that recording the same
 code would.  It skips all the rest: Tensor and Node
 objects, VJP closures, ``_record``, ``_live_needs`` and the sweep's dict
-work.  A plan is right only while what it baked in holds: shapes,
-constants and the branches taken on them.  Its owner bounds its life to
-a span over which those are fixed; ``meta_loop._train_net_epoch`` keeps
-one per first-order stage for one epoch of one network pair, and a
-retained (second-order) record is never captured.
+work.  A retained record captures as any other: its recorded sweep is
+ops like the forward pass, so the plan of a second-order stage holds the
+kernels of both.  A plan is right only while what it baked in holds:
+shapes, constants and the branches taken on them.  Its owner bounds its
+life to a span over which those are fixed; ``meta_loop.train`` keeps one
+plan per stage and per set of constants that stage bakes in, for the
+whole run and both network pairs.
 """
 
 from __future__ import annotations

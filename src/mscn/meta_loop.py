@@ -236,30 +236,46 @@ def _fields(params) -> list:
     return [value for _, value in params.items()]
 
 
+def _planned(plans, key, inputs, body) -> list:
+    """body(), the list of arrays a stage computes from the arrays
+    `inputs`, or a replay of its plan.
+
+    `plans` is None for a step called on its own, or the dict of plans
+    that `train` keeps for a run (`run_epoch` makes one per call when
+    given none).  Its keys are a stage and the constants that stage
+    bakes in.  If it holds `key`, the arrays come from a replay of that
+    plan on `inputs`: no record is made.  Otherwise body() runs and, with
+    `plans`, is captured into the plan of `key` that the run's later steps
+    replay."""
+    plan = None if plans is None else plans.get(key)
+    if plan is not None:
+        return plan.run(inputs)
+    capture = None if plans is None else ad.Capture(inputs)
+    with capture or nullcontext():
+        outputs = body()
+    if capture is not None:
+        plans[key] = capture.plan(outputs)
+    return outputs
+
+
 def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str,
                 plans=None, reads=()):
     """Lift `params` onto a fresh record, differentiate loss_of(lifted) and
     descend.  Returns (new params, loss value).
 
-    `plans` is None for a step called on its own, or the dict of plans of
-    one `_train_net_epoch` call, by `context`.  If it holds this stage's
-    plan, the gradients and loss come from a replay of it on the arrays of
-    `params` and on `reads`, the other arrays that loss_of reads: no
-    record is made.  Otherwise the stage records and, with `plans`, is
-    captured into a plan that the epoch's later steps replay."""
-    plan = None if plans is None else plans.get(context)
-    if plan is not None:
-        *grads, loss = plan.run([*_fields(params), *reads])
-        return _descend(params, grads, opt, lr, context), float(loss)
-    capture = None if plans is None else ad.Capture([*_fields(params), *reads])
-    with ad.Tape() as tape, capture or nullcontext():
-        lifted = params.lift(tape)
-        loss = loss_of(lifted)
-        by_leaf = ad.backward(tape, loss)
-    grads = [by_leaf[t].data for t in _fields(lifted)]
-    if capture is not None:
-        plans[context] = capture.plan([*grads, loss.data])
-    return _descend(params, grads, opt, lr, context), loss.item()
+    `reads` are the other arrays that loss_of reads.  With `plans` (see
+    `_planned`) the gradients and loss come from the plan of `context`,
+    which bakes in no learning rate: the optimizer step runs outside it."""
+    def gradients_and_loss():
+        with ad.Tape() as tape:
+            lifted = params.lift(tape)
+            loss = loss_of(lifted)
+            by_leaf = ad.backward(tape, loss)
+        return [*(by_leaf[t].data for t in _fields(lifted)), loss.data]
+
+    *grads, loss = _planned(plans, context, [*_fields(params), *reads],
+                            gradients_and_loss)
+    return _descend(params, grads, opt, lr, context), float(loss)
 
 
 def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
@@ -279,23 +295,22 @@ def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
 
 
 def meta_update(tape: ad.Tape, virtual_main: model.MainNetParams,
-                meta_lifted: model.MetaNetParams, batch: MetaBatch,
-                state: NetState, lr_meta: float):
-    """Stage 2: optimizer step on the meta loss taken through the virtual
-    main params.  Returns (new meta params, meta loss value)."""
+                meta_lifted: model.MetaNetParams, batch: MetaBatch):
+    """Stage 2: the meta loss taken through the virtual main params, and
+    its gradients by the correction params.  Returns (gradient arrays in
+    field order, meta loss); the optimizer step is the caller's."""
     mloss = objective.meta_loss(batch.images, batch.texts, batch.labels,
                                 virtual_main, meta_lifted)
     leaves = _fields(meta_lifted)
     grads = ad.backward(tape, mloss, wrt=leaves)
-    return _descend(state.meta, [grads[t].data for t in leaves],
-                    state.opt_meta, lr_meta, "meta_update"), mloss.item()
+    return [grads[t].data for t in leaves], mloss
 
 
 def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
                   lr_main: float, cfg: TrainConfig, feature=None, plans=None):
     """Stage 3: step the main params on the same batch under the updated
     correction network (held constant).  `feature`: see
-    `objective.triplet_loss`; `plans`: see `_descend_on`."""
+    `objective.triplet_loss`; `plans`: see `_planned`."""
     return _descend_on(
         state.main,
         lambda main_l: objective.triplet_loss(images, texts, main_l, meta_new,
@@ -307,43 +322,51 @@ def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
 
 
 def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
-                     lr_main: float, lr_meta: float, cfg: TrainConfig,
-                     feature=None):
-    """Stages 1 and 2 on one retained record, which is freed on return.
-    Returns (new meta params, train loss value, meta loss value)."""
+                     lr_main: float, cfg: TrainConfig) -> list:
+    """The pick feature of the batch, then stages 1 and 2 on one retained
+    record, which is freed on return.  Returns the arrays [correction
+    gradients in field order..., train loss, meta loss, feature unit
+    rows, feature norms].
+
+    Stages 1 and 3 pick negatives under the same main params, so from one
+    similarity feature, which the correction network does not enter: it
+    is built here, off the record, for both."""
+    main = state.main
+    feature = ad.host(model.block_feature, model.embed_image(images, main).data,
+                      model.embed_text(texts, main).data, main.sim_w)
     with ad.Tape(retain=True) as tape:
-        main_l = state.main.lift(tape)
+        main_l = main.lift(tape)
         meta_l = state.meta.lift(tape)
         virtual_main, train_loss = virtual_update(
             tape, main_l, meta_l, images, texts, lr_main, cfg, feature)
-        meta_new, meta_loss_val = meta_update(
-            tape, virtual_main, meta_l, batch, state, lr_meta)
-    return meta_new, train_loss.item(), meta_loss_val
+        grads, meta_loss = meta_update(tape, virtual_main, meta_l, batch)
+    return [*grads, train_loss.data, meta_loss.data, *feature]
 
 
 def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
                  lr_main: float, lr_meta: float, cfg: TrainConfig, plans=None):
     """One full three-stage step; returns (new state, diagnostics).  With
-    `plans` (see `_descend_on`) the actual stage may replay; the retained
-    stages always record."""
-    # stages 1 and 3 pick negatives under the same main params, so from one
-    # similarity feature, which the correction network does not enter
-    main = state.main
-    feature = model.block_feature(model.embed_image(images, main).data,
-                                  model.embed_text(texts, main).data, main.sim_w)
-    meta_new, train_loss, meta_loss_val = _retained_stages(
-        state, images, texts, batch, lr_main, lr_meta, cfg, feature)
+    `plans` (see `_planned`) the retained stages are one plan, which bakes
+    in `lr_main` as the virtual step size, and the actual stage another;
+    both optimizer steps run outside them."""
+    *grads, train_loss, meta_loss, unit, norms = _planned(
+        plans, ("retained", lr_main),
+        [*_fields(state.main), *_fields(state.meta), images, texts,
+         batch.images, batch.texts, batch.labels],
+        lambda: _retained_stages(state, images, texts, batch, lr_main, cfg))
+    meta_new = _descend(state.meta, grads, state.opt_meta, lr_meta,
+                        "meta_update")
     main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg,
-                                feature, plans)
+                                (unit, norms), plans)
     return (NetState(main_new, meta_new, state.opt_main, state.opt_meta),
-            {"train_loss": train_loss, "meta_loss": meta_loss_val})
+            {"train_loss": float(train_loss), "meta_loss": float(meta_loss)})
 
 
 def warmup_step(state: NetState, images, texts, batch: MetaBatch,
                 lr_main: float, lr_meta: float, cfg: TrainConfig, plans=None):
     """Fixed-margin step on the main params, then a supervised step of the
     correction network at the updated main params.  `plans`: see
-    `_descend_on`."""
+    `_planned`."""
     main_new, loss_val = _descend_on(
         state.main,
         lambda main_l: objective.triplet_loss(images, texts, main_l, state.meta,
@@ -363,7 +386,7 @@ def warmup_step(state: NetState, images, texts, batch: MetaBatch,
 def baseline_step(state: NetState, images, texts, lr_main: float,
                   cfg: TrainConfig, plans=None):
     """Fixed-margin triplet step on cosine scores; no correction network.
-    `plans`: see `_descend_on`."""
+    `plans`: see `_planned`."""
     def loss_of(main_l):
         scores, _ = model.cosine_scores(images, texts, main_l)
         return objective.triplet_loss_from_scores(scores, cfg.gamma)
@@ -459,19 +482,18 @@ def _purified_pools(nets, row: dict, ds: Dataset, cfg: TrainConfig,
 
 def _train_net_epoch(net: NetState, k: int, pool: np.ndarray, epoch: int,
                      warm: bool, lr_main: float, lr_meta: float, ds: Dataset,
-                     cfg: TrainConfig):
+                     cfg: TrainConfig, plans: dict):
     """One epoch of steps of network pair `k` over its training pool.
 
     Reads nothing the other pair's loop writes: every random draw comes
-    from a stream keyed by (epoch, k, step).  Returns (net, the pair's
-    metrics-row cells: its mean training and meta loss, where it had any)."""
+    from a stream keyed by (epoch, k, step).  Each step replays the plans
+    of its stages from `plans` and captures those it lacks (see
+    `_planned`).  Returns (net, the pair's metrics-row cells: its mean
+    training and meta loss, where it had any)."""
     order = _rng(cfg.seed, _TAG_SHUFFLE, epoch, k).permutation(pool.size)
     shuffled = pool[order]
     losses, mlosses = [], []
-    # the first step captures each first-order stage it runs and the later
-    # steps replay it; everything a plan bakes in (shapes, learning rates,
-    # config, mode, warm) is fixed for this call
-    plans = {}
+    # every step is a full batch, so a plan's shapes hold for the run
     for step in range(pool.size // cfg.batch_size):
         sel = shuffled[step * cfg.batch_size:(step + 1) * cfg.batch_size]
         imgs = ds.train.images[sel]
@@ -516,7 +538,7 @@ class RunState:
 
 
 def run_epoch(state: RunState, epoch: int, ds: Dataset, cfg: TrainConfig,
-              threads=None) -> tuple[RunState, dict]:
+              threads=None, plans=None) -> tuple[RunState, dict]:
     """Epoch `epoch` of the schedule, from the state after the epoch before:
     the learning rates, the purified pools, each network pair's steps, the
     validation eval and the best-so-far update.  Returns the state after
@@ -524,11 +546,14 @@ def run_epoch(state: RunState, epoch: int, ds: Dataset, cfg: TrainConfig,
 
     Takes over `state`: the steps update its nets' Adam moments in place
     and the epoch's results are stored into it, so only the returned state
-    may be used afterwards.  `threads`: see `train`."""
+    may be used afterwards.  `threads`: see `train`.  `plans` is the dict
+    of plans (see `_planned`) that both network pairs' steps share; with
+    None, a dict of this call's own."""
     warm = epoch < cfg.warmup_epochs
     factor = cfg.lr_decay_factor if epoch >= cfg.lr_decay_epoch else 1.0
     lr_main = cfg.lr_main * factor
     lr_meta = cfg.lr_meta * factor
+    plans = {} if plans is None else plans
 
     row = dict.fromkeys(metrics_columns(cfg.eval_ks))
     row.update(epoch=epoch, phase="warmup" if warm else "main",
@@ -539,7 +564,8 @@ def run_epoch(state: RunState, epoch: int, ds: Dataset, cfg: TrainConfig,
         pools = [np.arange(len(ds.train))] * 2
     for k in range(2):
         state.nets[k], cells = _train_net_epoch(
-            state.nets[k], k, pools[k], epoch, warm, lr_main, lr_meta, ds, cfg)
+            state.nets[k], k, pools[k], epoch, warm, lr_main, lr_meta, ds, cfg,
+            plans)
         row.update(cells)
 
     report = evalkit.evaluate(
@@ -570,7 +596,13 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> RunState
     second thread would mostly wait for it.  `threads` caps the workers
     of every validation eval (see `evalkit.worker_count`); a split too
     small to share, such as the default 100-pair one, is scored on the
-    calling thread.  The outputs do not depend on it."""
+    calling thread.  The outputs do not depend on it.
+
+    Both network pairs and every epoch share one dict of plans, which is
+    not part of the `RunState`: each stage is captured once per run for
+    each set of constants it bakes in, and every other step replays it.
+    A replay gives the bits of a recorded step, so a run resumed from a
+    pickled state captures again and ends on the same bytes."""
     cfg.validate()
     if len(ds.train) < cfg.batch_size:
         raise ValueError(f"train split ({len(ds.train)}) smaller than one "
@@ -582,6 +614,7 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> RunState
                          f"R@{max(cfg.eval_ks)}")
 
     state = RunState.init(ds, cfg)
+    plans = {}
     out_path = Path(out_dir) if out_dir is not None else None
     columns = metrics_columns(cfg.eval_ks)
     metrics_fh = None
@@ -593,7 +626,7 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> RunState
 
     try:
         for epoch in range(cfg.warmup_epochs + cfg.epochs):
-            state, row = run_epoch(state, epoch, ds, cfg, threads)
+            state, row = run_epoch(state, epoch, ds, cfg, threads, plans)
             if out_path is not None:
                 metrics_fh.write(format_metrics_row(row, columns) + "\n")
                 metrics_fh.flush()

@@ -354,18 +354,11 @@ def test_meta_gradient_matches_full_matrix_form(monkeypatch):
         return full_matrix_triplet_loss(scores, gamma, tau, adaptive=adaptive)
 
     def meta_grads(loss, state, imgs, txts, mb, cfg):
-        grads = []
-
-        def capture(params, g, opt, lr, context):
-            grads.append(g)
-            return params
-
         with monkeypatch.context() as m:
-            m.setattr(meta_loop, "_descend", capture)
             m.setattr(objective, "triplet_loss", loss)
-            meta_loop._retained_stages(state, imgs, txts, mb, cfg.lr_main,
-                                       cfg.lr_meta, cfg)
-        return grads[0]
+            out = meta_loop._retained_stages(state, imgs, txts, mb,
+                                             cfg.lr_main, cfg)
+        return out[:len(state.meta.FIELDS)]
 
     for seed in range(20):
         imgs, txts = batch_data(9035 + seed, n=6)
@@ -460,8 +453,15 @@ def test_bilevel_builds_the_pick_feature_once(monkeypatch):
     imgs, txts = batch_data(9045, n=8)
     mb = meta_batch_for(9045)
     state = tiny_state(9045)
-    meta_new, _, _ = meta_loop._retained_stages(
-        tiny_state(9045), imgs, txts, mb, cfg.lr_main, cfg.lr_meta, cfg)
+    ref = tiny_state(9045)
+    with ad.Tape(retain=True) as tape:
+        main_l = ref.main.lift(tape)
+        meta_l = ref.meta.lift(tape)
+        virtual_main, _ = meta_loop.virtual_update(
+            tape, main_l, meta_l, imgs, txts, cfg.lr_main, cfg, feature=None)
+        grads, _ = meta_loop.meta_update(tape, virtual_main, meta_l, mb)
+    meta_new = meta_loop._descend(ref.meta, grads, ref.opt_meta, cfg.lr_meta,
+                                  "meta_update")
     want, _ = actual_update(tiny_state(9045), meta_new, imgs, txts,
                             cfg.lr_main, cfg)
     shapes = []
@@ -604,10 +604,12 @@ def test_baseline_step_ignores_meta():
 
 # ---------------------------------------------------------------------------
 # replayed stages: a dict of plans makes a step's first call capture each
-# first-order stage and its later calls replay it
+# stage and its later calls replay it; the retained stages are keyed by the
+# virtual step size they bake in
 
 _STAGES = {"baseline": {"baseline"}, "warmup": {"warmup main", "warmup meta"},
-           "bilevel": {"actual_update"}, "actual": {"actual_update"}}
+           "bilevel": {"actual_update", ("retained", tiny_cfg().lr_main)},
+           "actual": {"actual_update"}}
 
 
 def _net_bytes(state: NetState) -> list[bytes]:
@@ -654,7 +656,7 @@ def _on_the_rail(state: NetState) -> NetState:
 ])
 def test_replayed_stages_match_recorded_steps_bitwise(kind, adaptive):
     """On three consecutive batches of each of 20 random network pairs, a
-    step that captures its first-order stages and then replays them gives
+    step that captures its stages and then replays them gives
     the bits a recorded step gives: params, Adam moments and step counts,
     and losses.  Every fourth pair scores on the clamp rail."""
     cfg = tiny_cfg(use_adaptive_margin=adaptive)
@@ -709,6 +711,10 @@ def _bad_label(state, args):
     ("warmup", _bad_label, "labels must be 0 or 1"),
     ("actual", _nan_meta, "clamp: NaN input"),
     ("actual", _degenerate, "degenerate cell"),
+    ("bilevel", _nan_main, "non-finite similarity norm"),
+    ("bilevel", _nan_meta, "clamp: NaN input"),
+    ("bilevel", _bad_label, "labels must be 0 or 1"),
+    ("bilevel", _degenerate, "degenerate cell"),
 ])
 def test_guards_raise_the_same_error_replayed(kind, spoil, error):
     """After a good step has captured the plans, a step on a NaN param, a
@@ -801,6 +807,38 @@ def test_replaying_epochs_equal_epochs_of_recorded_steps(monkeypatch, mode):
     assert [r["lr_main"] for r in recorded.metrics] == [
         cfg.lr_main, cfg.lr_main, cfg.lr_main * cfg.lr_decay_factor]
     assert _state_bytes(replayed) == _state_bytes(recorded)
+
+
+@pytest.mark.parametrize("mode", ["mscn", "fixed_margin_baseline"])
+def test_each_stage_is_captured_once_per_run(monkeypatch, mode):
+    """Over a run with a warmup epoch and the learning-rate decay inside
+    it, `train` captures each stage once for each constant it bakes in:
+    the retained stages once per virtual step size, every other stage
+    once.  Both network pairs and every epoch take the same dict of
+    plans."""
+    captures, dicts = [], []
+
+    class CountedCapture(ad.Capture):
+        def __init__(self, inputs):
+            super().__init__(inputs)
+            captures.append(None)
+
+    def net_epoch(*args):
+        dicts.append(args[-1])
+        return real_net_epoch(*args)
+
+    real_net_epoch = meta_loop._train_net_epoch
+    monkeypatch.setattr(ad, "Capture", CountedCapture)
+    monkeypatch.setattr(meta_loop, "_train_net_epoch", net_epoch)
+    cfg = train_cfg(mode=mode, warmup_epochs=1, epochs=2, lr_decay_epoch=2)
+    train(small_dataset(noise=0.5), cfg)
+    assert len(dicts) == 2 * 3 and all(d is dicts[0] for d in dicts)
+    want = ({"baseline"} if mode == "fixed_margin_baseline" else
+            {"warmup main", "warmup meta", "actual_update",
+             ("retained", cfg.lr_main),
+             ("retained", cfg.lr_main * cfg.lr_decay_factor)})
+    assert set(dicts[0]) == want
+    assert len(captures) == len(want)
 
 
 # ---------------------------------------------------------------------------
