@@ -4,7 +4,7 @@ shapes of a config.
 Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/step_cost.py [--config configs/default.json]
-        [--steps 50] [--warmup 5] [--out BENCH_step_cost.json] [--against FILE]
+        [--steps 50] [--warmup 5] [--out FILE] [--against FILE]
 
 Builds the config's dataset in memory.  For each of `warmup_step`,
 `bilevel_step` and `baseline_step` it trains two copies of one network
@@ -14,14 +14,15 @@ own, so every stage records, and one passes a dict of plans, as
 replays it: the bilevel step's retained virtual and meta stages as one
 plan, and its actual stage as another.  `--warmup` (at least 1) untimed
 steps, the capture among them, are followed by `--steps` timed ones, the
-two copies alternating which goes first.  It prints, and writes with the
-inputs that produced them to `--out`, each step's median wall
-milliseconds recorded and replayed, the nodes one recorded step appends
-to its records and the kernels of its plans.  The two copies must end
-bitwise equal; if they do not it says so and exits 1.  It runs with the
-package's one BLAS thread unless OPENBLAS_NUM_THREADS is set, and
-records that.  The timings are for before/after comparisons on one host,
-run alternately.
+two copies alternating which goes first.  It prints each step's median
+wall milliseconds recorded and replayed, the nodes one recorded step
+appends to its records and the kernels of its plans, and only with
+`--out` writes them, with the inputs that produced them, to that file
+(`--out BENCH_step_cost.json` regenerates the pinned numbers).  The two
+copies must end bitwise equal; if they do not it says so and exits 1.
+It runs with the package's one BLAS thread unless OPENBLAS_NUM_THREADS
+is set, and records that.  The timings are for before/after comparisons
+on one host, run alternately.
 
 With --against FILE (an earlier --out of the same --config; another
 config's is refused) it also exits 1, naming each field, if a step's
@@ -144,7 +145,7 @@ def main(argv=None) -> int:
     p.add_argument("--config", default="configs/default.json")
     p.add_argument("--steps", type=int, default=50)
     p.add_argument("--warmup", type=int, default=5)
-    p.add_argument("--out", default="BENCH_step_cost.json")
+    p.add_argument("--out", help="where to write the results as JSON")
     p.add_argument("--against", help="an earlier --out to compare with")
     args = p.parse_args(argv)
     if args.steps < 1 or args.warmup < 1:
@@ -183,7 +184,9 @@ def main(argv=None) -> int:
                  "numpy": np.__version__},
         "results": results,
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
+                                  encoding="utf-8")
     if args.against is None:
         return 0 if all(r["identical"] for r in results.values()) else 1
     problems = compare(results, earlier["results"])

@@ -73,12 +73,14 @@ such call is logged as one step of a plan: the kernel and the slots of
 its operands and outputs.  An operand array must be an input declared
 to the capture or the output of a logged kernel; any other array raises
 CaptureError rather than being baked in.  Other operands (floats,
-shapes, axes) are the plan's constants.  ``Plan.run`` calls the same
-kernels on new inputs in the same order, the checks among them, so a
-replay returns the bits and raises the errors that recording the same
-code would.  It skips all the rest: Tensor and Node
-objects, VJP closures, ``_record``, ``_live_needs`` and the sweep's dict
-work.  A retained record captures as any other: its recorded sweep is
+shapes, axes) are the plan's constants.  A plan compiles its steps to one
+generated straight-line Python function, as ``torch.fx`` generates code
+from a captured graph, and ``Plan.run`` calls it: the same kernels on new
+inputs in the same order, the checks among them, so a replay returns the
+bits and raises the errors that recording the same code would.  It skips
+all the rest: Tensor and Node objects, VJP closures, ``_record``,
+``_live_needs``, the sweep's dict work and any loop over the steps.  A
+retained record captures as any other: its recorded sweep is
 ops like the forward pass, so the plan of a second-order stage holds the
 kernels of both.  A plan is right only while what it baked in holds:
 shapes, constants and the branches taken on them.  Its owner bounds its
@@ -818,42 +820,57 @@ class Capture:
                 raise CaptureError("a plan output must be an input or the "
                                    "output of a logged kernel")
             slots.append(slot)
-        return Plan(self.steps, self.consts, self.n_slots, self.n_inputs, slots)
+        return Plan(self.steps, self.consts, self.n_inputs, slots)
 
 
 class Plan:
-    """A captured run of kernels.  Each step is (kernel, operand slots,
-    output slot, a tuple of them or None for a check, the slots that no
-    later step reads); a slot holds an input, a constant or a kernel's
-    output.
+    """A captured run of kernels, compiled to one Python function.  Each
+    step is (kernel, operand slots, output slot, a tuple of them or None
+    for a check); a slot holds an input, a constant or a kernel's output.
 
-    `run` calls the kernels in their captured order on new inputs, and
-    drops each value after the last step that reads it, as recording
-    does.  It makes no Tensor, Node or record, and returns what the
-    captured code returns on those inputs, bit for bit, as long as
+    The function takes the inputs as its arguments and calls the kernels
+    in their captured order, each operand a variable ``s<slot>``,
+    unpacking a tuple target (``[s5] = k3(s0)``) and calling a check
+    bare.  It deletes each value, inputs included, after the last step
+    that reads it, as recording drops it, and returns the outputs.
+    Kernel j is bound as ``k<j>`` and each constant under its slot's name
+    in the function's globals, so the source holds no value; the function
+    is not among its own globals, so a plan is freed by reference
+    counting.  `run` makes no Tensor, Node or record, and returns what
+    the captured code returns on its inputs, bit for bit, as long as
     nothing the capture baked in (shapes, constants, branches on them)
     differs."""
 
-    __slots__ = ("steps", "frame", "n_inputs", "outputs")
+    __slots__ = ("steps", "n_inputs", "_run")
 
-    def __init__(self, steps, consts: dict, n_slots: int, n_inputs: int,
-                 outputs):
+    def __init__(self, steps, consts: dict, n_inputs: int, outputs):
+        self.steps = tuple(steps)
+        self.n_inputs = n_inputs
         last = {}  # slot -> the step after which no step reads it
-        for j, (_, operands, target) in enumerate(steps):
+        for j, (_, operands, target) in enumerate(self.steps):
             last.update(dict.fromkeys(_targets(target), j))
             last.update(dict.fromkeys(operands, j))
-        dead = [[] for _ in steps]
+        dead = [[] for _ in self.steps]
         kept = {*consts, *outputs}
         for slot, j in last.items():
             if slot not in kept:
                 dead[j].append(slot)
-        self.steps = tuple((kernel, operands, target, tuple(free))
-                           for (kernel, operands, target), free in zip(steps, dead))
-        self.frame = [None] * n_slots
-        for slot, value in consts.items():
-            self.frame[slot] = value
-        self.n_inputs = n_inputs
-        self.outputs = tuple(outputs)
+        namespace = {f"s{slot}": value for slot, value in consts.items()}
+        lines = [f"def run({_locals(range(n_inputs))}):"]
+        for j, (kernel, operands, target) in enumerate(self.steps):
+            namespace[f"k{j}"] = kernel
+            call = f"k{j}({_locals(operands)})"
+            if target is None:
+                lines.append(f"    {call}")
+            elif type(target) is int:
+                lines.append(f"    s{target} = {call}")
+            else:
+                lines.append(f"    [{_locals(target)}] = {call}")
+            if dead[j]:
+                lines.append(f"    del {_locals(dead[j])}")
+        lines.append(f"    return [{_locals(outputs)}]")
+        exec(compile("\n".join(lines), "<plan>", "exec"), namespace)
+        self._run = namespace.pop("run")
 
     def __len__(self) -> int:
         return len(self.steps)
@@ -862,18 +879,12 @@ class Plan:
         if len(inputs) != self.n_inputs:
             raise CaptureError(f"plan takes {self.n_inputs} inputs, "
                                f"got {len(inputs)}")
-        vals = self.frame[:]
-        vals[:self.n_inputs] = inputs
-        for kernel, operands, target, dead in self.steps:
-            out = kernel(*[vals[i] for i in operands])
-            if target.__class__ is int:
-                vals[target] = out
-            elif target is not None:
-                for slot, value in zip(target, out):
-                    vals[slot] = value
-            for slot in dead:
-                vals[slot] = None
-        return [vals[i] for i in self.outputs]
+        return self._run(*inputs)
+
+
+def _locals(slots) -> str:
+    """The names of `slots` in a plan's generated function, comma-separated."""
+    return ", ".join([f"s{slot}" for slot in slots])
 
 
 def _targets(target) -> tuple:

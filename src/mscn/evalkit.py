@@ -10,8 +10,10 @@ scorer that picks the training negatives, with every cell the bits of
 at most `model.BLOCK_CELLS` cells for blocks up to 256 wide, so whatever
 the split size the largest array a tile builds is its (TILE * TILE,
 d_sim) feature, 1 MiB at d_sim=32, and no chunk's intermediate exceeds
-512 KiB at d_emb=64.  The cosine scorer scores fixed CHUNK_ROWS-row
-strips that span all texts through `model.block_cosine`.  The worker
+512 KiB at d_emb=64.  The cosine scorer scales each side's rows to unit
+norm once per model (`model.cosine_side`) and scores fixed CHUNK_ROWS-row
+strips that span all texts as one product of those rows
+(`model.cosine_strip`), with the bits of `model.block_cosine`.  The worker
 count (at most `threads`, or the CPUs this process may run on) only
 decides how many blocks run concurrently, never how the matrix is
 partitioned, so outputs are bitwise invariant to it.  A split too small
@@ -63,7 +65,8 @@ def worker_count(threads=None) -> int:
 
 
 def _block_scorer(models, images, texts, scorer: str):
-    """Embed both sides once per model and tile the (n_img, n_txt) matrix.
+    """Embed both sides once per model (for the cosine scorer, as unit
+    rows) and tile the (n_img, n_txt) matrix.
 
     Returns the blocks, (rows, cols) slice pairs in row-major order; a
     function block_of(i, j) giving the index of the block that holds cell
@@ -73,23 +76,27 @@ def _block_scorer(models, images, texts, scorer: str):
         raise ValueError("need at least one model")
     if scorer not in ("mscn", "cosine"):
         raise ValueError(f"unknown scorer: {scorer!r}")
-    sides = [(model.embed_image(images, main).data,
-              model.embed_text(texts, main).data) for main, _ in models]
+    embedded = [(model.embed_image(images, main), model.embed_text(texts, main))
+                for main, _ in models]
     ni, nt = len(images), len(texts)
 
     if scorer == "mscn":
         height, width = TILE, TILE
+        sides = [(u.data, v.data) for u, v in embedded]
 
-        def score(u, v, main, meta):
+        def score(side, rows, cols, main, meta):
+            u, v = side
             return model.block_scores(
-                model.block_feature(u, v, main.sim_w), meta)
+                model.block_feature(u[rows], v[cols], main.sim_w), meta)
     else:
         # splitting the columns of a cosine block would change gemm bits
         height, width = CHUNK_ROWS, max(nt, 1)
+        sides = [(*model.cosine_side(u), *model.cosine_side(v))
+                 for u, v in embedded]
 
-        def score(u, v, main, meta):
-            scores, n_bad = model.block_cosine(u, v)
-            return scores.data, n_bad
+        def score(side, rows, cols, main, meta):
+            u, bad_u, v, bad_v = side
+            return model.cosine_strip(u[rows], bad_u[rows], v[cols], bad_v[cols])
 
     col_starts = range(0, nt, width)
     blocks = [(slice(r, r + height), slice(c, c + width))
@@ -102,8 +109,8 @@ def _block_scorer(models, images, texts, scorer: str):
         rows, cols = block
         acc = None
         bad = 0
-        for (main, meta), (u, v) in zip(models, sides):
-            scores, n_bad = score(u[rows], v[cols], main, meta)
+        for (main, meta), side in zip(models, sides):
+            scores, n_bad = score(side, rows, cols, main, meta)
             bad += n_bad
             acc = scores if acc is None else acc + scores
         return acc / len(models), bad

@@ -363,11 +363,34 @@ def block_cosine(u, v) -> tuple[Tensor, int]:
     """Cosine similarity of every row of `u` against every row of `v`:
     (n_u, d_emb) x (n_v, d_emb) -> (n_u, n_v), and the number of cells
     whose image or text embedding has an unrepresentable norm, which
-    score 0.  See `_unit_rows`."""
+    score 0.  See `_unit_rows`.  It runs the ops that `cosine_scores`
+    records; evaluation scores strips of `cosine_side` rows with
+    `cosine_strip` instead, which gives the same bits."""
     scores, mask = _cosine_cells(u, v)
     n_bad = int(mask.sum())
     if n_bad:
         scores = Tensor(np.where(mask, 0.0, scores.data))
+    return scores, n_bad
+
+
+def cosine_side(x) -> tuple[np.ndarray, np.ndarray]:
+    """Off the record, the rows of `x` scaled as `block_cosine` scales
+    them, and the mask of its degenerate rows (see `_unit_rows`).  A row's
+    norm reads only that row, so each row keeps its bits whatever rows
+    are scaled with it."""
+    unit, mask = _unit_rows(_lift(x))
+    return unit.data, mask
+
+
+def cosine_strip(u, bad_u, v, bad_v) -> tuple[np.ndarray, int]:
+    """`block_cosine` of the rows whose `cosine_side`s are `u` and `v`,
+    with their masks `bad_u` and `bad_v`: the same product of the same
+    unit rows, so the same bits, and the count of degenerate cells."""
+    scores = _gemm(u, v.T)
+    mask = _either(bad_u, bad_v)
+    n_bad = int(mask.sum())
+    if n_bad:
+        scores = np.where(mask, 0.0, scores)
     return scores, n_bad
 
 

@@ -4,6 +4,7 @@ gradients via retained records."""
 
 from __future__ import annotations
 
+import gc
 import itertools
 import tracemalloc
 import weakref
@@ -933,7 +934,114 @@ class TestCapture:
         plan.run([x])
         assert alive == [False]
 
+    @pytest.mark.parametrize("body, kernels", [
+        (lambda x, y: [ad.host(_halved, x)[0]], 1),
+        (lambda x, y: [ad.host(_shifted, x, None), ad.host(_shifted, y, 2.0)], 2),
+        (lambda x, y: _checked(x), 2),
+        (lambda x, y: [y, ad.host(np.multiply, x, y), x], 1),
+        (lambda x, y: [ad.host(np.add, ad.host(np.negative, x), y)], 2),
+        (lambda x, y: [y], 0),
+    ], ids=["one-tuple", "none-constant", "check", "input-output",
+            "input-freed", "no-kernels"])
+    def test_generated_replays_match_recording_bitwise(self, body, kernels):
+        """Each form of step the generated function spells out: a kernel
+        that returns a 1-tuple, a constant of None, a check, an input
+        returned as an output, an input whose last reader comes first, and
+        no kernel at all.  A replay gives the bits of running the captured
+        code, and returns an input as it is."""
+        rng = rng_for(204)
+        x, y = rng.uniform(0.5, 2.0, size=(2, 3))
+        capture = ad.Capture([x, y])
+        with capture:
+            captured = body(x, y)
+        plan = capture.plan(captured)
+        assert len(plan) == kernels
+        for _ in range(3):
+            x, y = rng.uniform(0.5, 2.0, size=(2, 3))
+            want = body(x, y)
+            got = plan.run([x, y])
+            assert [g.tobytes() for g in got] == [w.tobytes() for w in want]
+            assert ([(g is x, g is y) for g in got]
+                    == [(w is x, w is y) for w in want])
+
+    def test_a_replay_frees_an_input_after_its_last_reader(self):
+        """An input the replay alone holds is dropped after the last kernel
+        that reads it, before the kernels after it run."""
+        made, alive = [], []
+
+        def fresh():
+            made.append(np.arange(1.0, 4.0))
+            return made[-1]
+
+        def probe(x):
+            if made:
+                alive.append(made[-1]() is not None)
+            return x + 1.0
+
+        x = np.arange(1.0, 4.0)
+        capture = ad.Capture([x])
+        with capture:
+            out = ad.host(probe, ad.host(np.negative, x))
+        plan = capture.plan([out])
+        got = plan._run(_weakly(made, fresh))
+        assert alive == [False]
+        assert got[0].tobytes() == (1.0 - np.arange(1.0, 4.0)).tobytes()
+
+    def test_constants_are_bound_by_reference(self):
+        """A constant reaches its kernel as the same object, whatever its
+        repr, and the generated function is not among its own globals, so
+        a plan is freed by reference counting."""
+        sentinel = object()
+        x = np.arange(3.0)
+        capture = ad.Capture([x])
+        with capture:
+            out = ad.host(_same, x, sentinel)
+        plan = capture.plan([out])
+        assert plan.run([x + 1.0])[0].tobytes() == (x + 1.0).tobytes()
+        names = plan._run.__globals__
+        assert sentinel in names.values()
+        assert all(value is not plan._run for value in names.values())
+        ref = weakref.ref(plan._run)
+        gc.disable()
+        try:
+            del plan
+            assert ref() is None
+        finally:
+            gc.enable()
+
 
 def _as_rows(x):
     """A gather's rows from the float array `x`."""
     return x.astype(np.int64)
+
+
+def _halved(x):
+    return (x * 0.5,)
+
+
+def _shifted(x, by):
+    return x + (1.0 if by is None else by)
+
+
+def _checked(x):
+    """sqrt(x) after a check that returns nothing."""
+    ad.host(_refuse_negative, x)
+    return [ad.host(np.sqrt, x)]
+
+
+def _refuse_negative(x):
+    if (x < 0.0).any():
+        raise ValueError("negative")
+
+
+def _same(x, c):
+    assert type(c) is object
+    return x.copy()
+
+
+def _weakly(made: list, make):
+    """`make()`, with `made[-1]` replaced by a weak reference to it, so
+    the caller holds it only for the call it is passed to."""
+    value = make()
+    made[-1] = weakref.ref(value)
+    return value

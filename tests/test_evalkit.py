@@ -235,6 +235,28 @@ class TestScoreMatrix:
         assert n_bad == 0
         assert np.all(np.abs(s) <= 1 + 1e-12)
 
+    def test_cosine_strips_equal_whole_side_block_cosine(self, block_paths):
+        """Strips of unit rows scaled once per side give the bits of
+        `model.block_cosine` on the whole sides, degenerate cells included:
+        70 rows are two whole strips and a part one."""
+        main, _ = tiny_nets(82, hidden=16)
+        rng = rng_for(811)
+        imgs, txts = rng.normal(size=(70, 5)), rng.normal(size=(70, 4))
+        # zero input rows embed to zero only through zero biases
+        main = main.with_arrays([np.zeros_like(a) if f.endswith("b1")
+                                 or f.endswith("b2") else a
+                                 for f, a in main.items()])
+        imgs[33], txts[5] = 0.0, 0.0
+        u = model.embed_image(imgs, main)
+        v = model.embed_text(txts, main)
+        want, want_bad = model.block_cosine(u, v)
+        assert want_bad == 70 + 70 - 1
+        for _ in block_paths():
+            got, n_bad = ek.score_matrix([(main, None)], imgs, txts,
+                                         scorer="cosine", threads=2)
+            assert n_bad == want_bad
+            assert got.tobytes() == want.data.tobytes()
+
     def test_needs_a_model(self):
         with pytest.raises(ValueError, match="at least one"):
             ek.score_matrix([], np.zeros((2, 5)), np.zeros((2, 4)))
@@ -447,7 +469,7 @@ class TestBlockwiseRanks:
             raise AssertionError("a block was scored")
 
         monkeypatch.setattr(model, "block_feature", no_scoring)
-        monkeypatch.setattr(model, "block_cosine", no_scoring)
+        monkeypatch.setattr(model, "cosine_strip", no_scoring)
         split = make_split(65, 4)
         for scorer in ("mscn", "cosine"):
             with pytest.raises(ValueError, match=r"k=66 outside \[1, 65\]"):

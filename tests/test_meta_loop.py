@@ -782,9 +782,10 @@ def _drop_plans(step):
 
 @pytest.mark.parametrize("mode", ["mscn", "fixed_margin_baseline"])
 def test_replaying_epochs_equal_epochs_of_recorded_steps(monkeypatch, mode):
-    """`train`, whose epochs capture each first-order stage in their first
-    step and replay it after, ends bitwise where a run of recorded steps
-    ends: across the warmup epoch and the learning-rate decay."""
+    """`train`, which captures each stage, the retained ones included, in
+    the first step that runs it and replays that plan for the rest of the
+    run, ends bitwise where a run of recorded steps ends: across the
+    warmup epoch and the learning-rate decay."""
     ds = small_dataset(noise=0.5)
     cfg = train_cfg(mode=mode, warmup_epochs=1, epochs=2, lr_decay_epoch=2)
     replays = []

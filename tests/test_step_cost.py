@@ -67,3 +67,24 @@ def test_against_another_config_is_refused(step_cost, committed, tmp_path,
     assert exit_.value.code == 2
     assert "measured on configs/smoke.json" in capsys.readouterr().err
     assert not (tmp_path / "out.json").exists()
+
+
+def test_against_without_out_writes_nothing(step_cost, committed, tmp_path,
+                                            monkeypatch):
+    """A comparison run with no --out leaves the file it compares against,
+    and every other file, as they were."""
+    (tmp_path / "configs").mkdir()
+    (tmp_path / "configs" / "default.json").write_bytes(
+        (ROOT / "configs" / "default.json").read_bytes())
+    pinned = tmp_path / "BENCH_step_cost.json"
+    pinned.write_bytes((ROOT / "BENCH_step_cost.json").read_bytes())
+    before = pinned.read_bytes()
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(step_cost, "measure",
+                        lambda ds, cfg, kind, steps, warmup:
+                        dict(committed["results"][kind], recorded_ms=1.0))
+    assert step_cost.main(["--steps", "1", "--warmup", "1",
+                           "--against", "BENCH_step_cost.json"]) == 0
+    assert pinned.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "BENCH_step_cost.json", "configs"]
