@@ -3,7 +3,7 @@
 Usage, from the root of a checkout:
 
     python3 benchmarks/output_hashes.py [--config configs/default.json]
-        [--out BENCH_output_hashes.json] [--against FILE]
+        [--out FILE] [--against FILE]
 
 Runs, in a temporary directory and on one thread each, the three runs of
 the perfbench workloads built from --config:
@@ -17,11 +17,12 @@ the perfbench workloads built from --config:
 
 It writes the sha256 of each run's dataset, `metrics.tsv`, four
 checkpoints and `test_report.tsv`, and of eval-large's `report.tsv`, to
---out.  With --against FILE (an earlier --out) it lists the files whose
-hash differs and exits 1 if any do.  Every step is a `python -m mscn.cli`
-child of this process, which imports neither numpy nor mscn, so the
-child's `ru_maxrss` (read through `os.wait4`) is the command's own peak
-RSS, not this process's.  Each step prints that peak on stdout, then the
+--out, if given.  With --against FILE (an earlier --out) it lists the
+files whose hash differs and exits 1 if any do; without --out it writes
+nothing, so the file it compares with keeps its bytes.  Every step is a
+`python -m mscn.cli` child of this process, which imports neither numpy
+nor mscn, so the child's `ru_maxrss` (read through `os.wait4`) is the
+command's own peak RSS, not this process's.  Each step prints that peak on stdout, then the
 hashes of what it wrote; the peaks are neither written to --out nor
 compared.
 """
@@ -129,12 +130,14 @@ def output_hashes(config: Path, env) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--config", default=str(ROOT / "configs" / "default.json"))
-    p.add_argument("--out", default="BENCH_output_hashes.json")
+    p.add_argument("--out", help="where to write the hashes as JSON")
     p.add_argument("--against", help="an earlier --out to compare with")
     args = p.parse_args(argv)
     hashes = output_hashes(Path(args.config), cli_env())
-    doc = {"config": Path(args.config).name, "sha256": hashes}
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if args.out:
+        doc = {"config": Path(args.config).name, "sha256": hashes}
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
+                                  encoding="utf-8")
     if args.against is None:
         return 0
     want = json.loads(Path(args.against).read_text(encoding="utf-8"))["sha256"]

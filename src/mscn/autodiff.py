@@ -66,10 +66,10 @@ same ``add.reduce`` as the ``np.sum``/``np.any`` wrappers, and a float64
 ndarray is wrapped in a Tensor as it is.
 
 Capture and replay.  Each op hands ``_record`` its kernel, the function
-that computes its output, and the kernel's operand arrays; numpy work
-off the record (masks, indices, domain checks, the pick block) goes
-through ``host`` the same way.  While a ``Capture`` is active, every
-such call is logged as one step of a plan: the kernel and the slots of
+that computes its output, and the kernel's operand arrays, which it runs
+through ``host``, as numpy work off the record (masks, indices, domain
+checks, the pick block) runs.  While a ``Capture`` is active, every
+``host`` call is logged as one step of a plan: the kernel and the slots of
 its operands and outputs.  An operand array must be an input declared
 to the capture or the output of a logged kernel; any other array raises
 CaptureError rather than being baked in.  Other operands (floats,
@@ -85,12 +85,13 @@ ops like the forward pass, so the plan of a second-order stage holds the
 kernels of both.  A plan is right only while what it baked in holds:
 shapes, constants and the branches taken on them.  Its owner bounds its
 life to a span over which those are fixed; ``meta_loop.train`` keeps one
-plan per stage and per set of constants that stage bakes in, for the
-whole run and both network pairs.
+plan per stage for the whole run and both network pairs, and hands each
+stage what changes over a run, such as the virtual step size, as inputs.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import threading
@@ -255,27 +256,18 @@ def host(kernel: Callable, *args):
 
 def _record(op: str, kernel: Callable, args: tuple, inputs: Sequence[Tensor],
             vjp: Callable, keep_out: bool = False) -> Tensor:
-    """Run the op's `kernel` on its operand arrays `args`, log the call to
-    the plan being captured, if any, and wrap the output; append a node to
-    the active record if one of the Tensors `inputs` is on it.  The node
-    holds the output only with `keep_out`, which an op sets when its VJP
-    reads `out`."""
-    data = kernel(*args)
-    capture = _state.capture
-    if capture is not None:
-        capture.log(kernel, args, data)
-    out = Tensor(data)
+    """Run the op's `kernel` on its operand arrays `args` through `host`,
+    which logs the call to the plan being captured, if any, and wrap the
+    output; append a node to the active record if one of the Tensors
+    `inputs` is on it.  The node holds the output only with `keep_out`,
+    which an op sets when its VJP reads `out`."""
+    out = Tensor(host(kernel, *args))
     tape = _state.tape
     if tape is None:
         return out
-    if len(inputs) == 1:  # every op has one or two inputs
-        parents = (inputs[0].node,)
-        if parents[0] is None:
-            return out
-    else:
-        parents = (inputs[0].node, inputs[1].node)
-        if parents[0] is None and parents[1] is None:
-            return out
+    parents = tuple(x.node for x in inputs)
+    if not any(parents):
+        return out
     ref = tape._ref
     for p in parents:
         if p is not None and p.record is not ref:
@@ -422,20 +414,13 @@ def _positive(x) -> np.ndarray:
     return _float64(x > 0.0)
 
 
-def _expit(x, out=None):
-    """expit(x, out=out); the first call binds this name to scipy's ufunc
-    (see `_expit_ufunc`), which the block scorers then call directly."""
-    return _expit_ufunc()(x, out=out)
-
-
+@functools.cache
 def _expit_ufunc():
-    """scipy's expit ufunc.  The first call loads it through `_special`,
-    which skips the 0.23 s scipy.special package, and binds `_expit` to
-    it, so commands that take no sigmoid load no scipy at all."""
-    global _expit
-    if type(_expit) is not np.ufunc:
-        from ._special import expit as _expit
-    return _expit
+    """scipy's expit ufunc, loaded on the first call through `_special`,
+    which skips the 0.23 s scipy.special package, so commands that take no
+    sigmoid load no scipy at all."""
+    from ._special import expit
+    return expit
 
 
 def sigmoid(x) -> Tensor:

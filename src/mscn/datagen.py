@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .fileio import write_atomic
+from .fileio import Reader, write_atomic
 
 DATASET_MAGIC = b"MSCD"
 DATASET_VERSION = 1
@@ -321,26 +321,9 @@ def write_dataset(path, ds: Dataset) -> None:
 
 
 def read_dataset(path) -> Dataset:
-    with open(path, "rb") as fh:
-        # a view, so each split's records are read in place, not copied out
-        blob = memoryview(fh.read())
-    if blob[:4] != DATASET_MAGIC:
-        raise DatasetFormatError(f"bad magic: {bytes(blob[:4])!r}")
-    if len(blob) < 8:
-        raise DatasetFormatError("truncated header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != DATASET_VERSION:
-        raise DatasetFormatError(f"unsupported version: {version}")
-    pos = 8
-
-    def take(count: int) -> memoryview:
-        nonlocal pos
-        if pos + count > len(blob):
-            raise DatasetFormatError(f"truncated at byte {pos}: needed {count} more")
-        chunk = blob[pos:pos + count]
-        pos += count
-        return chunk
-
+    # take() hands out views, so each split's records are read in place
+    reader = Reader(path, DATASET_MAGIC, DATASET_VERSION, DatasetFormatError)
+    take = reader.take
     counts = struct.unpack("<4I", take(16))
     d_img, d_txt = struct.unpack("<2I", take(8))
     if d_img < 1 or d_txt < 1 or d_img > 1_000_000 or d_txt > 1_000_000:
@@ -366,8 +349,8 @@ def read_dataset(path) -> Dataset:
         manifest = json.loads(str(take(manifest_len), "utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise DatasetFormatError(f"bad manifest: {exc}") from None
-    if pos != len(blob):
-        raise DatasetFormatError(f"{len(blob) - pos} trailing bytes after manifest")
+    if reader.left:
+        raise DatasetFormatError(f"{reader.left} trailing bytes after manifest")
 
     if not isinstance(manifest, dict):
         raise DatasetFormatError("manifest must be a JSON object")

@@ -242,8 +242,9 @@ def _planned(plans, key, inputs, body) -> list:
 
     `plans` is None for a step called on its own, or the dict of plans
     that `train` keeps for a run (`run_epoch` makes one per call when
-    given none).  Its keys are a stage and the constants that stage
-    bakes in.  If it holds `key`, the arrays come from a replay of that
+    given none), keyed by stage: a plan bakes in only what holds for the
+    whole run, and takes what changes, such as a step size, among
+    `inputs`.  If it holds `key`, the arrays come from a replay of that
     plan on `inputs`: no record is made.  Otherwise body() runs and, with
     `plans`, is captured into the plan of `key` that the run's later steps
     replay."""
@@ -280,17 +281,18 @@ def _descend_on(params, loss_of, opt: AdamState, lr: float, context: str,
 
 def virtual_update(tape: ad.Tape, main_lifted: model.MainNetParams,
                    meta_lifted: model.MetaNetParams, images, texts,
-                   alpha: float, cfg: TrainConfig, feature=None):
+                   alpha, cfg: TrainConfig, feature=None):
     """Stage 1: record loss, gradients, and the descent step W - alpha*g as
     functions of the correction params.  Returns (virtual params, loss).
-    `feature`: see `objective.triplet_loss`."""
+    `alpha` is the step size, a float or a 0-d array (which a plan takes
+    as an input); `feature`: see `objective.triplet_loss`."""
     loss = objective.triplet_loss(images, texts, main_lifted, meta_lifted,
                                   cfg.gamma, cfg.tau,
                                   adaptive=cfg.use_adaptive_margin,
                                   feature=feature)
     leaves = _fields(main_lifted)
     grads = ad.backward_retaining(tape, loss, wrt=leaves)
-    stepped = [ad.sub(t, ad.scalar_mul(alpha, grads[t])) for t in leaves]
+    stepped = [ad.sub(t, ad.mul(grads[t], alpha)) for t in leaves]
     return main_lifted.with_arrays(stepped), loss
 
 
@@ -322,7 +324,7 @@ def actual_update(state: NetState, meta_new: model.MetaNetParams, images, texts,
 
 
 def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
-                     lr_main: float, cfg: TrainConfig) -> list:
+                     alpha, cfg: TrainConfig) -> list:
     """The pick feature of the batch, then stages 1 and 2 on one retained
     record, which is freed on return.  Returns the arrays [correction
     gradients in field order..., train loss, meta loss, feature unit
@@ -338,7 +340,7 @@ def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
         main_l = main.lift(tape)
         meta_l = state.meta.lift(tape)
         virtual_main, train_loss = virtual_update(
-            tape, main_l, meta_l, images, texts, lr_main, cfg, feature)
+            tape, main_l, meta_l, images, texts, alpha, cfg, feature)
         grads, meta_loss = meta_update(tape, virtual_main, meta_l, batch)
     return [*grads, train_loss.data, meta_loss.data, *feature]
 
@@ -346,14 +348,15 @@ def _retained_stages(state: NetState, images, texts, batch: MetaBatch,
 def bilevel_step(state: NetState, images, texts, batch: MetaBatch,
                  lr_main: float, lr_meta: float, cfg: TrainConfig, plans=None):
     """One full three-stage step; returns (new state, diagnostics).  With
-    `plans` (see `_planned`) the retained stages are one plan, which bakes
-    in `lr_main` as the virtual step size, and the actual stage another;
-    both optimizer steps run outside them."""
+    `plans` (see `_planned`) the retained stages are one plan, which takes
+    the virtual step size `lr_main` as an input, and the actual stage
+    another; both optimizer steps run outside them."""
+    alpha = np.array(lr_main, dtype=np.float64)
     *grads, train_loss, meta_loss, unit, norms = _planned(
-        plans, ("retained", lr_main),
+        plans, "retained",
         [*_fields(state.main), *_fields(state.meta), images, texts,
-         batch.images, batch.texts, batch.labels],
-        lambda: _retained_stages(state, images, texts, batch, lr_main, cfg))
+         batch.images, batch.texts, batch.labels, alpha],
+        lambda: _retained_stages(state, images, texts, batch, alpha, cfg))
     meta_new = _descend(state.meta, grads, state.opt_meta, lr_meta,
                         "meta_update")
     main_new, _ = actual_update(state, meta_new, images, texts, lr_main, cfg,
@@ -599,8 +602,8 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> RunState
     calling thread.  The outputs do not depend on it.
 
     Both network pairs and every epoch share one dict of plans, which is
-    not part of the `RunState`: each stage is captured once per run for
-    each set of constants it bakes in, and every other step replays it.
+    not part of the `RunState`: each stage is captured once per run, in
+    the first step that runs it, and every other step replays it.
     A replay gives the bits of a recorded step, so a run resumed from a
     pickled state captures again and ends on the same bytes."""
     cfg.validate()

@@ -18,11 +18,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import autodiff
 from .autodiff import (
     ShapeMismatchError,
     Tape,
     Tensor,
+    _expit_ufunc,
     _gemm,
     _lift,
     add,
@@ -38,7 +38,7 @@ from .autodiff import (
     sub,
     transpose,
 )
-from .fileio import write_atomic
+from .fileio import Reader, write_atomic
 
 # Below this, the similarity feature's direction is numerically meaningless.
 NORM_EPSILON = 1e-12
@@ -315,7 +315,7 @@ def block_feature(u, v, sim_w) -> tuple[np.ndarray, np.ndarray]:
         sq = np.multiply(x, x, out=squares[:stop - start])
         sq.sum(axis=-1, out=norms[start:stop])
     np.sqrt(norms, out=norms)
-    unit /= np.where(norms <= NORM_EPSILON, 1.0, norms)[:, None]
+    unit /= _railed(norms, norms <= NORM_EPSILON)[:, None]
     return unit, norms.reshape(n_u, n_v)
 
 
@@ -340,7 +340,7 @@ def block_scores(feature: tuple[np.ndarray, np.ndarray],
         np.maximum(h, 0.0, out=h)
         _gemm(h, w2, out=flat[start:stop])
     scores += b2
-    autodiff._expit(scores, out=scores)  # rebinds to scipy's ufunc on first use
+    _expit_ufunc()(scores, out=scores)
     scores[mask] = 0.5
     return scores, int(mask.sum())
 
@@ -432,34 +432,19 @@ def save_checkpoint(path, main: MainNetParams, meta: MetaNetParams) -> None:
 
 
 def load_checkpoint(path) -> tuple[MainNetParams, MetaNetParams]:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != CHECKPOINT_MAGIC:
-        raise CheckpointFormatError(f"bad magic: {blob[:4]!r}")
-    if len(blob) < 8:
-        raise CheckpointFormatError("truncated header")
-    (version,) = struct.unpack_from("<I", blob, 4)
-    if version != CHECKPOINT_VERSION:
-        raise CheckpointFormatError(f"unsupported version: {version}")
-    pos = 8
+    reader = Reader(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                    CheckpointFormatError)
+    take = reader.take
     tensors: dict[str, np.ndarray] = {}
 
-    def take(n: int) -> bytes:
-        nonlocal pos
-        if pos + n > len(blob):
-            raise CheckpointFormatError(
-                f"truncated at byte {pos}: needed {n} more")
-        chunk = blob[pos:pos + n]
-        pos += n
-        return chunk
-
-    while pos < len(blob):
+    while reader.left:
         (name_len,) = struct.unpack("<H", take(2))
         try:
-            name = take(name_len).decode("utf-8")
+            name = str(take(name_len), "utf-8")
         except UnicodeDecodeError:
             raise CheckpointFormatError(
-                f"tensor name at byte {pos - name_len} is not UTF-8") from None
+                f"tensor name at byte {reader.pos - name_len} is not UTF-8"
+            ) from None
         (rank,) = struct.unpack("<I", take(4))
         if rank > 8:
             raise CheckpointFormatError(f"implausible rank {rank} for {name}")

@@ -604,11 +604,10 @@ def test_baseline_step_ignores_meta():
 
 # ---------------------------------------------------------------------------
 # replayed stages: a dict of plans makes a step's first call capture each
-# stage and its later calls replay it; the retained stages are keyed by the
-# virtual step size they bake in
+# stage and its later calls replay it; plans are keyed by stage alone
 
 _STAGES = {"baseline": {"baseline"}, "warmup": {"warmup main", "warmup meta"},
-           "bilevel": {"actual_update", ("retained", tiny_cfg().lr_main)},
+           "bilevel": {"actual_update", "retained"},
            "actual": {"actual_update"}}
 
 
@@ -672,6 +671,27 @@ def test_replayed_stages_match_recorded_steps_bitwise(kind, adaptive):
             assert set(plans) == _STAGES[kind]
             assert got == want, (net, i)
             assert _net_bytes(replayed) == _net_bytes(recorded), (net, i)
+
+
+def test_one_retained_plan_serves_two_step_sizes():
+    """A bilevel step at one virtual step size captures the retained
+    stages; a step at another replays that plan, with the step size as
+    its input, and gives the bits of a recorded step at that size."""
+    cfg = tiny_cfg()
+    a, b = cfg.lr_main, cfg.lr_main * 0.1
+    plans = {}
+    state = tiny_state(9450)
+    imgs, txts, mb = _step_args(9450, 0)
+    state, _ = bilevel_step(state, imgs, txts, mb, a, cfg.lr_meta, cfg,
+                            plans=plans)
+    imgs, txts, mb = _step_args(9450, 1)
+    want_state, want = bilevel_step(copy.deepcopy(state), imgs, txts, mb, b,
+                                    cfg.lr_meta, cfg)
+    got_state, got = bilevel_step(state, imgs, txts, mb, b, cfg.lr_meta, cfg,
+                                  plans=plans)
+    assert len(plans) == 2
+    assert got == want
+    assert _net_bytes(got_state) == _net_bytes(want_state)
 
 
 def _nan_main(state, args):
@@ -813,10 +833,8 @@ def test_replaying_epochs_equal_epochs_of_recorded_steps(monkeypatch, mode):
 @pytest.mark.parametrize("mode", ["mscn", "fixed_margin_baseline"])
 def test_each_stage_is_captured_once_per_run(monkeypatch, mode):
     """Over a run with a warmup epoch and the learning-rate decay inside
-    it, `train` captures each stage once for each constant it bakes in:
-    the retained stages once per virtual step size, every other stage
-    once.  Both network pairs and every epoch take the same dict of
-    plans."""
+    it, `train` captures each stage once per run.  Both network pairs and
+    every epoch take the same dict of plans."""
     captures, dicts = [], []
 
     class CountedCapture(ad.Capture):
@@ -835,9 +853,7 @@ def test_each_stage_is_captured_once_per_run(monkeypatch, mode):
     train(small_dataset(noise=0.5), cfg)
     assert len(dicts) == 2 * 3 and all(d is dicts[0] for d in dicts)
     want = ({"baseline"} if mode == "fixed_margin_baseline" else
-            {"warmup main", "warmup meta", "actual_update",
-             ("retained", cfg.lr_main),
-             ("retained", cfg.lr_main * cfg.lr_decay_factor)})
+            {"warmup main", "warmup meta", "retained", "actual_update"})
     assert set(dicts[0]) == want
     assert len(captures) == len(want)
 
