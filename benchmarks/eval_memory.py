@@ -4,7 +4,7 @@ one worker against a pool of two.
 Usage, from the root of a checkout:
 
     python3 benchmarks/eval_memory.py [--pairs-per-cluster 2000]
-        [--repeats 5] [--max-pairs 2000] [--out BENCH_eval_memory.json]
+        [--repeats 5] [--max-pairs 2000] [--out FILE]
 
 Builds the inputs of perfbench's eval-large workload in a temporary
 directory: the default config's dataset, two checkpoints from a
@@ -29,10 +29,11 @@ Every step is a python child of this process, which imports neither
 numpy nor mscn.  Linux counts the RSS a child had before exec, a copy of
 its parent's, in the child's peak RSS (`ru_maxrss`), so only a small
 parent lets the number be the eval's own; the parent's peak is recorded
-beside it.  The median wall seconds and every run's peak RSS go to
---out, with the reports' sha256 and the host and BLAS facts that
-`step_cost.py` records; a report that differs between repeats or series
-raises.  Nothing else is asserted: the numbers are for before/after
+beside it.  Only with --out (`--out BENCH_eval_memory.json` regenerates
+the pinned numbers) are the median wall seconds and every run's peak RSS
+written to that file, with the reports' sha256 and the host and BLAS
+facts that `step_cost.py` records; a report that differs between repeats
+or series raises.  Nothing else is asserted: the numbers are for before/after
 comparisons on one host, run alternately.
 """
 
@@ -125,7 +126,7 @@ def main(argv=None) -> int:
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--max-pairs", type=int, default=2000,
                    help="leave the worker series' larger cases out")
-    p.add_argument("--out", default="BENCH_eval_memory.json")
+    p.add_argument("--out", help="where to write the results as JSON")
     args = p.parse_args(argv)
     if args.pairs_per_cluster < 1 or args.repeats < 1 or args.max_pairs < 0:
         p.error("--pairs-per-cluster and --repeats must be at least 1, "
@@ -199,7 +200,9 @@ def main(argv=None) -> int:
                  "python": platform.python_version(),
                  "numpy": metadata.version("numpy")},
     }
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
+                                  encoding="utf-8")
     return 0
 
 

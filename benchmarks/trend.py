@@ -4,7 +4,7 @@ Usage, from the root of a checkout:
 
     PYTHONPATH=src python3 benchmarks/trend.py [--config configs/default.json]
         [--seeds 3] [--noise 0,0.2,0.5,0.7]
-        [--against PARENT.json] [--out BENCH_trend.json]
+        [--against PARENT.json] [--out FILE]
 
 For each noise ratio it builds the config's dataset in memory and
 corrupts that share of the train pairs with the config's noise seed.  On
@@ -26,7 +26,9 @@ count the seeds on which one arm beats another.  With `--against`, each
 arm's mean rsum is compared with the same arm in an earlier output: an
 arm has moved when the difference exceeds the larger of the two seed
 ranges.  An arm the earlier output lacks is listed under "skipped" and
-not compared.  Nothing is asserted.
+not compared.  Nothing is asserted.  The output is written only to
+`--out` (`--out BENCH_trend.json` regenerates the pinned results), so a
+quick check leaves every file as it was.
 """
 
 from __future__ import annotations
@@ -142,7 +144,7 @@ def main(argv=None) -> int:
     p.add_argument("--noise", default="0,0.2,0.5,0.7",
                    help="comma-separated noise ratios")
     p.add_argument("--against", help="an earlier output to compare with")
-    p.add_argument("--out", default="BENCH_trend.json")
+    p.add_argument("--out", help="where to write the output as JSON")
     args = p.parse_args(argv)
     noise = [float(x) for x in args.noise.split(",")]
     if args.seeds < 1:
@@ -185,7 +187,9 @@ def main(argv=None) -> int:
         print(f"arms moved beyond their seed range: {moved or 'none'}")
         if skipped:
             print(f"not in {args.against}, not compared: {skipped}")
-    Path(args.out).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, indent=2) + "\n",
+                                  encoding="utf-8")
     return 0
 
 

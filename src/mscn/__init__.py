@@ -8,7 +8,7 @@ mixture over its scores purifies noisy correspondences each epoch, with
 two network pairs cross-feeding each other's purified sets.
 
 Importing the package sets OPENBLAS_NUM_THREADS to 1 unless it is already
-set: evaluation fans its chunks out over its own worker threads, and a
+set: evaluation fans its blocks out over its own worker processes, and a
 multi-threaded BLAS under each of them oversubscribes the cores.  The
 setting only takes effect if numpy has not been imported yet.  The
 package root imports no submodule: callers import the ones they use

@@ -8,9 +8,8 @@ of scipy, and registers the module under its real name, so a later
 `import scipy.special` reuses the same ufunc objects.
 
 scipy releases without that file, or without those names in it, get the
-package's own functions instead.  Callers import this module on first use,
-under the import lock, so the load happens once even when the first call
-comes from an evaluation worker thread.
+package's own functions instead.  Callers import this module on first
+use, so the load happens once.
 """
 
 from __future__ import annotations

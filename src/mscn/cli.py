@@ -10,7 +10,6 @@ failure (malformed files, numeric aborts).
 from __future__ import annotations
 
 import argparse
-import ctypes
 import json
 import logging
 import sys
@@ -26,8 +25,6 @@ from .meta_loop import SCORER_OF_MODE, TrainConfig, fit_purifier, train
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_RUNTIME = 2
-
-_M_ARENA_MAX = -8   # glibc mallopt parameter (malloc.h)
 
 # every config section and the dataclass that declares its keys and types
 _SECTIONS = {"data": datagen.GenConfig, "noise": datagen.NoiseConfig,
@@ -83,23 +80,6 @@ def _cutoffs(text: str) -> tuple:
         raise argparse.ArgumentTypeError(
             f"expected distinct ascending cutoffs, got {text!r}")
     return ks
-
-
-def _one_malloc_arena():
-    """Have glibc malloc serve every thread from one arena.
-
-    The evaluation workers then share the main arena instead of each
-    holding freed memory in one of its own: a 2000-pair eval at two
-    workers peaks 0.5-0.9 MB lower.  A C library without mallopt is
-    left as it is.  Returns whether the setting was made."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (AttributeError, OSError, TypeError):
-        return False
-    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
-    mallopt.restype = ctypes.c_int
-    mallopt(_M_ARENA_MAX, 1)
-    return True
 
 
 def load_config(path) -> dict:
@@ -249,12 +229,12 @@ def build_parser() -> _Parser:
     p.add_argument("--mode", choices=list(SCORER_OF_MODE),
                    help="override the training mode")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="at most this many workers for each validation and "
-                        "test eval; a split of fewer than "
+                   help="at most this many worker processes for each "
+                        "validation and test eval; a split of fewer than "
                         f"{2 * evalkit.MIN_BLOCKS_PER_WORKER} blocks "
                         f"({evalkit.TILE} x {evalkit.TILE} mscn tiles or "
                         f"{evalkit.CHUNK_ROWS}-row cosine strips), as in "
-                        "every shipped config, runs on the calling thread "
+                        "every shipped config, runs in the calling process "
                         "(default: the usable CPUs; outputs do not depend "
                         "on it)")
     p.set_defaults(func=cmd_train)
@@ -268,9 +248,9 @@ def build_parser() -> _Parser:
     p.add_argument("--ks", type=_cutoffs, default="1,5,10",
                    help="comma-separated cutoffs")
     p.add_argument("--threads", type=_positive_int, default=None,
-                   help="at most this many workers, none for a split too "
-                        "small to share (default: the usable CPUs; the "
-                        "report does not depend on it)")
+                   help="at most this many worker processes, none for a "
+                        "split too small to share (default: the usable CPUs; "
+                        "the report does not depend on it)")
     p.add_argument("--out", help="directory for report.tsv")
     p.set_defaults(func=cmd_eval)
 
@@ -287,7 +267,6 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    _one_malloc_arena()
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     parser = build_parser()

@@ -15,18 +15,18 @@ norm once per model (`model.cosine_side`) and scores fixed CHUNK_ROWS-row
 strips that span all texts as one product of those rows
 (`model.cosine_strip`), with the bits of `model.block_cosine`.  The worker
 count (at most `threads`, or the CPUs this process may run on) only
-decides how many blocks run concurrently, never how the matrix is
-partitioned, so outputs are bitwise invariant to it.  A split too small
-to give every worker MIN_BLOCKS_PER_WORKER blocks is scored on the
-calling thread, where a pool would save little time and cost memory.
+decides how many forked worker processes score blocks at once, never how
+the matrix is partitioned, so outputs are bitwise invariant to it.  A
+split too small to give every worker MIN_BLOCKS_PER_WORKER blocks is
+scored in the calling process.
 
-`score_matrix` fills the whole matrix from the blocks.  `evaluate` builds
-no matrix: it first scores the blocks that hold a true pair and reads the
-true scores from them, then each worker counts, for its block, the
-candidates that rank ahead of each row's and each column's true one.  On
-1:1 splits the kept blocks are the diagonal tiles, so the mscn scorer's
-memory follows the tile, not the number of texts.  Every cosine strip
-holds true pairs, so that scorer keeps all of them, as much as the matrix.
+`score_matrix` writes the blocks its workers return into the matrix.
+`evaluate` builds none and moves no block between processes: a first
+pass scores the blocks that hold a true pair for their true scores, and
+a second the rest for the candidates that rank ahead of each row's and
+column's true one.  A held block that holds the true pairs of all its
+rows and columns (a diagonal tile of a 1:1 split) counts in the first
+pass; any other (a cosine strip) is scored again in the second.
 
 Ranking is deterministic: a candidate ranks ahead of the true one if its
 score is strictly higher, or equal with a lower index.
@@ -35,7 +35,6 @@ score is strictly higher, or equal with a lower index.
 from __future__ import annotations
 
 import os
-from contextlib import contextmanager
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +44,9 @@ from .datagen import Split
 
 TILE = 64
 CHUNK_ROWS = 32
-# a pool starts only from this many blocks per worker.  On 2 vCPUs a pool
-# of two saved no time on 4 tiles or 13 strips and cost 1-2 MB of peak
-# RSS; it saved 12% of `mscn eval` on 49 tiles, 18% on 63 strips and more
-# on larger splits (benchmarks/eval_memory.py, README)
+# a pool starts only from this many blocks per worker: on 2 vCPUs two forked
+# workers cost `mscn eval` 0.04-0.06 s on 4 tiles or 13 strips, and saved
+# 24-26% on 169 tiles and 39-44% on 1024 (benchmarks/eval_memory.py, README)
 MIN_BLOCKS_PER_WORKER = 8
 
 
@@ -118,20 +116,33 @@ def _block_scorer(models, images, texts, scorer: str):
     return blocks, block_of, averaged
 
 
-@contextmanager
 def _block_map(threads, n_blocks: int):
-    """A `map` that runs its calls on the evaluation workers, in order.
-
-    At most `worker_count(threads)` workers, and no more than give each
-    one MIN_BLOCKS_PER_WORKER of the `n_blocks` blocks; below two workers
-    the calls run on the calling thread and no pool is started."""
+    """A `map` over at most `worker_count(threads)` workers, and no more than
+    give each MIN_BLOCKS_PER_WORKER of the `n_blocks` blocks: `map` itself
+    below two, else one that forks a pool per call, whose workers inherit
+    the function (only items and results are pickled), and closes it."""
     workers = min(worker_count(threads), n_blocks // MIN_BLOCKS_PER_WORKER)
     if workers < 2:
-        yield map
-        return
-    from concurrent.futures import ThreadPoolExecutor
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        yield pool.map
+        return map
+    import multiprocessing
+
+    def pooled(fn, items) -> list:
+        with multiprocessing.get_context("fork").Pool(
+                workers, _take, (fn,)) as pool:
+            return pool.map(_run, items)
+    return pooled
+
+
+_work = None   # in a pool worker, the function its calls run
+
+
+def _take(fn) -> None:   # the pool's initializer
+    global _work
+    _work = fn
+
+
+def _run(item):
+    return _work(item)
 
 
 def score_matrix(models, images, texts, scorer: str = "mscn",
@@ -145,13 +156,12 @@ def score_matrix(models, images, texts, scorer: str = "mscn",
     refuses them (`model.refuse_degenerate`)."""
     blocks, _, score = _block_scorer(models, images, texts, scorer)
     out = np.empty((len(images), len(texts)), dtype=np.float64)
-
-    def fill(block) -> int:
-        out[block], n_bad = score(block)
-        return n_bad
-
-    with _block_map(threads, len(blocks)) as each:
-        return out, sum(each(fill, blocks))
+    n_bad = 0
+    for block, (scores, bad) in zip(
+            blocks, _block_map(threads, len(blocks))(score, blocks)):
+        out[block] = scores
+        n_bad += bad
+    return out, n_bad
 
 
 def ranks(scores: np.ndarray, truth: np.ndarray) -> np.ndarray:
@@ -287,33 +297,46 @@ def evaluate(models, split: Split, ks=(1, 5, 10), scorer: str = "mscn",
                                             scorer)
     truth_block = block_of(np.arange(n), i2t_truth)
     true_score = np.empty(n, dtype=np.float64)
+    text_true_score = None   # every text's, once the first pass is done
+
+    def count(b):
+        """Block b's true scores, and its counts once every true score they
+        need is known: a square block holding its rows' true pairs holds
+        its columns' (the maps are inverse), so it knows its own."""
+        rows, cols = blocks[b]
+        scores, bad = score(blocks[b])
+        q = np.flatnonzero(truth_block == b)
+        true = scores[q - rows.start, i2t_truth[q] - cols.start]
+        if len(q) == len(scores) == scores.shape[1]:
+            row_true, col_true = true, true[t2i_truth[cols] - rows.start]
+        elif text_true_score is None:
+            return true, None
+        else:
+            row_true, col_true = true_score[rows], text_true_score[cols]
+        return true, (_ahead(scores, row_true, i2t_truth[rows], cols.start),
+                      _ahead(scores.T, col_true, t2i_truth[cols], rows.start),
+                      np.count_nonzero(np.isnan(scores)), bad)
+
+    each = _block_map(threads, len(blocks))
+    # np.unique imports numpy.ma in numpy 2.4: about 1.3 MB and 10 ms
+    held = sorted(set(truth_block.tolist()))
+    first = dict(zip(held, each(count, held)))
+    for b, (block_true, _) in first.items():
+        true_score[truth_block == b] = block_true
+    counts = {b: c for b, (_, c) in first.items() if c}
+    text_true_score = true_score[t2i_truth]
+    rest = [b for b in range(len(blocks)) if b not in counts]
+    counts.update((b, c) for b, (_, c) in zip(rest, each(count, rest)))
+
     i2t_ahead = np.zeros(n, dtype=np.int64)
     t2i_ahead = np.zeros(n, dtype=np.int64)
     n_nan = n_bad = 0
-    with _block_map(threads, len(blocks)) as each:
-        # np.unique imports numpy.ma in numpy 2.4: about 1.3 MB and 10 ms
-        held = sorted(set(truth_block.tolist()))
-        kept = dict(zip(held, each(score, [blocks[b] for b in held])))
-        for b, (scores, _) in kept.items():
-            rows, cols = blocks[b]
-            q = np.flatnonzero(truth_block == b)
-            true_score[q] = scores[q - rows.start, i2t_truth[q] - cols.start]
-        text_true_score = true_score[t2i_truth]
-
-        def count(b):
-            rows, cols = blocks[b]
-            scores, bad = kept.pop(b) if b in kept else score(blocks[b])
-            return (_ahead(scores, true_score[rows], i2t_truth[rows], cols.start),
-                    _ahead(scores.T, text_true_score[cols], t2i_truth[cols],
-                           rows.start),
-                    np.count_nonzero(np.isnan(scores)), bad)
-
-        for (rows, cols), (rows_ahead, cols_ahead, nan, bad) in zip(
-                blocks, each(count, range(len(blocks)))):
-            i2t_ahead[rows] += rows_ahead
-            t2i_ahead[cols] += cols_ahead
-            n_nan += nan
-            n_bad += bad
+    for b, (rows_ahead, cols_ahead, nan, bad) in counts.items():
+        rows, cols = blocks[b]
+        i2t_ahead[rows] += rows_ahead
+        t2i_ahead[cols] += cols_ahead
+        n_nan += nan
+        n_bad += bad
     _check_no_nan(n_nan)
     i2t = {k: _recall(1 + i2t_ahead, k, n) for k in ks}
     t2i = {k: _recall(1 + t2i_ahead, k, n) for k in ks}

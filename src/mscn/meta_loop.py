@@ -529,7 +529,6 @@ class RunState:
     metrics: list  # the metrics row of every finished epoch
     best_epoch: int = -1
     best_rsum: float = -1.0
-    final_val: evalkit.RecallReport | None = None  # the last epoch's
 
     @classmethod
     def init(cls, ds: Dataset, cfg: TrainConfig) -> "RunState":
@@ -579,7 +578,6 @@ def run_epoch(state: RunState, epoch: int, ds: Dataset, cfg: TrainConfig,
         row[f"val_i2t_r{k}"] = report.image_to_text[k]
         row[f"val_t2i_r{k}"] = report.text_to_image[k]
     state.metrics.append(row)
-    state.final_val = report
     if report.rsum > state.best_rsum:
         state.best_rsum = report.rsum
         state.best_epoch = epoch
@@ -596,10 +594,10 @@ def train(ds: Dataset, cfg: TrainConfig, out_dir=None, threads=None) -> RunState
     goes), best-validation checkpoints, and final checkpoints.  Each epoch
     trains net 1 and then net 2 on the calling thread: their steps are
     engine ops of a few microseconds that hold the interpreter lock, so a
-    second thread would mostly wait for it.  `threads` caps the workers
-    of every validation eval (see `evalkit.worker_count`); a split too
-    small to share, such as the default 100-pair one, is scored on the
-    calling thread.  The outputs do not depend on it.
+    second thread would mostly wait for it.  `threads` caps the worker
+    processes of every validation eval (see `evalkit.worker_count`); a
+    split too small to share, such as the default 100-pair one, is scored
+    in the calling process.  The outputs do not depend on it.
 
     Both network pairs and every epoch share one dict of plans, which is
     not part of the `RunState`: each stage is captured once per run, in

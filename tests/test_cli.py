@@ -5,14 +5,13 @@ import json
 import os
 import subprocess
 import sys
-import types
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import fail_writes_halfway, scipy_has_ufuncs_file
-from mscn import cli, datagen, evalkit, model, purifier
+from mscn import datagen, evalkit, model, purifier
 from mscn.cli import (EXIT_CONFIG, EXIT_OK, EXIT_RUNTIME, ConfigError,
                       build_config, load_config, main)
 from mscn.meta_loop import TrainConfig
@@ -253,36 +252,6 @@ def test_usage_errors_exit_config(tmp_path, capsys):
                      "--out", str(out), "--ks", ks]) == EXIT_CONFIG, ks
         assert "distinct ascending" in capsys.readouterr().err
     assert not out.exists()
-
-
-# ---------------------------------------------------------------------------
-# the malloc setting
-
-
-def test_one_malloc_arena_sets_only_the_arena_cap(monkeypatch):
-    calls = []
-
-    def mallopt(param, value):
-        calls.append((param, value))
-        return 1
-
-    monkeypatch.setattr(cli.ctypes, "CDLL",
-                        lambda name: types.SimpleNamespace(mallopt=mallopt))
-    assert cli._one_malloc_arena() is True
-    assert calls == [(-8, 1)]   # M_ARENA_MAX, one arena
-
-
-def test_one_malloc_arena_leaves_a_libc_without_mallopt(monkeypatch):
-    monkeypatch.setattr(cli.ctypes, "CDLL",
-                        lambda name: types.SimpleNamespace())
-    assert cli._one_malloc_arena() is False
-
-
-def test_main_caps_arenas_before_parsing(monkeypatch, capsys):
-    calls = []
-    monkeypatch.setattr(cli, "_one_malloc_arena", lambda: calls.append(1))
-    assert main([]) == EXIT_CONFIG
-    assert calls == [1]
 
 
 # ---------------------------------------------------------------------------
@@ -604,11 +573,12 @@ def test_data_and_baseline_commands_load_no_scipy(tmp_path):
 
 def test_data_and_small_eval_load_no_pool_or_masked_arrays(pipeline, tmp_path):
     """`gen-data` (smoke config, with noise) and a 12-pair `eval` at two
-    workers import neither numpy.ma (np.unique would) nor
-    concurrent.futures (a pool would), and neither does `import mscn.cli`."""
+    workers import neither numpy.ma (np.unique would) nor a pool module
+    (multiprocessing, or concurrent.futures), and neither does
+    `import mscn.cli`."""
     data, run = pipeline
     probe = ("import json, sys\nfrom mscn.cli import main\n"
-             "watched = ('numpy.ma', 'concurrent.futures')\n"
+             "watched = ('numpy.ma', 'multiprocessing', 'concurrent.futures')\n"
              "loaded = lambda: [m for m in watched if m in sys.modules]\n"
              "seen = {'import': loaded()}\n"
              "seen['gen-data'] = (main(['gen-data', '--config', sys.argv[1],"

@@ -1,11 +1,12 @@
 """Evaluation checks: recall@K against a stable-sort oracle (with deliberate
-score ties), deterministic tiled fan-out on the calling thread and on a
-pool, and its memory bound, truth-map inversion, block-wise ranking
-against ranks of the whole score matrix, and the report round trip."""
+score ties), deterministic tiled fan-out in the calling process and on a
+pool of forked workers, and its memory bound, truth-map inversion,
+block-wise ranking against ranks of the whole score matrix, and the
+report round trip."""
 
 from __future__ import annotations
 
-import concurrent.futures
+import multiprocessing.pool
 import os
 import tracemalloc
 
@@ -21,22 +22,22 @@ from test_model import tiny_nets
 
 @pytest.fixture
 def pools(monkeypatch):
-    """The worker counts of the thread pools built while the test runs."""
+    """The worker counts of the process pools built while the test runs."""
     built = []
-    real = concurrent.futures.ThreadPoolExecutor
+    real = multiprocessing.pool.Pool
 
     class Counted(real):
-        def __init__(self, max_workers=None, *args, **kwargs):
-            built.append(max_workers)
-            super().__init__(max_workers, *args, **kwargs)
+        def __init__(self, processes=None, *args, **kwargs):
+            built.append(processes)
+            super().__init__(processes, *args, **kwargs)
 
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Counted)
+    monkeypatch.setattr(multiprocessing.pool, "Pool", Counted)
     return built
 
 
 @pytest.fixture
 def block_paths(monkeypatch, pools):
-    """`for _ in block_paths():` runs a test body on the calling thread, as
+    """`for _ in block_paths():` runs a test body in the calling process, as
     these small splits are scored, and again on a pool: at one block per
     worker any split of two blocks or more fans out to at most `threads`
     workers."""
@@ -218,9 +219,35 @@ class TestScoreMatrix:
         monkeypatch.setattr(ek, "MIN_BLOCKS_PER_WORKER", 8)
         for threads, n_blocks in ((2, 16), (2, 15), (1, 1024), (4, 24),
                                   (4, 1024)):
-            with ek._block_map(threads, n_blocks) as each:
-                assert list(each(abs, [-1, 2])) == [1, 2]
+            each = ek._block_map(threads, n_blocks)
+            assert list(each(abs, [-1, 2])) == [1, 2]
         assert pools == [2, 3, 4]
+
+    def test_pooled_calls_leave_no_worker_running(self, monkeypatch, pools):
+        """A pooled `score_matrix` and a pooled `evaluate` (two passes)
+        each close their pools before they return."""
+        monkeypatch.setattr(ek, "MIN_BLOCKS_PER_WORKER", 1)
+        split = make_split(130, 6)
+        nets = [tiny_nets(82)]
+        ek.score_matrix(nets, split.images, split.texts, threads=2)
+        assert multiprocessing.active_children() == []
+        ek.evaluate(nets, split, ks=(1,), threads=2)
+        assert multiprocessing.active_children() == []
+        assert pools == [2, 2, 2]
+
+    def test_worker_exception_reaches_the_caller(self, monkeypatch, pools):
+        """An exception raised while a worker scores a block is raised
+        again in the caller, with its type and message."""
+        def broken(*args, **kwargs):
+            raise FloatingPointError("tile scorer broke")
+
+        monkeypatch.setattr(model, "block_feature", broken)
+        monkeypatch.setattr(ek, "MIN_BLOCKS_PER_WORKER", 1)
+        split = make_split(130, 7)
+        with pytest.raises(FloatingPointError, match="tile scorer broke"):
+            ek.evaluate([tiny_nets(83)], split, ks=(1,), threads=2)
+        assert pools == [2]
+        assert multiprocessing.active_children() == []
 
     def test_default_counts_usable_cpus(self, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
@@ -490,3 +517,23 @@ class TestBlockwiseRanks:
         finally:
             tracemalloc.stop()
         assert peak < 1024 * 1024 * 8
+
+    def test_rescores_only_blocks_that_miss_a_true_pair(self, monkeypatch):
+        """The diagonal tiles of a 1:1 split hold the true pairs of all
+        their rows and columns, so each of the 9 tiles is scored once.  A
+        cosine strip holds its rows' true pairs but not its columns', so
+        each of the 5 strips is scored in both passes."""
+        scored = []
+
+        def counted(name, real):
+            def scorer(*args):
+                scored.append(name)
+                return real(*args)
+            monkeypatch.setattr(model, name, scorer)
+
+        counted("block_feature", model.block_feature)
+        counted("cosine_strip", model.cosine_strip)
+        split = make_split(130, 8)
+        for scorer in ("mscn", "cosine"):
+            ek.evaluate([tiny_nets(84)], split, ks=(1,), scorer=scorer)
+        assert scored == ["block_feature"] * 9 + ["cosine_strip"] * 10

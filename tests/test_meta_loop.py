@@ -984,7 +984,6 @@ def test_train_smoke_and_outputs(tmp_path):
     rsums = [r["val_rsum"] for r in result.metrics]
     assert result.best_rsum == max(rsums)
     assert result.best_epoch == rsums.index(max(rsums))
-    assert result.final_val.rsum == rsums[-1]
     # warmup rows carry no purifier columns, main rows do
     assert result.metrics[0]["net1_purified"] is None
     assert result.metrics[1]["net1_purified"] is not None
@@ -1046,7 +1045,6 @@ def test_run_state_carries_a_run_through_pickle():
     assert _state_bytes(state) == _state_bytes(whole)
     assert state.best_epoch == whole.best_epoch == 2
     assert state.best_rsum == whole.best_rsum
-    assert state.final_val == whole.final_val
 
 
 def test_train_seed_changes_outcome():
